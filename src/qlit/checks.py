@@ -37,6 +37,8 @@ from .tractable import (
     sdd_exists,
     sdd_forall,
     sdd_shift,
+    _sharing_node,
+    _var_bitmasks,
 )
 from .xai import Classifier, Decision, decide, is_decision_biased, sufficient_reasons
 from .generators import (
@@ -438,26 +440,8 @@ def _tractable(suite: _Suite) -> SuiteResult:
 
 
 def _disjoint_disjunctions(circuit) -> bool:
-    reach = circuit.reachable()
-    masks: dict[int, int] = {}
-    for i in range(len(circuit.nodes)):
-        if i not in reach:
-            continue
-        node = circuit.nodes[i]
-        if node.kind == "lit":
-            masks[i] = 1 << (node.lit >> 1)
-        elif node.kind == "const":
-            masks[i] = 0
-        else:
-            acc = 0
-            shared = 0
-            for child in node.children:
-                shared |= acc & masks[child]
-                acc |= masks[child]
-            if node.kind == "or" and shared:
-                return False
-            masks[i] = acc
-    return True
+    order, masks = _var_bitmasks(circuit)
+    return _sharing_node(circuit, order, masks, "or") < 0
 
 
 def _reasons(suite: _Suite) -> SuiteResult:

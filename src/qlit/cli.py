@@ -23,22 +23,11 @@ import shlex
 import sys
 from typing import Sequence
 
-from .core import Annotation, Circuit, Formula, Universe, Variable
+from .core import Circuit, Formula
 from .errors import ParseError, QlitError
 from . import oracle
-from .quantify import quantify_set
-from .tractable import (
-    Cnf,
-    Dnf,
-    cnf_exists_literal,
-    cnf_forall_literal,
-    ddnnf_exists,
-    ddnnf_forall,
-    dnf_exists_literal,
-    dnf_forall_literal,
-    sdd_exists,
-    sdd_forall,
-)
+from .quantify import quantify
+from .tractable import Cnf, Dnf
 from .xai import (
     Classifier,
     Decision,
@@ -86,17 +75,31 @@ def _all_ints(fields: Sequence[str]) -> bool:
         return False
 
 
+def _operands(formula: Formula, kind: str) -> list[Formula]:
+    """The operands of a nested chain of ``kind`` gates, left to right."""
+    out = []
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if node.kind == kind:
+            stack.extend(reversed(node.key[1]))
+        else:
+            out.append(node)
+    return out
+
+
 def _formula_to_dnf(formula: Formula) -> Dnf:
     u = formula.universe
     terms = []
-    parts = formula.key[1] if formula.kind == "or" else (formula,)
-    for part in parts:
-        lits = part.key[1] if part.kind == "and" else (part,)
+    for part in _operands(formula, "or"):
         codes = []
-        for lit in lits:
-            if lit.kind != "lit":
+        for lit in _operands(part, "and"):
+            if lit.kind == "not" and lit.key[1].kind == "lit":
+                codes.append(lit.key[1].key[1] ^ 1)
+            elif lit.kind == "lit":
+                codes.append(lit.key[1])
+            else:
                 raise ParseError("input is not a disjunction of terms", 1)
-            codes.append(lit.key[1])
         terms.append(u.term([u.literal_by_code(c) for c in codes]))
     return Dnf(u, terms)
 
@@ -114,6 +117,20 @@ def _load_input(path: str, repr_: str):
     if kind == "dnf":
         return _formula_to_dnf(parse_formula(text))
     return parse_formula(text)
+
+
+def _input(args, session):
+    """The ``--in`` file, else the object loaded in the repl."""
+    value = session.get("loaded") if args.input is None else _load_input(args.input, args.repr)
+    if value is None:
+        raise QlitError("no input: pass --in FILE or load one in the repl")
+    return value
+
+
+def _read_classifier(path: str) -> Classifier:
+    with open(path, "r", encoding="ascii") as handle:
+        bundle = parse_classifier_bundle(handle.read())
+    return Classifier(bundle.positive, bundle.negative, protected=bundle.protected)
 
 
 def _emit_result(value) -> str:
@@ -148,59 +165,10 @@ def _print(args, kind: str, result, items: list[str]) -> None:
 # -- subcommand handlers --------------------------------------------------------
 
 
-def _expand_literals(universe: Universe, resolved: list) -> list:
-    """Variables become both of their literals; literals pass through."""
-    out = []
-    for item in resolved:
-        if isinstance(item, Variable):
-            pos = universe.literal_by_code(2 * item.index + 1)
-            out.extend([pos, ~pos])
-        else:
-            out.append(item)
-    return out
-
-
 def _cmd_quantify(args, session) -> int:
-    value = (
-        session.get("loaded")
-        if args.input is None
-        else _load_input(args.input, args.repr)
-    )
-    if value is None:
-        raise QlitError("no input: pass --in FILE or load one in the repl")
+    value = _input(args, session)
     items = [s for s in args.items.split(",") if s.strip()]
-    universe = value.universe
-    resolved = [universe.item(s) for s in items]
-
-    if isinstance(value, Cnf):
-        out = value
-        for lit in _expand_literals(universe, resolved):
-            out = (
-                cnf_forall_literal(out, lit)
-                if args.op == "forall"
-                else cnf_exists_literal(out, lit)
-            )
-    elif isinstance(value, Dnf):
-        out = value
-        for lit in _expand_literals(universe, resolved):
-            out = (
-                dnf_exists_literal(out, lit)
-                if args.op == "exists"
-                else dnf_forall_literal(out, lit)
-            )
-    elif isinstance(value, Circuit):
-        lits = _expand_literals(universe, resolved)
-        if value.annotation == Annotation.SDD:
-            out = sdd_forall(value, lits) if args.op == "forall" else sdd_exists(value, lits)
-        else:
-            out = (
-                ddnnf_forall(value, lits)
-                if args.op == "forall"
-                else ddnnf_exists(value, lits)
-            )
-    else:
-        out = quantify_set(value, args.op, resolved)
-
+    out = quantify(value, args.op, items)
     if args.out:
         _write_output(args.out, out)
     _print(args, "quantify", _emit_result(out), [])
@@ -208,13 +176,7 @@ def _cmd_quantify(args, session) -> int:
 
 
 def _cmd_brules(args, session) -> int:
-    value = (
-        session.get("loaded")
-        if args.input is None
-        else _load_input(args.input, args.repr)
-    )
-    if value is None:
-        raise QlitError("no input: pass --in FILE or load one in the repl")
+    value = _input(args, session)
     rules = oracle.b_rules(value)
     worlds = sorted({w for w, _ in oracle.boundary_models(value)}, key=lambda w: w.bits)
     summary = f"rules: {len(rules)}, boundary models: {len(worlds)}"
@@ -234,11 +196,7 @@ def _load_classifier(args, session) -> Classifier:
         if classifier is None:
             raise QlitError("no classifier: pass --classifier BUNDLE or load one")
     else:
-        with open(args.classifier, "r", encoding="ascii") as handle:
-            bundle = parse_classifier_bundle(handle.read())
-        classifier = Classifier(
-            bundle.positive, bundle.negative, protected=bundle.protected
-        )
+        classifier = _read_classifier(args.classifier)
     if getattr(args, "protected", None):
         classifier = Classifier(
             classifier.positive,
@@ -316,11 +274,7 @@ def _cmd_repl(args, session) -> int:
 
 def _repl_load(fields: list[str], session) -> None:
     if len(fields) == 3 and fields[1] == "classifier":
-        with open(fields[2], "r", encoding="ascii") as handle:
-            bundle = parse_classifier_bundle(handle.read())
-        session["classifier"] = Classifier(
-            bundle.positive, bundle.negative, protected=bundle.protected
-        )
+        session["classifier"] = _read_classifier(fields[2])
         print(f"loaded {session['classifier']!r}")
     elif len(fields) == 3 and fields[1] in ("formula", "cnf", "dnf", "nnf", "sdd"):
         repr_ = {"nnf": "ddnnf"}.get(fields[1], fields[1])

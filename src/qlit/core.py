@@ -9,12 +9,26 @@ the universe changes.
 Literals are encoded internally as dense integer codes ``2*index + polarity``
 so that the canonical order (variable index ascending, negative before
 positive) is plain integer order.
+
+Formulas and circuits are both DAGs, and every pass over them is written
+once, on one walk.  :func:`walk` lists the nodes under a root children first
+as ``(ref, kind, arg)`` triples.  For a formula these are the nodes an
+iterative search finds, sorted by creation serial: interning makes every
+child older than its parents, so that order is topological.  For a circuit
+they are the reachable node ids in list order, which is topological too.
+Two loops run on the walk.  :func:`truth_table` evaluates a DAG on
+bit-parallel variable masks, one world per bit.  :func:`rebuild` copies a
+DAG into a builder (a universe for formulas, a :class:`CircuitBuilder` for
+circuits): it replaces literals by constants, builds the De Morgan dual on
+request and folds every gate by the one rule of :meth:`_Folding.fold`.
+Neither recurses, so only memory bounds the depth of a DAG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     ArityError,
@@ -79,12 +93,44 @@ LiteralLike = Union[Literal, str]
 ItemLike = Union[Literal, Variable, str]
 
 
-class Universe:
+class _Folding:
+    """The folding rule of every rebuild, shared by the two builders: a
+    universe builds formulas, a :class:`CircuitBuilder` builds circuits.
+
+    A builder keeps the refs of its two constants in ``true`` and ``false``
+    (``None`` until a circuit builder has made one), makes a constant with
+    ``const`` and an unfolded gate with ``gate``.
+    """
+
+    __slots__ = ()
+
+    def fold(self, kind: str, parts: Sequence):
+        """An ``and``/``or`` gate over ``parts`` with constants absorbed; a
+        single remaining part stands for the whole gate."""
+        if kind == "and":
+            unit, zero = self.true, self.false
+        else:
+            unit, zero = self.false, self.true
+        kept = []
+        for part in parts:
+            if part == zero:
+                return part
+            if part != unit:
+                kept.append(part)
+        if not kept:
+            return self.const(kind == "and")
+        if len(kept) == 1:
+            return kept[0]
+        return self.gate(kind, kept)
+
+
+class Universe(_Folding):
     """An ordered, fixed set of Boolean variables.
 
     All worlds, terms, clauses, formulas and circuits reference exactly one
     universe.  The universe also interns formula nodes, so constructing the
-    same expression twice yields the identical node object.
+    same expression twice yields the identical node object; it is the builder
+    that :func:`rebuild` makes formulas with.
     """
 
     def __init__(self, names: Iterable[str] | int):
@@ -105,6 +151,7 @@ class Universe:
         )
         self._node_cache: dict[tuple, Formula] = {}
         self._var_masks: list[int] | None = None
+        self._last_walk: tuple = (None, [])
         self.true = self._intern(("true",))
         self.false = self._intern(("false",))
 
@@ -240,15 +287,31 @@ class Universe:
     def _intern(self, key: tuple) -> "Formula":
         node = self._node_cache.get(key)
         if node is None:
-            node = Formula(self, key)
+            node = Formula(self, key, len(self._node_cache))
             self._node_cache[key] = node
         return node
 
-    def lit(self, spec: LiteralLike) -> "Formula":
-        return self._intern(("lit", self.literal(spec).code))
+    def lit(self, spec: LiteralLike | int) -> "Formula":
+        """The literal node of ``spec``: a literal, its string form or its
+        integer code."""
+        code = spec if isinstance(spec, int) else self.literal(spec).code
+        return self._intern(("lit", code))
 
     def constant(self, value: bool) -> "Formula":
         return self.true if value else self.false
+
+    const = constant
+
+    def gate(self, kind: str, parts: Sequence["Formula"]) -> "Formula":
+        return self._intern((kind, tuple(parts)))
+
+    def negation(self, part: "Formula") -> "Formula":
+        """``~part``, folded on constants."""
+        if part is self.true:
+            return self.false
+        if part is self.false:
+            return self.true
+        return self._intern(("not", part))
 
     def all_conj(self, parts: Iterable["Formula"]) -> "Formula":
         parts = tuple(parts)
@@ -438,11 +501,12 @@ class Formula:
     shared subtrees form a DAG for free.
     """
 
-    __slots__ = ("universe", "key")
+    __slots__ = ("universe", "key", "serial")
 
-    def __init__(self, universe: Universe, key: tuple):
+    def __init__(self, universe: Universe, key: tuple, serial: int):
         self.universe = universe
         self.key = key
+        self.serial = serial  # creation rank in the universe
 
     # -- structure ----------------------------------------------------------
 
@@ -491,44 +555,208 @@ class Formula:
     # -- queries -------------------------------------------------------------
 
     def mentioned_variables(self) -> frozenset[Variable]:
-        out: set[Variable] = set()
-        seen: set[int] = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if node.kind == "lit":
-                out.add(node.literal.variable)
-            else:
-                stack.extend(node.children)
-        return frozenset(out)
+        variables = self.universe.variables
+        return frozenset(
+            variables[arg >> 1] for _, kind, arg in walk(self) if kind == "lit"
+        )
 
     def __str__(self) -> str:
-        return _format(self, 0)
+        return _format(self)
 
     def __repr__(self) -> str:
         return f"Formula({self})"
 
 
+_serial = attrgetter("serial")
+
 _PRECEDENCE = {"iff": 1, "implies": 2, "or": 3, "and": 4, "not": 5, "atom": 6}
 
 
-def _format(node: Formula, parent_level: int) -> str:
-    kind = node.kind
-    if kind == "true":
-        return "true"
-    if kind == "false":
-        return "false"
-    if kind == "lit":
-        return str(node.literal)
-    if kind == "not":
-        return "~" + _format(node.key[1], _PRECEDENCE["not"])
-    sep = " & " if kind == "and" else " | "
-    level = _PRECEDENCE[kind]
-    text = sep.join(_format(child, level) for child in node.key[1])
-    return f"({text})" if level < parent_level or parent_level == _PRECEDENCE["not"] else text
+def _format(root: Formula) -> str:
+    """Infix text, parenthesized by precedence; an explicit stack of pending
+    nodes and text pieces replaces recursion."""
+    pieces: list[str] = []
+    stack: list = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node, parent_level = item
+        kind = node.kind
+        if kind in ("true", "false"):
+            pieces.append(kind)
+        elif kind == "lit":
+            pieces.append(str(node.literal))
+        elif kind == "not":
+            pieces.append("~")
+            stack.append((node.key[1], _PRECEDENCE["not"]))
+        else:
+            level = _PRECEDENCE[kind]
+            wrap = level < parent_level or parent_level == _PRECEDENCE["not"]
+            if wrap:
+                pieces.append("(")
+                stack.append(")")
+            sep = " & " if kind == "and" else " | "
+            children = node.key[1]
+            for k in range(len(children) - 1, -1, -1):
+                stack.append((children[k], level))
+                if k:
+                    stack.append(sep)
+    return "".join(pieces)
+
+
+# -- the shared DAG walk and its two loops ---------------------------------------
+
+
+def walk(value, roots: Sequence | None = None, done=()) -> list[tuple]:
+    """``(ref, kind, arg)`` for every node under ``roots``, children first,
+    each node once.
+
+    ``value`` is a formula or a circuit; ``roots`` defaults to its root.  A
+    formula's ref is the node and ``arg`` the last field of its key (the
+    literal code, the negated child or the tuple of children); a circuit's
+    ref is the node id and ``arg`` the literal code or the child ids.  Both
+    constant kinds read ``true`` and ``false``.  Children are interned before
+    their parents, so creation order is a topological order: the formula
+    walk collects the nodes under the roots, without entering those in the
+    mapping ``done``, and sorts them by serial.  Circuit node lists are in
+    topological order already.  The list returned may be shared with other
+    passes and is never changed.
+    """
+    if isinstance(value, Circuit):
+        nodes = value.nodes
+        out = []
+        for i in sorted(value.reachable(roots)):
+            node = nodes[i]
+            kind = node.kind
+            if kind == "lit":
+                out.append((i, kind, node.lit))
+            elif kind == "const":
+                out.append((i, "true" if node.value else "false", None))
+            else:
+                out.append((i, kind, node.children))
+        return out
+    if roots is None:
+        roots = (value,)
+    # passes often run twice over one formula (both conditionings of a
+    # quantifier), so the universe keeps the last single-root walk
+    universe = value.universe
+    repeat = not done and len(roots) == 1
+    last_root, last = universe._last_walk
+    if repeat and roots[0] is last_root:
+        return last
+    stack = [r for r in roots if r not in done]
+    seen = set(stack)
+    while stack:
+        key = stack.pop().key
+        kind = key[0]
+        if kind == "and" or kind == "or":
+            children = key[1]
+        elif kind == "not":
+            children = (key[1],)
+        else:
+            continue
+        for child in children:
+            if child not in seen and child not in done:
+                seen.add(child)
+                stack.append(child)
+    out = [(node, node.key[0], node.key[-1]) for node in sorted(seen, key=_serial)]
+    if repeat:
+        universe._last_walk = (roots[0], out)
+    return out
+
+
+def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
+                root=None, memo: dict | None = None) -> int:
+    """Bit-parallel evaluation of a formula or circuit: bit ``w`` of the
+    result is the value in world ``w``.
+
+    ``masks[i]`` holds the bits of the worlds where variable ``i`` is true
+    and ``full`` the bits of all worlds.  ``root`` picks a circuit node other
+    than the root.  ``memo`` maps refs to their tables; formula nodes are
+    interned and immutable, so a memo may be kept across calls, and the walk
+    stops at the nodes it already holds.
+    """
+    if root is None:
+        root = value if isinstance(value, Formula) else value.root
+    if memo is None:
+        memo = {}
+    elif root in memo:
+        return memo[root]
+    for ref, kind, arg in walk(value, (root,), memo):
+        if kind == "lit":
+            out = masks[arg >> 1] if arg & 1 else full ^ masks[arg >> 1]
+        elif kind == "and":
+            out = full
+            for child in arg:
+                out &= memo[child]
+        elif kind == "or":
+            out = 0
+            for child in arg:
+                out |= memo[child]
+        elif kind == "not":
+            out = full ^ memo[arg]
+        else:
+            out = full if kind == "true" else 0
+        memo[ref] = out
+    return memo[root]
+
+
+_POS, _NEG = 1, 2
+_SIDES = {_POS: (0,), _NEG: (1,), _POS | _NEG: (0, 1)}  # 1 builds the complement
+_DUAL = {"and": "or", "or": "and"}
+
+
+def rebuild(value, builder: _Folding, replace: Mapping[int, bool] | None = None,
+            dual: bool = False, roots: Sequence | None = None, shift=None) -> dict:
+    """Copy the DAG under ``roots`` (default: the root of ``value``) into
+    ``builder`` bottom-up, folding every gate; returns the images by ref.
+
+    ``replace`` maps literal codes to the constants that take their place.
+    With ``dual`` the images are of the complements, built by De Morgan:
+    ``and`` and ``or`` swap, literals and constants flip, and a ``not`` node
+    passes on the opposite image of its child.  Only the polarities that the
+    roots need are built, and the result has no ``not`` node.  ``shift``, when
+    given, makes the image of each ``or`` node instead, as
+    ``shift(ref, images)`` with the images built so far.
+    """
+    if roots is None:
+        roots = (value if isinstance(value, Formula) else value.root,)
+    entries = walk(value, roots)
+    need = None
+    if dual and any(kind == "not" for _, kind, _ in entries):
+        # a not node flips the polarity its child is needed in
+        need = dict.fromkeys(roots, _NEG)
+        for ref, kind, arg in reversed(entries):
+            bits = need[ref]
+            if kind == "not":
+                need[arg] = need.get(arg, 0) | (bits & _POS) << 1 | (bits & _NEG) >> 1
+            elif kind == "and" or kind == "or":
+                for child in arg:
+                    need[child] = need.get(child, 0) | bits
+    images: tuple[dict, dict] = ({}, {})  # of the nodes, of their complements
+    sides = (int(dual),)
+    for ref, kind, arg in entries:
+        for negated in _SIDES[need[ref]] if need else sides:
+            own = images[negated]
+            if kind == "lit":
+                if replace and arg in replace:
+                    out = builder.const(replace[arg] != negated)
+                else:
+                    out = builder.lit(arg ^ negated)
+            elif kind == "and" or kind == "or":
+                if shift is not None and kind == "or":
+                    out = shift(ref, own)
+                else:
+                    gate = _DUAL[kind] if negated else kind
+                    out = builder.fold(gate, [own[child] for child in arg])
+            elif kind == "not":
+                out = images[1 - negated][arg] if dual else builder.negation(own[arg])
+            else:
+                out = builder.const((kind == "true") != negated)
+            own[ref] = out
+    return images[dual]
 
 
 # -- core operations ---------------------------------------------------------
@@ -542,42 +770,6 @@ def flip(world: World, lit: LiteralLike) -> World:
     return world.flip(lit)
 
 
-def _fold_and(universe: Universe, parts: Sequence[Formula]) -> Formula:
-    kept = []
-    for part in parts:
-        if part.kind == "false":
-            return universe.false
-        if part.kind != "true":
-            kept.append(part)
-    if not kept:
-        return universe.true
-    if len(kept) == 1:
-        return kept[0]
-    return universe._intern(("and", tuple(kept)))
-
-
-def _fold_or(universe: Universe, parts: Sequence[Formula]) -> Formula:
-    kept = []
-    for part in parts:
-        if part.kind == "true":
-            return universe.true
-        if part.kind != "false":
-            kept.append(part)
-    if not kept:
-        return universe.false
-    if len(kept) == 1:
-        return kept[0]
-    return universe._intern(("or", tuple(kept)))
-
-
-def _fold_not(universe: Universe, child: Formula) -> Formula:
-    if child.kind == "true":
-        return universe.false
-    if child.kind == "false":
-        return universe.true
-    return universe._intern(("not", child))
-
-
 def condition(formula: Formula, lit: LiteralLike) -> Formula:
     """Substitute ``lit``'s variable by the matching constant and fold.
 
@@ -586,60 +778,16 @@ def condition(formula: Formula, lit: LiteralLike) -> Formula:
     simplified — equivalence, not syntax, is the contract.
     """
     u = formula.universe
-    lit = u.literal(lit)
-    cache: dict[int, Formula] = {}
-
-    def walk(node: Formula) -> Formula:
-        got = cache.get(id(node))
-        if got is not None:
-            return got
-        kind = node.kind
-        if kind == "lit":
-            if node.literal.variable == lit.variable:
-                out = u.constant(node.literal.positive == lit.positive)
-            else:
-                out = node
-        elif kind == "not":
-            out = _fold_not(u, walk(node.key[1]))
-        elif kind == "and":
-            out = _fold_and(u, [walk(c) for c in node.key[1]])
-        elif kind == "or":
-            out = _fold_or(u, [walk(c) for c in node.key[1]])
-        else:
-            out = node
-        cache[id(node)] = out
-        return out
-
-    return walk(formula)
+    code = u.literal(lit).code
+    return rebuild(formula, u, {code: True, code ^ 1: False})[formula]
 
 
 def evaluate(formula: Formula, world: World) -> bool:
     """Standard Boolean evaluation of ``formula`` under the total ``world``."""
     if world.universe is not formula.universe:
         raise UniverseMismatchError("world evaluates formulas of its own universe")
-    cache: dict[int, bool] = {}
-
-    def walk(node: Formula) -> bool:
-        got = cache.get(id(node))
-        if got is not None:
-            return got
-        kind = node.kind
-        if kind == "true":
-            out = True
-        elif kind == "false":
-            out = False
-        elif kind == "lit":
-            out = node.literal in world
-        elif kind == "not":
-            out = not walk(node.key[1])
-        elif kind == "and":
-            out = all(walk(c) for c in node.key[1])
-        else:
-            out = any(walk(c) for c in node.key[1])
-        cache[id(node)] = out
-        return out
-
-    return walk(formula)
+    masks = [world.bits >> i & 1 for i in range(len(world.universe))]
+    return bool(truth_table(formula, masks, 1))
 
 
 def negate(value):
@@ -649,59 +797,16 @@ def negate(value):
     for circuits, at most doubles the node count.
     """
     if isinstance(value, Formula):
-        return _negate_formula(value)
+        return rebuild(value, value.universe, dual=True)[value]
     if isinstance(value, Circuit):
-        return _negate_circuit(value)
+        builder = CircuitBuilder(value.universe)
+        return builder.finish(rebuild(value, builder, dual=True)[value.root], prune=True)
     raise TypeError(f"cannot negate {value!r}")
-
-
-def _negate_formula(formula: Formula) -> Formula:
-    u = formula.universe
-    pos_cache: dict[int, Formula] = {}
-    neg_cache: dict[int, Formula] = {}
-
-    def pos(node: Formula) -> Formula:
-        got = pos_cache.get(id(node))
-        if got is not None:
-            return got
-        kind = node.kind
-        if kind == "not":
-            out = neg(node.key[1])
-        elif kind == "and":
-            out = _fold_and(u, [pos(c) for c in node.key[1]])
-        elif kind == "or":
-            out = _fold_or(u, [pos(c) for c in node.key[1]])
-        else:
-            out = node
-        pos_cache[id(node)] = out
-        return out
-
-    def neg(node: Formula) -> Formula:
-        got = neg_cache.get(id(node))
-        if got is not None:
-            return got
-        kind = node.kind
-        if kind == "true":
-            out = u.false
-        elif kind == "false":
-            out = u.true
-        elif kind == "lit":
-            out = u.lit(~node.literal)
-        elif kind == "not":
-            out = pos(node.key[1])
-        elif kind == "and":
-            out = _fold_or(u, [neg(c) for c in node.key[1]])
-        else:
-            out = _fold_and(u, [neg(c) for c in node.key[1]])
-        neg_cache[id(node)] = out
-        return out
-
-    return neg(formula)
 
 
 def to_nnf(formula: Formula) -> Formula:
     """Push all negations down to literals and constants."""
-    return _negate_formula(_negate_formula(formula))
+    return negate(negate(formula))
 
 
 # -- circuits -----------------------------------------------------------------
@@ -732,9 +837,10 @@ class Circuit:
     """A shared-subgraph NNF DAG in topological order.
 
     ``annotation`` records the strongest structural class the circuit is known
-    to be in; ``verified`` says whether that class has actually been checked
-    (parsers and verifiers set it, transformation passes preserve what they
-    can prove).
+    to be in; ``verified`` says whether that class has actually been checked.
+    Neither changes after construction: parsers and verifiers return a new
+    circuit sharing the node list, and transformation passes build new
+    circuits carrying what they can prove.
     """
 
     __slots__ = ("universe", "nodes", "root", "annotation", "verified")
@@ -762,14 +868,12 @@ class Circuit:
 
     def literal_codes(self) -> set[int]:
         """Codes of literal nodes reachable from the root."""
-        reach = self.reachable()
-        return {
-            self.nodes[i].lit for i in reach if self.nodes[i].kind == "lit"
-        }
+        return {arg for _, kind, arg in walk(self) if kind == "lit"}
 
-    def reachable(self) -> set[int]:
-        seen = {self.root}
-        stack = [self.root]
+    def reachable(self, roots: Iterable[int] | None = None) -> set[int]:
+        """Ids of the nodes under ``roots`` (default: the root), roots included."""
+        stack = [self.root] if roots is None else list(roots)
+        seen = set(stack)
         while stack:
             for child in self.nodes[stack.pop()].children:
                 if child not in seen:
@@ -777,34 +881,12 @@ class Circuit:
                     stack.append(child)
         return seen
 
-    def evaluate(self, world: World) -> bool:
-        if world.universe is not self.universe:
-            raise UniverseMismatchError("world evaluates circuits of its own universe")
-        values: list[bool] = []
-        for node in self.nodes:
-            if node.kind == "const":
-                values.append(node.value)
-            elif node.kind == "lit":
-                values.append(self.universe.literal_by_code(node.lit) in world)
-            elif node.kind == "and":
-                values.append(all(values[c] for c in node.children))
-            else:
-                values.append(any(values[c] for c in node.children))
-        return values[self.root]
+    def with_annotation(self, annotation: str) -> "Circuit":
+        """The same nodes under ``annotation``, marked verified."""
+        return Circuit(self.universe, self.nodes, self.root, annotation, verified=True)
 
     def to_formula(self) -> Formula:
-        u = self.universe
-        built: list[Formula] = []
-        for node in self.nodes:
-            if node.kind == "const":
-                built.append(u.constant(node.value))
-            elif node.kind == "lit":
-                built.append(u.lit(u.literal_by_code(node.lit)))
-            elif node.kind == "and":
-                built.append(_fold_and(u, [built[c] for c in node.children]))
-            else:
-                built.append(_fold_or(u, [built[c] for c in node.children]))
-        return built[self.root]
+        return rebuild(self, self.universe)[self.root]
 
     def __repr__(self) -> str:
         return (
@@ -813,18 +895,20 @@ class Circuit:
         )
 
 
-class CircuitBuilder:
+class CircuitBuilder(_Folding):
     """Incremental construction of circuits with node interning.
 
     ``add_*`` methods are structure-preserving (used by parsers and
-    generators); the ``fold_*`` variants absorb constants and collapse
-    single-child gates (used by transformation passes).
+    generators); :meth:`fold` absorbs constants and collapses single-child
+    gates (used by transformation passes).
     """
 
     def __init__(self, universe: Universe):
         self.universe = universe
         self.nodes: list[CNode] = []
         self._cache: dict[tuple, int] = {}
+        self.true: int | None = None
+        self.false: int | None = None
 
     def _add(self, key: tuple, node: CNode) -> int:
         got = self._cache.get(key)
@@ -836,7 +920,12 @@ class CircuitBuilder:
         return index
 
     def const(self, value: bool) -> int:
-        return self._add(("const", value), CNode("const", value=value))
+        index = self._add(("const", value), CNode("const", value=value))
+        if value:
+            self.true = index
+        else:
+            self.false = index
+        return index
 
     def lit(self, lit: Literal | int) -> int:
         code = lit if isinstance(lit, int) else lit.code
@@ -858,35 +947,8 @@ class CircuitBuilder:
             CNode("or", children=children, decision=decision, elements=elements),
         )
 
-    def fold_and(self, children: Sequence[int]) -> int:
-        kept = []
-        for c in children:
-            node = self.nodes[c]
-            if node.kind == "const":
-                if not node.value:
-                    return self.const(False)
-            else:
-                kept.append(c)
-        if not kept:
-            return self.const(True)
-        if len(kept) == 1:
-            return kept[0]
-        return self.add_and(kept)
-
-    def fold_or(self, children: Sequence[int]) -> int:
-        kept = []
-        for c in children:
-            node = self.nodes[c]
-            if node.kind == "const":
-                if node.value:
-                    return self.const(True)
-            else:
-                kept.append(c)
-        if not kept:
-            return self.const(False)
-        if len(kept) == 1:
-            return kept[0]
-        return self.add_or(kept)
+    def gate(self, kind: str, children: Sequence[int]) -> int:
+        return self.add_and(children) if kind == "and" else self.add_or(children)
 
     def finish(
         self,
@@ -897,77 +959,22 @@ class CircuitBuilder:
     ) -> Circuit:
         """Wrap the nodes into a circuit; ``prune`` drops nodes unreachable
         from the root (transformation passes leave such orphans behind)."""
-        if prune:
-            keep = {root}
-            stack = [root]
-            while stack:
-                for child in self.nodes[stack.pop()].children:
-                    if child not in keep:
-                        keep.add(child)
-                        stack.append(child)
-            remap: dict[int, int] = {}
-            compact: list[CNode] = []
-            for index in sorted(keep):
-                node = self.nodes[index]
-                remap[index] = len(compact)
-                compact.append(
-                    CNode(
-                        node.kind,
-                        value=node.value,
-                        lit=node.lit,
-                        children=tuple(remap[c] for c in node.children),
-                        decision=node.decision,
-                        elements=tuple(
-                            (remap[p], remap[s]) for p, s in node.elements
-                        ),
-                    )
+        circuit = Circuit(self.universe, self.nodes, root, annotation, verified)
+        if not prune:
+            return circuit
+        remap: dict[int, int] = {}
+        compact: list[CNode] = []
+        for index in sorted(circuit.reachable()):
+            node = self.nodes[index]
+            remap[index] = len(compact)
+            compact.append(
+                CNode(
+                    node.kind,
+                    value=node.value,
+                    lit=node.lit,
+                    children=tuple(remap[c] for c in node.children),
+                    decision=node.decision,
+                    elements=tuple((remap[p], remap[s]) for p, s in node.elements),
                 )
-            return Circuit(self.universe, compact, remap[root], annotation, verified)
-        return Circuit(self.universe, self.nodes, root, annotation, verified)
-
-
-def circuit_from_formula(formula: Formula) -> Circuit:
-    """Compile an NNF formula into a circuit (negations are pushed first)."""
-    nnf = to_nnf(formula)
-    builder = CircuitBuilder(nnf.universe)
-    cache: dict[int, int] = {}
-
-    def walk(node: Formula) -> int:
-        got = cache.get(id(node))
-        if got is not None:
-            return got
-        kind = node.kind
-        if kind == "true":
-            out = builder.const(True)
-        elif kind == "false":
-            out = builder.const(False)
-        elif kind == "lit":
-            out = builder.lit(node.literal)
-        elif kind == "and":
-            out = builder.fold_and([walk(c) for c in node.children])
-        else:
-            out = builder.fold_or([walk(c) for c in node.children])
-        cache[id(node)] = out
-        return out
-
-    return builder.finish(walk(nnf), prune=True)
-
-
-def _negate_circuit(circuit: Circuit) -> Circuit:
-    builder = CircuitBuilder(circuit.universe)
-    pos: list[int] = []
-    neg: list[int] = []
-    for node in circuit.nodes:
-        if node.kind == "const":
-            pos.append(builder.const(node.value))
-            neg.append(builder.const(not node.value))
-        elif node.kind == "lit":
-            pos.append(builder.lit(node.lit))
-            neg.append(builder.lit(node.lit ^ 1))
-        elif node.kind == "and":
-            pos.append(builder.fold_and([pos[c] for c in node.children]))
-            neg.append(builder.fold_or([neg[c] for c in node.children]))
-        else:
-            pos.append(builder.fold_or([pos[c] for c in node.children]))
-            neg.append(builder.fold_and([neg[c] for c in node.children]))
-    return builder.finish(neg[circuit.root], prune=True)
+            )
+        return Circuit(self.universe, compact, remap[root], annotation, verified)

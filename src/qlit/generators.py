@@ -222,9 +222,7 @@ def parity_decision_dnnf(universe: Universe) -> Circuit:
             decision=i,
         )
         even, odd = next_even, next_odd
-    circuit = builder.finish(odd, Annotation.DECISION_DNNF)
-    circuit.verified = True
-    return circuit
+    return builder.finish(odd, Annotation.DECISION_DNNF, verified=True)
 
 
 def big_random_cnf(universe: Universe, rng: random.Random, clauses: int, width: int = 3) -> Cnf:

@@ -44,7 +44,14 @@ from .core import (
     Universe,
 )
 from .errors import ParseError, StructureError
-from .tractable import Cnf, verify_decision_dnnf, verify_dnnf, verify_sdd
+from .tractable import (
+    Cnf,
+    _sdd_elements,
+    _term_shape_codes,
+    verify_decision_dnnf,
+    verify_dnnf,
+    verify_sdd,
+)
 
 __all__ = [
     "parse_dimacs",
@@ -59,6 +66,21 @@ __all__ = [
     "emit_classifier_bundle",
     "ClassifierBundle",
 ]
+
+
+def _note_name(comment: str, names: dict[int, str]) -> None:
+    """Record a ``c var <index> <name>`` comment."""
+    fields = comment.split()
+    if len(fields) == 4 and fields[:2] == ["c", "var"] and fields[2].isdigit():
+        names[int(fields[2])] = fields[3]
+
+
+def _named_universe(names: dict[int, str], nvars: int) -> Universe:
+    """The universe of ``nvars`` variables, named by the comments when they
+    name every variable exactly once."""
+    if sorted(names) == list(range(1, nvars + 1)):
+        return Universe([names[i] for i in range(1, nvars + 1)])
+    return Universe(nvars)
 
 
 # -- DIMACS CNF -------------------------------------------------------------------
@@ -81,9 +103,7 @@ def parse_dimacs(
         number = first_line + offset
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
-            fields = stripped.split()
-            if len(fields) == 4 and fields[:2] == ["c", "var"] and fields[2].isdigit():
-                names[int(fields[2])] = fields[3]
+            _note_name(stripped, names)
             continue
         if stripped.startswith("p"):
             if header is not None:
@@ -111,10 +131,7 @@ def parse_dimacs(
         raise ParseError("missing 'p cnf' header", max(line - 1, first_line))
     nvars, nclauses = header
     if universe is None:
-        if sorted(names) == list(range(1, nvars + 1)):
-            universe = Universe([names[i] for i in range(1, nvars + 1)])
-        else:
-            universe = Universe(nvars)
+        universe = _named_universe(names, nvars)
     elif len(universe) != nvars:
         raise ParseError(
             f"header declares {nvars} variables, universe has {len(universe)}",
@@ -180,9 +197,7 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
         number = offset + 1
         line = raw.strip()
         if not line or line.startswith("c"):
-            fields = line.split()
-            if len(fields) == 4 and fields[:2] == ["c", "var"] and fields[2].isdigit():
-                names[int(fields[2])] = fields[3]
+            _note_name(line, names)
             continue
         fields = line.split()
         if header is None:
@@ -194,10 +209,7 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
                 raise ParseError("non-numeric header counts", number) from None
             nvars = header[2]
             if universe is None:
-                if sorted(names) == list(range(1, nvars + 1)):
-                    universe = Universe([names[i] for i in range(1, nvars + 1)])
-                else:
-                    universe = Universe(nvars)
+                universe = _named_universe(names, nvars)
             elif len(universe) != nvars:
                 raise ParseError(
                     f"header declares {nvars} variables, universe has {len(universe)}",
@@ -278,9 +290,7 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
     try:
         return verify_dnnf(circuit)
     except StructureError:
-        circuit.annotation = Annotation.NNF
-        circuit.verified = True
-        return circuit
+        return circuit.with_annotation(Annotation.NNF)
 
 
 def emit_nnf(circuit: Circuit) -> str:
@@ -321,9 +331,7 @@ def parse_sdd(text: str, universe: Universe | None = None) -> Circuit:
         number = offset + 1
         line = raw.strip()
         if not line or line.startswith("c"):
-            fields = line.split()
-            if len(fields) == 4 and fields[:2] == ["c", "var"] and fields[2].isdigit():
-                names[int(fields[2])] = fields[3]
+            _note_name(line, names)
             continue
         fields = line.split()
         kind = fields[0]
@@ -353,10 +361,7 @@ def parse_sdd(text: str, universe: Universe | None = None) -> Circuit:
     if not entries:
         raise ParseError("empty SDD description", max(len(lines), 1))
     if universe is None:
-        if sorted(names) == list(range(1, max_var + 1)):
-            universe = Universe([names[i] for i in range(1, max_var + 1)])
-        else:
-            universe = Universe(max_var)
+        universe = _named_universe(names, max_var)
 
     builder = CircuitBuilder(universe)
     by_id: dict[int, int] = {}
@@ -398,73 +403,54 @@ def emit_sdd(circuit: Circuit) -> str:
 
     A prime that is a plain conjunction of literals has no node kind of its
     own in the format, so it is rewritten as nested two-element partitions
-    ``(l & rest) | (~l & false)``.
+    ``(l & rest) | (~l & false)``.  Nodes are written in circuit order, which
+    puts every definition before its uses; each line defines the node whose
+    id is its line number.
     """
+    nodes = circuit.nodes
     lines: list[str] = []
-    node_ids: dict[int, int] = {}
-    literal_ids: dict[int, int] = {}
-    const_ids: dict[bool, int] = {}
-    counter = [0]
+    leaves: dict[tuple, int] = {}  # ("lit", code) or ("const", value) -> id
+    ids: dict[int, int] = {}  # circuit node -> id
 
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
+    def define(line: str) -> int:
+        lines.append(line.format(len(lines)))
+        return len(lines) - 1
 
-    def emit_const(value: bool) -> int:
-        if value not in const_ids:
-            me = fresh()
-            lines.append(f"{'T' if value else 'F'} {me}")
-            const_ids[value] = me
-        return const_ids[value]
+    def leaf(key: tuple, line: str) -> int:
+        if key not in leaves:
+            leaves[key] = define(line)
+        return leaves[key]
 
-    def emit_literal(code: int) -> int:
-        if code not in literal_ids:
-            me = fresh()
-            var = (code >> 1) + 1
-            lines.append(f"L {me} {var if code & 1 else -var}")
-            literal_ids[code] = me
-        return literal_ids[code]
+    def literal(code: int) -> int:
+        var = (code >> 1) + 1
+        return leaf(("lit", code), f"L {{}} {var if code & 1 else -var}")
 
-    def emit_term(codes: list[int]) -> int:
-        head, rest = codes[0], codes[1:]
-        if not rest:
-            return emit_literal(head)
-        parts = (emit_literal(head), emit_term(rest), emit_literal(head ^ 1), emit_const(False))
-        me = fresh()
-        lines.append("D {} 2 {} {} {} {}".format(me, *parts))
-        return me
-
-    def emit(i: int) -> int:
-        if i in node_ids:
-            return node_ids[i]
-        node = circuit.nodes[i]
+    order = sorted(circuit.reachable())
+    # the root, primes and subs; pair nodes and the literals of terms are implicit
+    written = {circuit.root}
+    for i in order:
+        if nodes[i].kind == "or":
+            written.update(j for pair in _sdd_elements(circuit, i) for j in pair)
+    for i in order:
+        if i not in written:
+            continue
+        node = nodes[i]
         if node.kind == "const":
-            me = emit_const(node.value)
+            ids[i] = leaf(("const", node.value), "T {}" if node.value else "F {}")
         elif node.kind == "lit":
-            me = emit_literal(node.lit)
+            ids[i] = literal(node.lit)
         elif node.kind == "and":
-            codes = []
-            for child in node.children:
-                child_node = circuit.nodes[child]
-                if child_node.kind != "lit":
-                    raise StructureError(
-                        "only literal-conjunction primes can be serialized", i
-                    )
-                codes.append(child_node.lit)
-            me = emit_term(codes)
+            codes = _term_shape_codes(circuit, i)
+            if not codes:
+                raise StructureError("only literal-conjunction primes can be serialized", i)
+            term = literal(codes[-1])
+            for head in reversed(codes[:-1]):
+                parts = (literal(head), term, literal(head ^ 1), leaf(("const", False), "F {}"))
+                term = define("D {{}} 2 {} {} {} {}".format(*parts))
+            ids[i] = term
         else:
-            pairs = node.elements or tuple(
-                (circuit.nodes[c].children[0], circuit.nodes[c].children[1])
-                for c in node.children
-            )
-            refs = [(emit(p), emit(s)) for p, s in pairs]
-            me = fresh()
-            flat = " ".join(f"{p} {s}" for p, s in refs)
-            lines.append(f"D {me} {len(refs)} {flat}")
-        node_ids[i] = me
-        return me
-
-    emit(circuit.root)
+            refs = [f"{ids[p]} {ids[s]}" for p, s in _sdd_elements(circuit, i)]
+            ids[i] = define(f"D {{}} {len(refs)} {' '.join(refs)}")
     return "\n".join(lines) + "\n"
 
 

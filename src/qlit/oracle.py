@@ -27,6 +27,7 @@ from .core import (
     Universe,
     Variable,
     World,
+    truth_table,
 )
 from .errors import CapacityError, PreconditionError, UniverseMismatchError
 
@@ -70,18 +71,23 @@ def _check_cap(universe: Universe, cap: int | None) -> None:
 # -- truth tables as big integers ---------------------------------------------
 
 
+def _var_patterns(n: int) -> list[int]:
+    """Bit ``w`` of pattern ``i`` is set iff bit ``i`` of ``w`` is, over
+    ``2**n`` rows."""
+    masks = []
+    for i in range(n):
+        p = 1 << i
+        unit = ((1 << p) - 1) << p  # one period: p zeros then p ones
+        reps = 1 << (n - i - 1)
+        rep_pattern = ((1 << (2 * p * reps)) - 1) // ((1 << (2 * p)) - 1)
+        masks.append(unit * rep_pattern)
+    return masks
+
+
 def _var_masks(universe: Universe) -> list[int]:
     """Bit ``w`` of mask ``i`` is set iff variable ``i`` is true in world ``w``."""
     if universe._var_masks is None:
-        n = len(universe)
-        masks = []
-        for i in range(n):
-            p = 1 << i
-            unit = ((1 << p) - 1) << p  # one period: p zeros then p ones
-            reps = 1 << (n - i - 1)
-            rep_pattern = ((1 << (2 * p * reps)) - 1) // ((1 << (2 * p)) - 1)
-            masks.append(unit * rep_pattern)
-        universe._var_masks = masks
+        universe._var_masks = _var_patterns(len(universe))
     return universe._var_masks
 
 
@@ -117,10 +123,8 @@ def models_mask(value, universe: Universe | None = None, cap: int | None = None)
     if value.universe is not u:
         raise UniverseMismatchError("value does not live in the requested universe")
     _check_cap(u, cap)
-    if isinstance(value, Formula):
-        return _formula_mask(u, value)
-    if isinstance(value, Circuit):
-        return _circuit_mask(u, value)
+    if isinstance(value, (Formula, Circuit)):
+        return _dag_mask(u, value)
     if isinstance(value, World):
         return 1 << value.bits
     if isinstance(value, Term):
@@ -135,71 +139,23 @@ def models_mask(value, universe: Universe | None = None, cap: int | None = None)
         return out
     to_formula = getattr(value, "to_formula", None)
     if to_formula is not None:
-        return _formula_mask(u, to_formula())
+        return _dag_mask(u, to_formula())
     raise TypeError(f"cannot compute a truth table for {value!r}")
 
 
 _MASK_CACHE_VAR_LIMIT = 16  # above this, per-node tables get too large to keep
 
 
-def _formula_mask(universe: Universe, formula: Formula) -> int:
-    full = _full_mask(universe)
+def _dag_mask(universe: Universe, value: Formula | Circuit) -> int:
+    memo = None
     # formula nodes are interned per universe and immutable, so their truth
     # tables can be remembered across calls (bounded to small universes)
-    if len(universe) <= _MASK_CACHE_VAR_LIMIT:
-        cache = getattr(universe, "_oracle_mask_cache", None)
-        if cache is None:
-            cache = {}
-            universe._oracle_mask_cache = cache
-    else:
-        cache = {}
-
-    def walk(node: Formula) -> int:
-        got = cache.get(id(node))
-        if got is not None:
-            return got
-        kind = node.kind
-        if kind == "true":
-            out = full
-        elif kind == "false":
-            out = 0
-        elif kind == "lit":
-            out = _literal_mask(universe, node.key[1])
-        elif kind == "not":
-            out = full & ~walk(node.key[1])
-        elif kind == "and":
-            out = full
-            for child in node.key[1]:
-                out &= walk(child)
-        else:
-            out = 0
-            for child in node.key[1]:
-                out |= walk(child)
-        cache[id(node)] = out
-        return out
-
-    return walk(formula)
-
-
-def _circuit_mask(universe: Universe, circuit: Circuit) -> int:
-    full = _full_mask(universe)
-    masks: list[int] = []
-    for node in circuit.nodes:
-        if node.kind == "const":
-            masks.append(full if node.value else 0)
-        elif node.kind == "lit":
-            masks.append(_literal_mask(universe, node.lit))
-        elif node.kind == "and":
-            out = full
-            for child in node.children:
-                out &= masks[child]
-            masks.append(out)
-        else:
-            out = 0
-            for child in node.children:
-                out |= masks[child]
-            masks.append(out)
-    return masks[circuit.root]
+    if isinstance(value, Formula) and len(universe) <= _MASK_CACHE_VAR_LIMIT:
+        memo = getattr(universe, "_oracle_mask_cache", None)
+        if memo is None:
+            memo = {}
+            universe._oracle_mask_cache = memo
+    return truth_table(value, _var_masks(universe), _full_mask(universe), memo=memo)
 
 
 def equivalent(a, b, cap: int | None = None) -> bool:

@@ -5,6 +5,10 @@ longer depends on the literal's negation; existential quantification weakens
 it until it no longer depends on the literal itself.  Both are defined by
 conditioning and are returned as folded expression trees: results are unique
 up to logical equivalence only, so tests compare models, never syntax.
+
+:func:`quantify` is the one entry point for every representation: flat forms
+and verified Decision-DNNF or SDD circuits take their linear routines, and
+formulas, plain NNF and DNNF circuits take the definitional route.
 """
 
 from __future__ import annotations
@@ -12,15 +16,28 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import (
+    Annotation,
+    Circuit,
     Formula,
     Term,
     Variable,
-    _fold_and,
-    _fold_or,
     condition,
+)
+from .tractable import (
+    Cnf,
+    Dnf,
+    cnf_exists_literal,
+    cnf_forall_literal,
+    ddnnf_exists,
+    ddnnf_forall,
+    dnf_exists_literal,
+    dnf_forall_literal,
+    sdd_exists,
+    sdd_forall,
 )
 
 __all__ = [
+    "quantify",
     "forall_literal",
     "exists_literal",
     "forall_variable",
@@ -35,10 +52,10 @@ def forall_literal(formula: Formula, lit) -> Formula:
     ``lit``: ``(lit | (formula | ~lit)) & (formula | lit)``, folded."""
     u = formula.universe
     lit = u.literal(lit)
-    return _fold_and(
-        u,
+    return u.fold(
+        "and",
         [
-            _fold_or(u, [u.lit(lit), condition(formula, ~lit)]),
+            u.fold("or", [u.lit(lit), condition(formula, ~lit)]),
             condition(formula, lit),
         ],
     )
@@ -49,11 +66,11 @@ def exists_literal(formula: Formula, lit) -> Formula:
     ``(formula | lit) | (~lit & (formula | ~lit))``, folded."""
     u = formula.universe
     lit = u.literal(lit)
-    return _fold_or(
-        u,
+    return u.fold(
+        "or",
         [
             condition(formula, lit),
-            _fold_and(u, [u.lit(~lit), condition(formula, ~lit)]),
+            u.fold("and", [u.lit(~lit), condition(formula, ~lit)]),
         ],
     )
 
@@ -63,7 +80,7 @@ def forall_variable(formula: Formula, var: Variable) -> Formula:
     u = formula.universe
     u.check(var)
     pos = u.literal_by_code(2 * var.index + 1)
-    return _fold_and(u, [condition(formula, pos), condition(formula, ~pos)])
+    return u.fold("and", [condition(formula, pos), condition(formula, ~pos)])
 
 
 def exists_variable(formula: Formula, var: Variable) -> Formula:
@@ -71,7 +88,7 @@ def exists_variable(formula: Formula, var: Variable) -> Formula:
     u = formula.universe
     u.check(var)
     pos = u.literal_by_code(2 * var.index + 1)
-    return _fold_or(u, [condition(formula, pos), condition(formula, ~pos)])
+    return u.fold("or", [condition(formula, pos), condition(formula, ~pos)])
 
 
 def quantify_set(formula: Formula, quantifier: str, items: Iterable) -> Formula:
@@ -101,6 +118,48 @@ def quantify_set(formula: Formula, quantifier: str, items: Iterable) -> Formula:
                 else exists_literal(out, item)
             )
     return out
+
+
+def quantify(value, quantifier: str, items: Iterable):
+    """Quantify ``items`` out of any value with the best routine it admits.
+
+    CNFs and DNFs take the flat-form rules and verified Decision-DNNF and SDD
+    circuits the linear circuit routines, one literal at a time (a variable
+    stands for both of its literals).  Formulas take :func:`quantify_set`,
+    and so do plain NNF and DNNF circuits, through their formula.
+    """
+    if quantifier not in ("forall", "exists"):
+        raise ValueError(f"unknown quantifier {quantifier!r}")
+    u = value.universe
+    resolved = [u.item(spec) for spec in items]
+    if isinstance(value, Formula):
+        return quantify_set(value, quantifier, resolved)
+    if isinstance(value, Circuit) and value.annotation not in (
+        Annotation.DECISION_DNNF,
+        Annotation.SDD,
+    ):
+        return quantify_set(value.to_formula(), quantifier, resolved)
+    lits = []
+    for item in resolved:
+        if isinstance(item, Variable):
+            pos = u.literal_by_code(2 * item.index + 1)
+            lits += [pos, ~pos]
+        else:
+            lits.append(item)
+    forall = quantifier == "forall"
+    if isinstance(value, Circuit):
+        if value.annotation == Annotation.SDD:
+            return sdd_forall(value, lits) if forall else sdd_exists(value, lits)
+        return ddnnf_forall(value, lits) if forall else ddnnf_exists(value, lits)
+    if isinstance(value, Cnf):
+        step = cnf_forall_literal if forall else cnf_exists_literal
+    elif isinstance(value, Dnf):
+        step = dnf_forall_literal if forall else dnf_exists_literal
+    else:
+        raise TypeError(f"cannot quantify {value!r}")
+    for lit in lits:
+        value = step(value, lit)
+    return value
 
 
 def erase(term: Term, variables: Iterable[Variable]) -> Term:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .core import (
     Annotation,
@@ -23,10 +23,11 @@ from .core import (
     CircuitBuilder,
     Clause,
     Formula,
-    Literal,
     Term,
     Universe,
     Variable,
+    rebuild,
+    truth_table,
 )
 from .errors import (
     CapacityError,
@@ -389,7 +390,7 @@ def prime_forms(value, mode: str) -> Dnf | Cnf:
             seeds = {t.codes for t in value.elements}
         else:
             mask = oracle.models_mask(value, u)
-            seeds = {_world_term_codes(u, bits) for bits in _bits_of(mask)}
+            seeds = {_world_term_codes(u, bits) for bits in oracle._iter_bits(mask)}
         primes = _closure_primes(u, seeds)
         return Dnf(u, [Term(u, codes) for codes in primes])
 
@@ -399,17 +400,10 @@ def prime_forms(value, mode: str) -> Dnf | Cnf:
         full = (1 << (1 << len(u))) - 1
         mask = oracle.models_mask(value, u)
         seeds = {
-            _world_clause_codes(u, bits) for bits in _bits_of(full & ~mask)
+            _world_clause_codes(u, bits) for bits in oracle._iter_bits(full & ~mask)
         }
     primes = _closure_primes(u, seeds)
     return Cnf(u, [Clause(u, codes) for codes in primes])
-
-
-def _bits_of(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _world_term_codes(universe: Universe, bits: int) -> tuple[int, ...]:
@@ -424,44 +418,56 @@ def _world_clause_codes(universe: Universe, bits: int) -> tuple[int, ...]:
 # -- circuit structure verification -----------------------------------------------
 
 
-def _reachable_in_order(circuit: Circuit) -> list[int]:
-    reach = circuit.reachable()
-    return [i for i in range(len(circuit.nodes)) if i in reach]
-
-
-def _var_bitmasks(circuit: Circuit, order: Sequence[int]) -> dict[int, int]:
+def _var_bitmasks(circuit: Circuit) -> tuple[list[int], dict[int, int]]:
+    """The reachable node ids in order, and the variables under each node as
+    a bitmask."""
+    order = sorted(circuit.reachable())
     masks: dict[int, int] = {}
     for i in order:
         node = circuit.nodes[i]
         if node.kind == "lit":
             masks[i] = 1 << (node.lit >> 1)
-        elif node.kind == "const":
-            masks[i] = 0
         else:
             acc = 0
             for child in node.children:
                 acc |= masks[child]
             masks[i] = acc
-    return masks
+    return order, masks
 
 
-def verify_dnnf(circuit: Circuit) -> Circuit:
-    """Check decomposability: no and-node's children share a variable."""
-    order = _reachable_in_order(circuit)
-    masks = _var_bitmasks(circuit, order)
+def _sharing_node(circuit: Circuit, order, masks, kind: str) -> int:
+    """The first node of ``kind`` whose children share a variable, or -1."""
     for i in order:
         node = circuit.nodes[i]
-        if node.kind != "and":
+        if node.kind != kind:
             continue
         acc = 0
         for child in node.children:
             if acc & masks[child]:
-                raise StructureError("and-node children share variables", i)
+                return i
             acc |= masks[child]
+    return -1
+
+
+def _decomposable(circuit: Circuit) -> tuple[list[int], dict[int, int]]:
+    """:func:`_var_bitmasks`, after checking that no and-node's children
+    share a variable."""
+    order, masks = _var_bitmasks(circuit)
+    shared = _sharing_node(circuit, order, masks, "and")
+    if shared >= 0:
+        raise StructureError("and-node children share variables", shared)
+    return order, masks
+
+
+def verify_dnnf(circuit: Circuit) -> Circuit:
+    """Check decomposability: no and-node's children share a variable.
+
+    Returns a verified circuit sharing the nodes; the argument is unchanged.
+    """
+    _decomposable(circuit)
     if circuit.annotation == Annotation.NNF:
-        circuit.annotation = Annotation.DNNF
-    circuit.verified = True
-    return circuit
+        return circuit.with_annotation(Annotation.DNNF)
+    return circuit.with_annotation(circuit.annotation)
 
 
 def _decision_parts(circuit: Circuit, or_id: int) -> tuple[int, int, list[int], list[int]]:
@@ -512,21 +518,11 @@ def _decision_parts(circuit: Circuit, or_id: int) -> tuple[int, int, list[int], 
 
 def verify_decision_dnnf(circuit: Circuit) -> Circuit:
     """Check decomposability plus the decision shape of every or-node."""
-    order = _reachable_in_order(circuit)
-    masks = _var_bitmasks(circuit, order)
+    order, _ = _decomposable(circuit)
     for i in order:
-        node = circuit.nodes[i]
-        if node.kind == "and":
-            acc = 0
-            for child in node.children:
-                if acc & masks[child]:
-                    raise StructureError("and-node children share variables", i)
-                acc |= masks[child]
-        elif node.kind == "or":
+        if circuit.nodes[i].kind == "or":
             _decision_parts(circuit, i)
-    circuit.annotation = Annotation.DECISION_DNNF
-    circuit.verified = True
-    return circuit
+    return circuit.with_annotation(Annotation.DECISION_DNNF)
 
 
 SDD_SEMANTIC_CHECK_CAP = 10  # prime variables; syntactic rules used above this
@@ -543,33 +539,6 @@ def _sdd_elements(circuit: Circuit, or_id: int) -> tuple[tuple[int, int], ...]:
             raise StructureError("or-node child is not a prime/sub pair", or_id)
         elements.append((child_node.children[0], child_node.children[1]))
     return tuple(elements)
-
-
-def _eval_restricted(circuit: Circuit, root: int, assignment: dict[int, bool]) -> bool:
-    cache: dict[int, bool] = {}
-    stack = [root]
-    while stack:
-        i = stack[-1]
-        if i in cache:
-            stack.pop()
-            continue
-        node = circuit.nodes[i]
-        if node.kind == "const":
-            cache[i] = node.value
-            stack.pop()
-        elif node.kind == "lit":
-            value = assignment[node.lit >> 1]
-            cache[i] = value if node.lit & 1 else not value
-            stack.pop()
-        else:
-            pending = [c for c in node.children if c not in cache]
-            if pending:
-                stack.extend(pending)
-            else:
-                values = (cache[c] for c in node.children)
-                cache[i] = all(values) if node.kind == "and" else any(values)
-                stack.pop()
-    return cache[root]
 
 
 def _term_shape_codes(circuit: Circuit, root: int) -> list[int] | None:
@@ -596,53 +565,40 @@ def verify_sdd(circuit: Circuit) -> Circuit:
     or term shaped and are checked by mutual exclusion plus exact coverage
     measure.
     """
-    order = _reachable_in_order(circuit)
-    masks = _var_bitmasks(circuit, order)
+    order, masks = _decomposable(circuit)
     for i in order:
-        node = circuit.nodes[i]
-        if node.kind == "and":
-            acc = 0
-            for child in node.children:
-                if acc & masks[child]:
-                    raise StructureError("and-node children share variables", i)
-                acc |= masks[child]
-        elif node.kind == "or":
-            elements = _sdd_elements(circuit, i)
-            prime_vars = 0
-            for prime, sub in elements:
-                if masks[prime] & masks[sub]:
-                    raise StructureError("prime and sub share variables", i)
-                prime_vars |= masks[prime]
-            var_list = [v for v in range(prime_vars.bit_length()) if prime_vars >> v & 1]
-            if len(var_list) <= SDD_SEMANTIC_CHECK_CAP:
-                _check_partition_semantic(circuit, i, elements, var_list)
-            else:
-                _check_partition_syntactic(circuit, i, elements)
-    circuit.annotation = Annotation.SDD
-    circuit.verified = True
-    return circuit
+        if circuit.nodes[i].kind != "or":
+            continue
+        elements = _sdd_elements(circuit, i)
+        prime_vars = 0
+        for prime, sub in elements:
+            if masks[prime] & masks[sub]:
+                raise StructureError("prime and sub share variables", i)
+            prime_vars |= masks[prime]
+        var_list = [v for v in range(prime_vars.bit_length()) if prime_vars >> v & 1]
+        if len(var_list) <= SDD_SEMANTIC_CHECK_CAP:
+            _check_partition_semantic(circuit, i, elements, var_list)
+        else:
+            _check_partition_syntactic(circuit, i, elements)
+    return circuit.with_annotation(Annotation.SDD)
 
 
 def _check_partition_semantic(
     circuit: Circuit, or_id: int, elements, var_list: list[int]
 ) -> None:
-    n = len(var_list)
-    vectors = []
-    for prime, _ in elements:
-        vector = 0
-        for row in range(1 << n):
-            assignment = {v: bool(row >> k & 1) for k, v in enumerate(var_list)}
-            if _eval_restricted(circuit, prime, assignment):
-                vector |= 1 << row
-        vectors.append(vector)
+    """Truth tables of the primes over their variables must partition all
+    rows."""
+    masks = dict(zip(var_list, oracle._var_patterns(len(var_list))))
+    full = (1 << (1 << len(var_list))) - 1
     union = 0
-    for k, vector in enumerate(vectors):
+    for prime, _ in elements:
+        vector = truth_table(circuit, masks, full, root=prime)
         if vector == 0:
             raise StructureError("inconsistent prime", or_id)
         if union & vector:
             raise StructureError("primes are not pairwise inconsistent", or_id)
         union |= vector
-    if union != (1 << (1 << n)) - 1:
+    if union != full:
         raise StructureError("primes do not cover all assignments", or_id)
 
 
@@ -667,13 +623,13 @@ def _check_partition_syntactic(circuit: Circuit, or_id: int, elements) -> None:
 
 
 def _require(circuit: Circuit, annotation: str, verifier) -> Circuit:
+    """The circuit, verified as ``annotation`` (a verified copy when the
+    argument was not verified)."""
     if circuit.annotation != annotation:
         raise TypeError(
             f"operation needs a {annotation} circuit, got {circuit.annotation}"
         )
-    if not circuit.verified:
-        verifier(circuit)
-    return circuit
+    return circuit if circuit.verified else verifier(circuit)
 
 
 def _substitute(
@@ -681,140 +637,90 @@ def _substitute(
 ) -> Circuit:
     """Replace literal codes by constants, folding along the way."""
     builder = CircuitBuilder(circuit.universe)
-    new_id: dict[int, int] = {}
-    for i in _reachable_in_order(circuit):
-        node = circuit.nodes[i]
-        if node.kind == "const":
-            new_id[i] = builder.const(node.value)
-        elif node.kind == "lit":
-            if node.lit in replaced:
-                new_id[i] = builder.const(replaced[node.lit])
-            else:
-                new_id[i] = builder.lit(node.lit)
-        elif node.kind == "and":
-            new_id[i] = builder.fold_and([new_id[c] for c in node.children])
-        else:
-            new_id[i] = builder.fold_or([new_id[c] for c in node.children])
-    return builder.finish(new_id[circuit.root], annotation, verified=True, prune=True)
+    root = rebuild(circuit, builder, replaced)[circuit.root]
+    return builder.finish(root, annotation, verified=True, prune=True)
 
 
-def _literal_codes(universe: Universe, lits: Iterable) -> set[int]:
-    return {universe.literal(lit).code for lit in lits}
+def _quantify_circuit(circuit: Circuit, lits: Iterable, annotation: str, forall: bool) -> Circuit:
+    """Both routines on a Decision-DNNF or SDD: existential replaces each
+    quantified literal by ``true`` (a DNNF results); universal shifts, then
+    replaces each negation by ``false``."""
+    decision = annotation == Annotation.DECISION_DNNF
+    circuit = _require(circuit, annotation, verify_decision_dnnf if decision else verify_sdd)
+    codes = {circuit.universe.literal(lit).code for lit in lits}
+    if not forall:
+        return _substitute(circuit, dict.fromkeys(codes, True), Annotation.DNNF)
+    shifted = ddnnf_shift(circuit) if decision else sdd_shift(circuit)
+    return _substitute(shifted, {code ^ 1: False for code in codes}, Annotation.NNF)
 
 
 def ddnnf_exists(circuit: Circuit, lits: Iterable) -> Circuit:
     """Existential quantification on a Decision-DNNF: replace each quantified
     literal by ``true``.  Single pass; the result is a DNNF."""
-    _require(circuit, Annotation.DECISION_DNNF, verify_decision_dnnf)
-    codes = _literal_codes(circuit.universe, lits)
-    return _substitute(circuit, {code: True for code in codes}, Annotation.DNNF)
+    return _quantify_circuit(circuit, lits, Annotation.DECISION_DNNF, forall=False)
 
 
 def ddnnf_shift(circuit: Circuit) -> Circuit:
     """Rewrite every decision ``(l & a) | (~l & b)`` into the equivalent
     ``(l | b) & (~l | a)``, after which no disjunction shares variables
     across its disjuncts.  Linear time and size."""
-    _require(circuit, Annotation.DECISION_DNNF, verify_decision_dnnf)
+    circuit = _require(circuit, Annotation.DECISION_DNNF, verify_decision_dnnf)
     builder = CircuitBuilder(circuit.universe)
-    new_id: dict[int, int] = {}
-    for i in _reachable_in_order(circuit):
-        node = circuit.nodes[i]
-        if node.kind == "const":
-            new_id[i] = builder.const(node.value)
-        elif node.kind == "lit":
-            new_id[i] = builder.lit(node.lit)
-        elif node.kind == "and":
-            new_id[i] = builder.fold_and([new_id[c] for c in node.children])
-        else:
-            code, _, alpha_ids, beta_ids = _decision_parts(circuit, i)
-            alpha = builder.fold_and([new_id[c] for c in alpha_ids])
-            beta = builder.fold_and([new_id[c] for c in beta_ids])
-            left = builder.fold_or([builder.lit(code), beta])
-            right = builder.fold_or([builder.lit(code ^ 1), alpha])
-            new_id[i] = builder.fold_and([left, right])
-    return builder.finish(new_id[circuit.root], Annotation.NNF, verified=True, prune=True)
+
+    def decision(i: int, image: dict) -> int:
+        code, _, alpha_ids, beta_ids = _decision_parts(circuit, i)
+        alpha = builder.fold("and", [image[c] for c in alpha_ids])
+        beta = builder.fold("and", [image[c] for c in beta_ids])
+        left = builder.fold("or", [builder.lit(code), beta])
+        right = builder.fold("or", [builder.lit(code ^ 1), alpha])
+        return builder.fold("and", [left, right])
+
+    root = rebuild(circuit, builder, shift=decision)[circuit.root]
+    return builder.finish(root, Annotation.NNF, verified=True, prune=True)
 
 
 def ddnnf_forall(circuit: Circuit, lits: Iterable) -> Circuit:
     """Universal quantification on a Decision-DNNF: shift, then replace the
     negation of each quantified literal by ``false``.  Linear time."""
-    shifted = ddnnf_shift(circuit)
-    codes = _literal_codes(circuit.universe, lits)
-    return _substitute(
-        shifted, {code ^ 1: False for code in codes}, Annotation.NNF
-    )
+    return _quantify_circuit(circuit, lits, Annotation.DECISION_DNNF, forall=True)
 
 
 def sdd_exists(circuit: Circuit, lits: Iterable) -> Circuit:
     """Existential quantification on an SDD: replace each quantified literal
     by ``true``.  Single pass; the result is a DNNF."""
-    _require(circuit, Annotation.SDD, verify_sdd)
-    codes = _literal_codes(circuit.universe, lits)
-    return _substitute(circuit, {code: True for code in codes}, Annotation.DNNF)
+    return _quantify_circuit(circuit, lits, Annotation.SDD, forall=False)
 
 
 def sdd_shift(circuit: Circuit) -> Circuit:
     """Rewrite every ``(p1 & s1) | ... | (pn & sn)`` into the equivalent
     ``(~p1 | s1) & ... & (~pn | sn)``.
 
-    Prime negations use the bottom-up dual construction, so the output has at
-    most twice the nodes of the input; disjuncts never share variables.
+    Prime negations come from one dual rebuild of all primes, so the output
+    has at most twice the nodes of the input; disjuncts never share
+    variables.
     """
-    _require(circuit, Annotation.SDD, verify_sdd)
+    circuit = _require(circuit, Annotation.SDD, verify_sdd)
     builder = CircuitBuilder(circuit.universe)
-    pos_id: dict[int, int] = {}
-    neg_id: dict[int, int] = {}
-    order = _reachable_in_order(circuit)
-    needs_neg = set()
-    for i in order:
-        node = circuit.nodes[i]
-        if node.kind == "or":
-            for prime, _ in _sdd_elements(circuit, i):
-                needs_neg.add(prime)
-    # negations are needed below primes too
-    stack = list(needs_neg)
-    while stack:
-        i = stack.pop()
-        for child in circuit.nodes[i].children:
-            if child not in needs_neg:
-                needs_neg.add(child)
-                stack.append(child)
+    nodes = circuit.nodes
+    primes = [
+        prime
+        for i in sorted(circuit.reachable())
+        if nodes[i].kind == "or"
+        for prime, _ in _sdd_elements(circuit, i)
+    ]
+    negated = rebuild(circuit, builder, dual=True, roots=primes)
 
-    for i in order:
-        node = circuit.nodes[i]
-        if node.kind == "const":
-            pos_id[i] = builder.const(node.value)
-            if i in needs_neg:
-                neg_id[i] = builder.const(not node.value)
-        elif node.kind == "lit":
-            pos_id[i] = builder.lit(node.lit)
-            if i in needs_neg:
-                neg_id[i] = builder.lit(node.lit ^ 1)
-        elif node.kind == "and":
-            pos_id[i] = builder.fold_and([pos_id[c] for c in node.children])
-            if i in needs_neg:
-                neg_id[i] = builder.fold_or([neg_id[c] for c in node.children])
-        else:
-            elements = _sdd_elements(circuit, i)
-            if i in needs_neg:
-                # dual of the fragment itself, for primes that are SDD nodes
-                neg_id[i] = builder.fold_and(
-                    [
-                        builder.fold_or([neg_id[p], neg_id[s]])
-                        for p, s in elements
-                    ]
-                )
-            pos_id[i] = builder.fold_and(
-                [builder.fold_or([neg_id[p], pos_id[s]]) for p, s in elements]
-            )
-    return builder.finish(pos_id[circuit.root], Annotation.NNF, verified=True, prune=True)
+    def partition(i: int, image: dict) -> int:
+        return builder.fold(
+            "and",
+            [builder.fold("or", [negated[p], image[s]]) for p, s in _sdd_elements(circuit, i)],
+        )
+
+    root = rebuild(circuit, builder, shift=partition)[circuit.root]
+    return builder.finish(root, Annotation.NNF, verified=True, prune=True)
 
 
 def sdd_forall(circuit: Circuit, lits: Iterable) -> Circuit:
     """Universal quantification on an SDD: shift, then replace the negation
     of each quantified literal by ``false``.  Linear time."""
-    shifted = sdd_shift(circuit)
-    codes = _literal_codes(circuit.universe, lits)
-    return _substitute(
-        shifted, {code ^ 1: False for code in codes}, Annotation.NNF
-    )
+    return _quantify_circuit(circuit, lits, Annotation.SDD, forall=True)

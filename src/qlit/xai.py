@@ -26,9 +26,9 @@ from .core import (
     Term,
     Universe,
     Variable,
-    World,
     evaluate,
     negate,
+    truth_table,
 )
 from .errors import (
     ArityError,
@@ -38,8 +38,8 @@ from .errors import (
     UniverseMismatchError,
 )
 from . import oracle
-from .quantify import erase, quantify_set
-from .tractable import Cnf, cnf_forall_literal, prime_forms
+from .quantify import erase, quantify, quantify_set
+from .tractable import Cnf, prime_forms
 
 __all__ = [
     "Decision",
@@ -116,15 +116,22 @@ class Classifier:
                     "negative side is not the negation of the positive side"
                 )
             return
+        # the seeded worlds, bit-sliced: bit k of masks[i] is variable i in
+        # world k, so one pass per side evaluates every world at once
         rng = random.Random(0)
-        pos_f, neg_f = _as_formula(positive), _as_formula(negative)
         size = len(self.features)
-        for _ in range(NEGATION_SAMPLES):
-            world = World(self.features, rng.getrandbits(size))
-            if evaluate(pos_f, world) == evaluate(neg_f, world):
-                raise UniverseMismatchError(
-                    "negative side disagrees with the negation of the positive side"
-                )
+        worlds = [rng.getrandbits(size) for _ in range(NEGATION_SAMPLES)]
+        masks = [
+            int("".join("1" if w >> i & 1 else "0" for w in reversed(worlds)), 2)
+            for i in range(size)
+        ]
+        full = (1 << NEGATION_SAMPLES) - 1
+        pos_table = truth_table(_as_formula(positive), masks, full)
+        neg_table = truth_table(_as_formula(negative), masks, full)
+        if pos_table ^ neg_table != full:
+            raise UniverseMismatchError(
+                "negative side disagrees with the negation of the positive side"
+            )
         warnings.warn(
             f"mutual negation only sampled ({NEGATION_SAMPLES} worlds) above "
             f"{NEGATION_CHECK_CAP} features",
@@ -184,18 +191,7 @@ def decide(classifier: Classifier, population: Term | str) -> Decision:
 def _forall_items(classifier: Classifier, side, items: Sequence) -> Formula | Cnf:
     """Universal quantification of literals/variables over one side, using
     the linear clause rule for CNF classifiers."""
-    start = classifier.side(side)
-    if isinstance(start, Cnf):
-        out = start
-        for item in items:
-            if isinstance(item, Variable):
-                pos = classifier.features.literal_by_code(2 * item.index + 1)
-                out = cnf_forall_literal(out, pos)
-                out = cnf_forall_literal(out, ~pos)
-            else:
-                out = cnf_forall_literal(out, item)
-        return out
-    return quantify_set(start, "forall", items)
+    return quantify(classifier.side(side), "forall", items)
 
 
 def instances_independent_of_features(

@@ -160,6 +160,79 @@ class TestQuantify:
             assert oracle.equivalent(results[0], other)
 
 
+def _quantify_out(capsys, *argv) -> str:
+    assert main(["quantify", *argv]) == 0
+    return capsys.readouterr().out
+
+
+class TestQuantifyRoutes:
+    """Every representation reaches a routine, checked against the formula
+    route or against the oracle's own conditioning."""
+
+    @pytest.mark.parametrize("op", ["forall", "exists"])
+    def test_dnf_with_long_terms(self, capsys, tmp_path, op):
+        from qlit.core import Universe
+        from qlit.io import parse_formula
+        from qlit import oracle
+
+        path = tmp_path / "f.txt"
+        path.write_text("a & b & c | ~a & d | b & ~c & d | ~b & c\n")
+        u = Universe(["a", "b", "c", "d"])
+        args = ["--op", op, "--items", "a,~c", "--in", str(path)]
+        as_dnf = _quantify_out(capsys, *args, "--repr", "dnf")
+        as_formula = _quantify_out(capsys, *args, "--repr", "formula")
+        assert oracle.equivalent(parse_formula(as_dnf, u), parse_formula(as_formula, u))
+
+    @pytest.mark.parametrize(
+        "text, annotation",
+        [
+            # (x1 | x2) & x1: the and-node's children share x1
+            ("nnf 4 4 2\nL 1\nL 2\nO 0 2 0 1\nA 2 2 0\n", "nnf"),
+            # (x1 | x2) & x3, decomposable but without decision nodes
+            ("nnf 5 4 3\nL 1\nL 2\nO 0 2 0 1\nL 3\nA 2 2 3\n", "dnnf"),
+        ],
+    )
+    @pytest.mark.parametrize("op", ["forall", "exists"])
+    def test_plain_nnf_and_dnnf_take_the_definitional_route(
+        self, capsys, tmp_path, text, annotation, op
+    ):
+        from qlit.io import parse_formula, parse_nnf
+        from qlit.quantify import quantify_set
+        from qlit import oracle
+
+        circuit = parse_nnf(text)
+        assert circuit.annotation == annotation
+        path = tmp_path / "c.nnf"
+        path.write_text(text)
+        out = _quantify_out(capsys, "--op", op, "--items", "~x1,X2", "--in", str(path))
+        want = quantify_set(circuit.to_formula(), op, ["~x1", "X2"])
+        assert oracle.equivalent(parse_formula(out, circuit.universe), want)
+
+    def test_forall_on_600_disjuncts(self, capsys, tmp_path):
+        import random
+
+        from qlit.core import Universe
+        from qlit.io import parse_formula
+        from qlit import oracle
+
+        rng = random.Random(9)
+        names = [f"v{i}" for i in range(1, 17)]
+        terms = []
+        for _ in range(600):
+            chosen = rng.sample(names, 3)
+            terms.append(" & ".join(n if rng.random() < 0.5 else "~" + n for n in chosen))
+        path = tmp_path / "long.txt"
+        path.write_text(" | ".join(terms) + "\n")
+        out = _quantify_out(capsys, "--op", "forall", "--items", "v3", "--in", str(path))
+        u = Universe(sorted(names))
+        v3 = u.literal("v3")
+        mask = oracle.models_mask(parse_formula(path.read_text(), u))
+        want = (oracle.models_mask(u.lit(v3)) | oracle._condition_mask(u, mask, ~v3)) & (
+            oracle._condition_mask(u, mask, v3)
+        )
+        assert oracle.models_mask(parse_formula(out, u)) == want
+
+
 class TestBrules:
     def test_counts_and_transition(self, capsys, tmp_path):
         path = tmp_path / "eq.txt"

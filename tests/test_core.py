@@ -2,10 +2,13 @@
 evaluation and negation."""
 
 import random
+import sys
 
 import pytest
 
+from qlit import oracle
 from qlit.core import (
+    CircuitBuilder,
     Universe,
     World,
     condition,
@@ -17,6 +20,7 @@ from qlit.core import (
 from qlit.errors import ArityError, InvalidLiteralSetError, UniverseMismatchError
 from qlit.generators import random_formula
 from qlit.io import parse_formula
+from qlit.quantify import exists_literal, forall_literal
 
 from conftest import tt_models
 
@@ -206,3 +210,70 @@ class TestNnf:
             assert node.kind != "not"
             stack.extend(node.children)
         assert tt_models(nnf) == tt_models(f)
+
+
+DEPTH = 10**5
+
+
+@pytest.fixture(scope="module")
+def deep_chain():
+    """A left-deep chain alternating ``and`` and ``or``, DEPTH gates deep."""
+    u = Universe(["x", "y", "z"])
+    leaves = [u.lit("x"), u.lit("~y"), u.lit("z")]
+    f = leaves[0]
+    for i in range(DEPTH):
+        f = (f & leaves[i % 3]) if i % 2 else (f | leaves[i % 3])
+    return f
+
+
+class TestDeepChains:
+    """Every pass is a loop over the shared walk, so depth is bounded by
+    memory, not by the recursion limit."""
+
+    def test_no_recursion_limit_override(self):
+        assert sys.getrecursionlimit() < DEPTH
+
+    def test_condition_and_quantifiers(self, deep_chain):
+        u = deep_chain.universe
+        x = u.literal("x")
+        mask = oracle.models_mask(deep_chain)
+        given_x = oracle._condition_mask(u, mask, x)
+        given_not_x = oracle._condition_mask(u, mask, ~x)
+        x_mask = oracle.models_mask(u.lit("x"))
+        assert oracle.models_mask(condition(deep_chain, x)) == given_x
+        assert oracle.models_mask(forall_literal(deep_chain, x)) == (
+            (x_mask | given_not_x) & given_x
+        )
+        assert oracle.models_mask(exists_literal(deep_chain, x)) == (
+            given_x | (~x_mask & given_not_x)
+        )
+
+    def test_negate_and_nnf(self, deep_chain):
+        mask = oracle.models_mask(deep_chain)
+        assert oracle.models_mask(negate(deep_chain)) == 0xFF & ~mask
+        assert oracle.models_mask(to_nnf(deep_chain)) == mask
+
+    def test_evaluate_and_models_mask_agree(self, deep_chain):
+        u = deep_chain.universe
+        mask = oracle.models_mask(deep_chain)
+        for bits in range(8):
+            assert evaluate(deep_chain, World(u, bits)) == bool(mask >> bits & 1)
+
+    def test_str(self, deep_chain):
+        text = str(deep_chain)
+        # every or-gate under an and-gate is parenthesized
+        assert text.count("(") == text.count(")") == DEPTH // 2
+        assert text.startswith("(" * (DEPTH // 2) + "x | x) & ~y | z) & x")
+        assert text.endswith(" | z) & x")
+
+    def test_circuit_to_formula(self):
+        u = Universe(["x", "y", "z"])
+        builder = CircuitBuilder(u)
+        node = builder.lit(1)
+        for i in range(DEPTH):
+            if i % 2:
+                node = builder.add_and([node, builder.lit(3)])
+            else:
+                node = builder.add_or([node, builder.lit(4)])
+        circuit = builder.finish(node)
+        assert oracle.models_mask(circuit.to_formula()) == oracle.models_mask(circuit)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qlit.core import Annotation, Universe
+from qlit.core import Annotation, Universe, truth_table
 from qlit.errors import ParseError
 from qlit.generators import random_decision_dnnf, random_formula, random_sdd
 from qlit import oracle
@@ -217,3 +217,29 @@ class TestBundle:
         assert again.positive == parse_dimacs(
             emit_dimacs(bundle.positive), again.universe
         )
+
+
+def _sdd_chain_text(levels: int) -> str:
+    """A right-linear SDD: level ``v`` is ``(x_v & a) | (~x_v & b)`` with
+    ``a`` and ``b`` the two levels below it."""
+    lines = ["T 0", "F 1"]
+    below = (0, 1)
+    for var in range(levels, 0, -1):
+        pos, neg, node = len(lines), len(lines) + 1, len(lines) + 2
+        lines += [f"L {pos} {var}", f"L {neg} {-var}"]
+        lines.append(f"D {node} 2 {pos} {below[0]} {neg} {below[1]}")
+        below = (node, below[0])
+    return "\n".join(lines) + "\n"
+
+
+class TestDeepSdd:
+    def test_round_trip_of_a_2000_level_chain(self):
+        u = Universe(2000)
+        circuit = parse_sdd(_sdd_chain_text(2000), u)
+        text = emit_sdd(circuit)
+        again = parse_sdd(text, u)
+        assert emit_sdd(again) == text
+        rng = random.Random(3)
+        masks = [rng.getrandbits(64) for _ in range(2000)]
+        full = (1 << 64) - 1
+        assert truth_table(again, masks, full) == truth_table(circuit, masks, full)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qlit.core import Annotation, Universe, negate
+from qlit.core import Annotation, Circuit, Universe, negate
 from qlit.errors import CapacityError, PreconditionError, StructureError
 from qlit.generators import (
     random_cnf,
@@ -34,6 +34,7 @@ from qlit.tractable import (
     sdd_forall,
     sdd_shift,
     verify_decision_dnnf,
+    verify_dnnf,
     verify_sdd,
 )
 
@@ -401,3 +402,25 @@ class TestMonotoneOutput:
             out = ddnnf_forall(circuit, lits)
             codes = out.literal_codes()
             assert not any(code ^ 1 in codes for code in codes)
+
+
+class TestVerifiersLeaveArgumentsAlone:
+    def test_verifying_an_sdd_as_decision_circuit(self):
+        u = Universe(["x", "y"])
+        circuit = parse_sdd("L 1 1\nL 2 -1\nL 3 2\nL 4 -2\nD 5 2 1 3 2 4\n", u)
+        as_decision = verify_decision_dnnf(circuit)
+        assert as_decision.annotation == Annotation.DECISION_DNNF
+        assert as_decision.nodes is circuit.nodes
+        assert circuit.annotation == Annotation.SDD and circuit.verified
+        assert verify_dnnf(circuit).annotation == Annotation.SDD
+        out = sdd_exists(circuit, [u.pos("x")])
+        assert oracle.equivalent(out, parse_formula("~x | y", u))
+
+    def test_routines_verify_a_copy(self):
+        u = Universe(["d", "g", "h", "i"])
+        parsed = parse_nnf(LOAN_DECISION_NNF, u)
+        claimed = Circuit(u, parsed.nodes, parsed.root, Annotation.DECISION_DNNF)
+        out = ddnnf_forall(claimed, [u.pos("d")])
+        assert oracle.equivalent(out, u.lit("i") & u.lit("g"))
+        assert not claimed.verified
+        assert verify_dnnf(Circuit(u, parsed.nodes, parsed.root)).annotation == Annotation.DNNF

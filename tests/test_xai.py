@@ -335,3 +335,31 @@ class TestClassifierLoading:
         with pytest.warns(UserWarning, match="sampled"):
             classifier = Classifier(positive, negative)
         assert classifier.negative is negative
+
+    def test_long_cnf_classifier_loads(self):
+        u = Universe(12)
+        rng = random.Random(5)
+        clauses = set()
+        while len(clauses) < 650:
+            chosen = rng.sample(range(12), 6)
+            clauses.add(tuple(sorted(2 * v + rng.randrange(2) for v in chosen)))
+        cnf = Cnf(u, [u.clause([u.literal_by_code(c) for c in codes]) for codes in clauses])
+        classifier = Classifier(cnf)
+        mask = (1 << (1 << 12)) - 1
+        for clause in cnf.clauses:
+            mask &= oracle.models_mask(clause)
+        assert oracle.models_mask(classifier.negative) == ((1 << (1 << 12)) - 1) & ~mask
+
+    def test_sampled_check_on_a_long_cnf(self):
+        u = Universe(16)
+        rng = random.Random(6)
+        clauses = []
+        for _ in range(600):
+            chosen = rng.sample(range(16), 5)
+            clauses.append(u.clause([u.literal_by_code(2 * v + rng.randrange(2)) for v in chosen]))
+        positive = Cnf(u, clauses)
+        negative = negate(positive.to_formula())
+        with pytest.warns(UserWarning, match="sampled"):
+            assert Classifier(positive, negative).negative is negative
+        with pytest.raises(UniverseMismatchError, match="negation"):
+            Classifier(positive, positive.to_formula())
