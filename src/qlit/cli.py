@@ -7,7 +7,8 @@ quantification transition report), the classifier queries ``decide``,
 ``check`` and an interactive ``repl``.
 
 Exit codes: 0 success, 1 logical refusal (undecided population, failed
-precondition, exceeded cap), 2 parse or I/O error.  With ``--json`` every
+precondition, exceeded cap), 2 parse or I/O error, 3 internal error (any
+other exception, reported on one line).  With ``--json`` every
 subcommand prints one object with ``kind``, ``result`` and ``items`` fields.
 Identical inputs and seeds produce byte-identical output.
 
@@ -269,6 +270,8 @@ def _cmd_repl(args, session) -> int:
             print(f"error: {error}")
         except SystemExit:  # argparse rejected the line; stay in the loop
             pass
+        except Exception as error:
+            print(_internal_error(error), file=sys.stderr)
     return 0
 
 
@@ -368,6 +371,15 @@ def run(argv: Sequence[str]) -> int:
     except QlitError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    except Exception as error:
+        print(_internal_error(error), file=sys.stderr)
+        return 3
+
+
+def _internal_error(error: Exception) -> str:
+    """One line for a failure that is not a typed refusal: a defect in qlit."""
+    message = " ".join(str(error).splitlines())
+    return f"qlit: internal error: {type(error).__name__}: {message}"
 
 
 def main(argv: Sequence[str] | None = None) -> int:

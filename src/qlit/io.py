@@ -504,79 +504,79 @@ def _tokenize(text: str) -> Iterator[_Token]:
     yield _Token("end", "", line, column)
 
 
+# binary connectives by binding strength; ``=>`` and ``<=>`` group to the right
+_BINARY = {"<=>": 1, "=>": 2, "|": 3, "&": 4}
+_RIGHT = ("<=>", "=>")
+_APPLY = {
+    "<=>": Formula.iff,
+    "=>": Formula.implies,
+    "|": Formula.__or__,
+    "&": Formula.__and__,
+}
+
+
 class _FormulaParser:
+    """Precedence climbing with explicit operand and operator stacks, so
+    nesting depth is limited by memory alone.  Nodes are built in the order a
+    recursive descent would build them."""
+
     def __init__(self, tokens: list[_Token], universe: Universe):
         self.tokens = tokens
-        self.pos = 0
         self.universe = universe
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, text: str) -> None:
-        token = self.take()
-        if token.text != text:
-            raise ParseError(
-                f"expected {text!r}, got {token.text or 'end of input'!r}",
-                token.line,
-                token.column,
-            )
-
     def parse(self) -> Formula:
-        formula = self.iff()
-        token = self.peek()
-        if token.kind != "end":
-            raise ParseError(
-                f"unexpected {token.text!r}", token.line, token.column
-            )
-        return formula
+        tokens = iter(self.tokens)
+        operands: list[Formula] = []
+        pending: list[str] = []  # binary operators, "~" and "("
+        token = next(tokens)
+        while True:
+            # operand position: prefix "~" and "(", then an atom
+            if token.text in ("~", "("):
+                pending.append(token.text)
+                token = next(tokens)
+                continue
+            operand = self.atom(token)
+            token = next(tokens)
+            while True:
+                while pending and pending[-1] == "~":
+                    pending.pop()
+                    operand = ~operand
+                operands.append(operand)
+                # operator position
+                if token.text in _BINARY:
+                    strength = _BINARY[token.text]
+                    while pending and pending[-1] in _BINARY and (
+                        _BINARY[pending[-1]] > strength
+                        or (_BINARY[pending[-1]] == strength and token.text not in _RIGHT)
+                    ):
+                        self.reduce(operands, pending.pop())
+                    pending.append(token.text)
+                    token = next(tokens)
+                    break
+                while pending and pending[-1] != "(":
+                    self.reduce(operands, pending.pop())
+                if not pending:
+                    if token.kind != "end":
+                        raise ParseError(
+                            f"unexpected {token.text!r}", token.line, token.column
+                        )
+                    return operands[0]
+                if token.text != ")":
+                    raise ParseError(
+                        f"expected ')', got {token.text or 'end of input'!r}",
+                        token.line,
+                        token.column,
+                    )
+                pending.pop()
+                operand = operands.pop()
+                token = next(tokens)
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.peek().text == "<=>":
-            self.take()
-            return left.iff(self.iff())
-        return left
+    @staticmethod
+    def reduce(operands: list[Formula], op: str) -> None:
+        right = operands.pop()
+        operands.append(_APPLY[op](operands.pop(), right))
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().text == "=>":
-            self.take()
-            return left.implies(self.implies())
-        return left
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.peek().text == "|":
-            self.take()
-            out = out | self.conjunction()
-        return out
-
-    def conjunction(self) -> Formula:
-        out = self.unary()
-        while self.peek().text == "&":
-            self.take()
-            out = out & self.unary()
-        return out
-
-    def unary(self) -> Formula:
-        token = self.peek()
-        if token.text == "~":
-            self.take()
-            return ~self.unary()
-        return self.atom()
-
-    def atom(self) -> Formula:
-        token = self.take()
-        if token.text == "(":
-            inner = self.iff()
-            self.expect(")")
-            return inner
+    def atom(self, token: _Token) -> Formula:
         if token.kind == "ident":
             if token.text == "true":
                 return self.universe.true

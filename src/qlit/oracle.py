@@ -3,9 +3,12 @@
 Everything here is defined directly over the full space of worlds: a formula
 (or circuit, term, clause, ...) is mapped to a truth table stored as one big
 integer whose bit ``w`` says whether the world with index ``w`` is a model.
-Model enumeration, boundary models, boundary rules, independent models and
-the fixed-point reconstruction of models from rules are all read off these
-tables.  Other modules are validated against this one, never the reverse.
+A set of boundary rules is stored the same way, as one crossing mask per
+variable, ``mask & ~flip_i(mask)``: bit ``w`` of mask ``i`` is the rule on
+world ``w`` whose consequent is variable ``i``.  Model enumeration, boundary
+models, rules, their transitions under quantification, independent models and
+the fixed-point reconstruction of models from rules are all computed on these
+integers.  Other modules are validated against this one, never the reverse.
 
 Enumeration is exact and capped (default 24 variables, overridable through
 the ``QLIT_ENUM_CAP`` environment variable); exceeding the cap is an error,
@@ -263,13 +266,27 @@ class ModelSet(_SortedSet):
 class RuleSet(_SortedSet):
     """Boundary rules in canonical order, plus the generating universe."""
 
+    __slots__ = ("_crossings",)
+
     def __init__(self, universe: Universe, rules: Iterable[BRule]):
         super().__init__(universe, sorted(rules, key=BRule.sort_key))
+        self._crossings: list[int] | None = None
+
+    def _crossing_masks(self) -> list[int]:
+        """The rules as one crossing mask per consequent variable."""
+        if self._crossings is None:
+            masks = [0] * len(self.universe)
+            for r in self.items:
+                masks[r.consequent.variable.index] |= 1 << r.world().bits
+            self._crossings = masks
+        return self._crossings
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         """Rules as (world bits, consequent variable index) pairs."""
         return frozenset(
-            (r.world().bits, r.consequent.variable.index) for r in self.items
+            (bits, i)
+            for i, crossing in enumerate(self._crossing_masks())
+            for bits in _iter_bits(crossing)
         )
 
     def consequents(self) -> set[Literal]:
@@ -279,11 +296,27 @@ class RuleSet(_SortedSet):
         return "RuleSet({" + ", ".join(str(r) for r in self.items) + "})"
 
 
-def _rule_from_pair(universe: Universe, bits: int, var_index: int) -> BRule:
-    world = World(universe, bits)
-    consequent = world.literals()[var_index]
-    antecedent = world.to_term().without_variables([universe.variables[var_index]])
-    return BRule(antecedent, consequent)
+def _crossings(universe: Universe, mask: int) -> list[int]:
+    """The boundary rules of a truth table, as crossing masks."""
+    return [mask & ~_flip_mask(universe, mask, i) for i in range(len(universe))]
+
+
+def _rules(universe: Universe, crossings: list[int]) -> list[BRule]:
+    """One rule per set bit of the crossing masks, in canonical order."""
+    n = len(universe)
+    literals = universe._literals
+    out = []
+    for i, crossing in enumerate(crossings):
+        for bits in _iter_bits(crossing):
+            codes = tuple(2 * k + (bits >> k & 1) for k in range(n) if k != i)
+            out.append(BRule(Term(universe, codes), literals[2 * i + (bits >> i & 1)]))
+    return sorted(out, key=BRule.sort_key)
+
+
+def _rule_set(universe: Universe, rules: list[BRule], crossings: list[int]) -> RuleSet:
+    out = RuleSet(universe, rules)
+    out._crossings = crossings
+    return out
 
 
 # -- oracle operations ----------------------------------------------------------
@@ -296,38 +329,25 @@ def enumerate_models(value, universe: Universe | None = None, cap: int | None = 
     return ModelSet(u, (World(u, bits) for bits in _iter_bits(mask)))
 
 
-def _boundary_pairs(universe: Universe, mask: int) -> list[tuple[int, int]]:
-    """(world bits, variable index) pairs where flipping the variable leaves
-    the model set."""
-    pairs: list[tuple[int, int]] = []
-    for i in range(len(universe)):
-        crossing = mask & ~_flip_mask(universe, mask, i)
-        for bits in _iter_bits(crossing):
-            pairs.append((bits, i))
-    return pairs
-
-
 def boundary_models(
     value, universe: Universe | None = None, cap: int | None = None
 ) -> set[tuple[World, Literal]]:
     """All pairs ``(world, literal)`` where the world is a model containing the
     literal and flipping that literal produces a counter-model."""
     u = universe or value.universe
-    mask = models_mask(value, u, cap)
-    out = set()
-    for bits, i in _boundary_pairs(u, mask):
-        world = World(u, bits)
-        out.add((world, world.literals()[i]))
-    return out
+    literals = u._literals
+    return {
+        (World(u, bits), literals[2 * i + (bits >> i & 1)])
+        for i, crossing in enumerate(_crossings(u, models_mask(value, u, cap)))
+        for bits in _iter_bits(crossing)
+    }
 
 
 def b_rules(value, universe: Universe | None = None, cap: int | None = None) -> RuleSet:
     """The boundary rules of ``value``: one per boundary (model, literal) pair."""
     u = universe or value.universe
-    mask = models_mask(value, u, cap)
-    return RuleSet(
-        u, (_rule_from_pair(u, bits, i) for bits, i in _boundary_pairs(u, mask))
-    )
+    crossings = _crossings(u, models_mask(value, u, cap))
+    return _rule_set(u, _rules(u, crossings), crossings)
 
 
 def is_independent_model(value, world: World, term: Term, cap: int | None = None) -> bool:
@@ -347,31 +367,29 @@ def reconstruct_models(
 ) -> ModelSet:
     """Grow the boundary models to the full model set using only the rules.
 
-    Iterates ``L(W) = W ∪ { flip(w, i) : w in W, (w, i) not a rule }`` to its
-    first fixed point, visiting worlds in canonical order.  Boundary models of
-    a consistent, non-valid formula are never empty, so empty input means the
-    source formula was valid or inconsistent and is refused.
+    Iterates ``W |= flip_i(W & ~R_i)`` over every variable ``i``, where ``R_i``
+    is the crossing mask of the rules on ``i``, to its least fixed point: the
+    boundary models closed under flips that no rule forbids.  Boundary models
+    of a consistent, non-valid formula are never empty, so empty input means
+    the source formula was valid or inconsistent and is refused.
     """
     u = universe or bmodels.universe
     if len(bmodels) == 0:
         raise PreconditionError(
             "valid-or-inconsistent formula: no boundary models to reconstruct from"
         )
-    rule_pairs = rules.pairs()
-    n = len(u)
-    current = set(bmodels.bits())
+    if rules.universe is not u:
+        raise UniverseMismatchError("rules and boundary models differ in universe")
+    rule_masks = rules._crossing_masks()
+    current = sum(1 << bits for bits in bmodels.bits())
     while True:
-        added: list[int] = []
-        for bits in sorted(current):
-            for i in range(n):
-                if (bits, i) not in rule_pairs:
-                    twin = bits ^ (1 << i)
-                    if twin not in current:
-                        added.append(twin)
-        if not added:
+        grown = current
+        for i in range(len(u)):
+            grown |= _flip_mask(u, grown & ~rule_masks[i], i)
+        if grown == current:
             break
-        current.update(added)
-    return ModelSet(u, (World(u, bits) for bits in current))
+        current = grown
+    return ModelSet(u, (World(u, bits) for bits in _iter_bits(current)))
 
 
 def literal_independent(value, lit: Literal, cap: int | None = None) -> bool:
@@ -430,6 +448,44 @@ class TransitionReport:
         return lines
 
 
+def _transition_checks(
+    universe: Universe, lit: Literal, before: list[int], after: list[int]
+) -> dict[str, bool]:
+    """Every clause of the characterization, as masks over the crossing masks
+    before and after quantifying ``lit`` that must be empty.  A rule on variable
+    ``j`` whose world contains ``lit`` infers ``lit`` when ``j`` is ``lit``'s
+    variable ``q``, and uses it otherwise."""
+    u = universe
+    q = lit.variable.index
+    on = _literal_mask(u, lit.code)
+    off = _literal_mask(u, lit.code ^ 1)
+    bq, aq = before[q], after[q]
+    flipped_bq = _flip_mask(u, bq, q)
+    others = [j for j in range(len(u)) if j != q]
+    return {
+        # (a) rules inferring the quantified literal survive
+        "a": bq & on & ~aq == 0,
+        # (b) no surviving rule infers its negation
+        "b": aq & off == 0,
+        # (c) rules using the quantified literal survive
+        "c": all(before[j] & on & ~after[j] == 0 for j in others),
+        # (d) a rule using the negated literal survives iff the companion rule
+        #     on the same world that infers the negated literal is absent
+        "d": all(before[j] & off & ~(after[j] ^ bq) == 0 for j in others),
+        # (add1) introduced rules always use the negated literal
+        "add1": aq & ~bq == 0
+        and all(after[j] & ~before[j] & on == 0 for j in others),
+        # (add2) exact introduction criterion, on every world with the negated
+        # literal and every other variable j: flipping either q or j must stay
+        # inside the rules, flipping both outside
+        "add2": all(
+            off & (after[j] & ~before[j]) == off & _flip_mask(u, before[j], q)
+            & _flip_mask(u, bq, j) & ~flipped_bq & ~_flip_mask(u, before[j], j)
+            for j in others
+        ),
+    }
+
+
 def brule_transition_report(
     value, lit: Literal, universe: Universe | None = None, cap: int | None = None
 ) -> TransitionReport:
@@ -438,81 +494,25 @@ def brule_transition_report(
     u = universe or value.universe
     u.check(lit)
     mask = models_mask(value, u, cap)
-    i = lit.variable.index
 
     lit_mask = _literal_mask(u, lit.code)
     mask_given_lit = _condition_mask(u, mask, lit)
     mask_given_neg = _condition_mask(u, mask, ~lit)
     quantified = (lit_mask | mask_given_neg) & mask_given_lit
 
-    before = frozenset(_boundary_pairs(u, mask))
-    after = frozenset(_boundary_pairs(u, quantified))
-
-    preserved = before & after
-    deleted = before - after
-    introduced = after - before
-
-    neg_code = lit.code ^ 1
-    n = len(u)
-
-    def infers(pair: tuple[int, int], code: int) -> bool:
-        bits, j = pair
-        return j == code >> 1 and (bits >> j & 1) == (code & 1)
-
-    def uses(pair: tuple[int, int], code: int) -> bool:
-        bits, j = pair
-        return j != code >> 1 and (bits >> (code >> 1) & 1) == (code & 1)
-
-    checks: dict[str, bool] = {}
-    # (a) rules inferring the quantified literal survive
-    checks["a"] = all(p in after for p in before if infers(p, lit.code))
-    # (b) no surviving rule infers its negation
-    checks["b"] = not any(infers(p, neg_code) for p in after)
-    # (c) rules using the quantified literal survive
-    checks["c"] = all(p in after for p in before if uses(p, lit.code))
-    # (d) a rule using the negated literal survives iff the companion rule on
-    #     the same world that infers the negated literal is absent
-    ok = True
-    for pair in before:
-        if not uses(pair, neg_code):
-            continue
-        bits, _ = pair
-        ok &= (pair in after) == ((bits, i) not in before)
-    checks["d"] = bool(ok)
-    # (add1) introduced rules always use the negated literal
-    checks["add1"] = all(uses(p, neg_code) for p in introduced)
-    # (add2) exact introduction criterion, over every candidate rule shape:
-    # flipping either the quantified variable or the consequent variable of
-    # the candidate's world must stay inside the rules, flipping both outside
-    ok = True
-    for bits in _iter_bits(_literal_mask(u, neg_code)):
-        for j in range(n):
-            if j == i:
-                continue
-            candidate = (bits, j)
-            lhs = candidate not in before and candidate in after
-            flip_i = bits ^ (1 << i)
-            flip_j = bits ^ (1 << j)
-            rhs = (
-                (flip_i, j) in before
-                and (flip_j, i) in before
-                and (flip_i, i) not in before
-                and (flip_j, j) not in before
-            )
-            ok &= lhs == rhs
-    checks["add2"] = bool(ok)
-
-    def make(pairs: Iterable[tuple[int, int]]) -> tuple[BRule, ...]:
-        return tuple(
-            sorted((_rule_from_pair(u, b, j) for b, j in pairs), key=BRule.sort_key)
-        )
+    before = _crossings(u, mask)
+    after = _crossings(u, quantified)
+    # each rule is built once: the kept ones serve both rule sets
+    preserved = _rules(u, [b & a for b, a in zip(before, after)])
+    deleted = _rules(u, [b & ~a for b, a in zip(before, after)])
+    introduced = _rules(u, [a & ~b for b, a in zip(before, after)])
 
     return TransitionReport(
         quantified=lit,
-        rules_before=RuleSet(u, (_rule_from_pair(u, b, j) for b, j in before)),
-        rules_after=RuleSet(u, (_rule_from_pair(u, b, j) for b, j in after)),
-        preserved=make(preserved),
-        deleted=make(deleted),
-        introduced=make(introduced),
-        checks=checks,
+        rules_before=_rule_set(u, preserved + deleted, before),
+        rules_after=_rule_set(u, preserved + introduced, after),
+        preserved=tuple(preserved),
+        deleted=tuple(deleted),
+        introduced=tuple(introduced),
+        checks=_transition_checks(u, lit, before, after),
     )

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qlit import cli
 from qlit.cli import main
 
 from conftest import ADMISSION_BUNDLE, LOAN_BUNDLE, LOAN_DECISION_NNF
@@ -338,6 +339,34 @@ class TestExitCodes:
         path.write_text("x & y & z\n")
         code = main(["brules", "--in", str(path)])
         assert code == 1
+
+    def test_internal_error_is_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def broken(args, session):
+            raise RuntimeError("handler broke\nsecond line")
+
+        monkeypatch.setattr(cli, "_cmd_brules", broken)
+        path = tmp_path / "f.txt"
+        path.write_text("x & y\n")
+        assert main(["brules", "--in", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "qlit: internal error: RuntimeError: handler broke second line\n"
+        assert captured.out == ""
+
+    def test_repl_reports_internal_error_and_keeps_reading(self, tmp_path, capsys, monkeypatch):
+        import io as stdlib_io
+
+        def broken(args, session):
+            raise RuntimeError("handler broke")
+
+        monkeypatch.setattr(cli, "_cmd_brules", broken)
+        path = tmp_path / "f.txt"
+        path.write_text("x & y\n")
+        script = f"brules --in {path}\nquantify --op forall --items x --in {path}\nquit\n"
+        monkeypatch.setattr("sys.stdin", stdlib_io.StringIO(script))
+        assert main(["repl"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "qlit: internal error: RuntimeError: handler broke\n"
+        assert captured.out.splitlines()[-1] == "x & y"  # the next line still ran
 
 
 class TestRepl:

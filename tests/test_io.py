@@ -8,7 +8,7 @@ import pytest
 from qlit.core import Annotation, Universe, truth_table
 from qlit.errors import ParseError
 from qlit.generators import random_decision_dnnf, random_formula, random_sdd
-from qlit import oracle
+from qlit import io as io_module, oracle
 from qlit.io import (
     emit_classifier_bundle,
     emit_dimacs,
@@ -243,3 +243,144 @@ class TestDeepSdd:
         masks = [rng.getrandbits(64) for _ in range(2000)]
         full = (1 << 64) - 1
         assert truth_table(again, masks, full) == truth_table(circuit, masks, full)
+
+
+class _RecursiveFormulaParser:
+    """Recursive descent over the formula grammar: the reference the
+    iterative parser must match node for node and error for error."""
+
+    def __init__(self, tokens, universe):
+        self.tokens, self.pos, self.universe = tokens, 0, universe
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def parse(self):
+        formula = self.iff()
+        token = self.peek()
+        if token.kind != "end":
+            raise ParseError(f"unexpected {token.text!r}", token.line, token.column)
+        return formula
+
+    def iff(self):
+        left = self.implies()
+        if self.peek().text == "<=>":
+            self.take()
+            return left.iff(self.iff())
+        return left
+
+    def implies(self):
+        left = self.disjunction()
+        if self.peek().text == "=>":
+            self.take()
+            return left.implies(self.implies())
+        return left
+
+    def disjunction(self):
+        out = self.conjunction()
+        while self.peek().text == "|":
+            self.take()
+            out = out | self.conjunction()
+        return out
+
+    def conjunction(self):
+        out = self.unary()
+        while self.peek().text == "&":
+            self.take()
+            out = out & self.unary()
+        return out
+
+    def unary(self):
+        if self.peek().text == "~":
+            self.take()
+            return ~self.unary()
+        return self.atom()
+
+    def atom(self):
+        token = self.take()
+        if token.text == "(":
+            inner = self.iff()
+            closing = self.take()
+            if closing.text != ")":
+                raise ParseError(
+                    f"expected ')', got {closing.text or 'end of input'!r}",
+                    closing.line,
+                    closing.column,
+                )
+            return inner
+        if token.kind == "ident":
+            if token.text in ("true", "false"):
+                return self.universe.true if token.text == "true" else self.universe.false
+            if token.text not in self.universe:
+                raise ParseError(f"unknown identifier {token.text!r}", token.line, token.column)
+            return self.universe.lit(token.text)
+        raise ParseError(
+            f"expected a formula, got {token.text or 'end of input'!r}", token.line, token.column
+        )
+
+
+def _outcome(parse, text, universe):
+    """The parsed node's serial, or the error with its position, plus the
+    nodes the parse created, by serial: comparable across universes."""
+    seen = len(universe._node_cache)
+    try:
+        result = parse(text, universe).serial
+    except ParseError as error:
+        result = (str(error), error.line, error.column)
+    created = [
+        (n.serial, n.kind, [c.serial for c in n.children] if n.children else n.key[1:])
+        for n in sorted(universe._node_cache.values(), key=lambda n: n.serial)[seen:]
+    ]
+    return result, created
+
+
+class TestFormulaParserAgainstRecursiveDescent:
+    def test_random_strings_give_the_same_node_or_error(self):
+        pieces = ["a", "b", "zz", "true", "false", "~", "&", "|", "=>", "<=>", "(", ")", " ", "\n"]
+        rng = random.Random(89)
+        texts = ["", ")", "(", "a b", "(a", "a)", "~", "a &", "a => b <=> ~(b | a) & true"]
+        for _ in range(1000):
+            texts.append(" ".join(rng.choice(pieces) for _ in range(rng.randrange(1, 12))))
+        for _ in range(500):
+            text = str(random_formula(Universe(["a", "b"]), rng))
+            cut = rng.randrange(len(text) + 1)
+            texts.append(text)
+            texts.append(text[:cut] + rng.choice(pieces) + text[cut:])
+        for text in texts:
+            # each parser runs in a universe of its own, so node creation
+            # orders compare too
+            new, old = Universe(["a", "b"]), Universe(["a", "b"])
+            got = _outcome(parse_formula, text, new)
+            want = _outcome(
+                lambda t, u: _RecursiveFormulaParser(list(io_module._tokenize(t)), u).parse(),
+                text,
+                old,
+            )
+            assert got == want, text
+
+
+class TestDeepFormula:
+    def test_deep_nesting_under_the_default_recursion_limit(self):
+        u = Universe(["a", "b"])
+        a = u.lit("a")
+        assert parse_formula("(" * 100_000 + "a" + ")" * 100_000, u) is a
+        negated = parse_formula("~" * 100_001 + "a", u)
+        assert oracle.equivalent(negated, ~a)
+        with pytest.raises(ParseError, match="expected '\\)', got 'end of input'"):
+            parse_formula("(" * 100_000 + "a", u)
+
+    def test_long_chains_keep_their_grouping(self):
+        u = Universe(["a", "b"])
+        names = ["a", "b"] * 5_000
+        arrows = u.lit(names[-1])
+        for name in reversed(names[:-1]):  # right-deep
+            arrows = u.lit(name).implies(arrows)
+        assert parse_formula(" => ".join(names), u) is arrows
+        conj = u.lit(names[0])
+        for name in names[1:]:  # left-deep
+            conj = conj & u.lit(name)
+        assert parse_formula(" & ".join(names), u) is conj

@@ -6,13 +6,14 @@ import random
 import pytest
 
 from qlit.core import Universe, World, evaluate, negate
-from qlit.errors import CapacityError, PreconditionError
+from qlit.errors import CapacityError, PreconditionError, UniverseMismatchError
 from qlit.generators import (
     random_consistent_formula,
     random_formula,
     random_term,
 )
 from qlit.io import parse_formula
+from qlit.quantify import forall_literal
 from qlit import oracle
 
 from conftest import tt_models
@@ -141,6 +142,13 @@ class TestReconstruction:
             rules = oracle.b_rules(f)
             bmodels = oracle.ModelSet(u, {w for w, _ in oracle.boundary_models(f)})
             assert oracle.reconstruct_models(rules, bmodels) == oracle.enumerate_models(f)
+
+    def test_refuses_rules_from_another_universe(self, xyz):
+        f = parse_formula("x & y", xyz)
+        other = Universe(["x", "y", "z", "w"])
+        bmodels = oracle.ModelSet(other, {World(other, 3)})
+        with pytest.raises(UniverseMismatchError):
+            oracle.reconstruct_models(oracle.b_rules(f), bmodels)
 
     def test_refuses_valid_or_inconsistent_input(self, xyz):
         for f in (xyz.true, xyz.false):
@@ -315,3 +323,193 @@ class TestModelSetSemantics:
             models = oracle.enumerate_models(f)
             for w in xyz.worlds():
                 assert (w in models) == evaluate(f, w)
+
+
+# -- per-pair references for the mask algebra ---------------------------------------
+#
+# A rule is a (world bits, consequent variable index) pair.  These are the
+# definitions the crossing masks replace, kept as loops over pairs.
+
+
+def ref_boundary_pairs(u, mask):
+    pairs = []
+    for i in range(len(u)):
+        for bits in range(1 << len(u)):
+            if mask >> bits & 1 and not mask >> (bits ^ (1 << i)) & 1:
+                pairs.append((bits, i))
+    return pairs
+
+
+def ref_rule(u, bits, i):
+    world = World(u, bits)
+    antecedent = world.to_term().without_variables([u.variables[i]])
+    return oracle.BRule(antecedent, world.literals()[i])
+
+
+def ref_checks(u, lit, before, after):
+    i = lit.variable.index
+    neg_code = lit.code ^ 1
+    introduced = after - before
+
+    def infers(pair, code):
+        bits, j = pair
+        return j == code >> 1 and (bits >> j & 1) == (code & 1)
+
+    def uses(pair, code):
+        bits, j = pair
+        return j != code >> 1 and (bits >> (code >> 1) & 1) == (code & 1)
+
+    checks = {}
+    checks["a"] = all(p in after for p in before if infers(p, lit.code))
+    checks["b"] = not any(infers(p, neg_code) for p in after)
+    checks["c"] = all(p in after for p in before if uses(p, lit.code))
+    checks["d"] = all(
+        (p in after) == ((p[0], i) not in before) for p in before if uses(p, neg_code)
+    )
+    checks["add1"] = all(uses(p, neg_code) for p in introduced)
+    ok = True
+    for bits in range(1 << len(u)):
+        if (bits >> i & 1) != (neg_code & 1):
+            continue
+        for j in range(len(u)):
+            if j == i:
+                continue
+            lhs = (bits, j) not in before and (bits, j) in after
+            flip_i, flip_j = bits ^ (1 << i), bits ^ (1 << j)
+            rhs = (
+                (flip_i, j) in before
+                and (flip_j, i) in before
+                and (flip_i, i) not in before
+                and (flip_j, j) not in before
+            )
+            ok &= lhs == rhs
+    checks["add2"] = ok
+    return checks
+
+
+def ref_report(f, lit):
+    u = f.universe
+    mask = oracle.models_mask(f)
+    quantified = oracle.models_mask(forall_literal(f, lit))
+    before = frozenset(ref_boundary_pairs(u, mask))
+    after = frozenset(ref_boundary_pairs(u, quantified))
+
+    def make(pairs):
+        return tuple(sorted((ref_rule(u, b, j) for b, j in pairs), key=oracle.BRule.sort_key))
+
+    return {
+        "rules_before": make(before),
+        "rules_after": make(after),
+        "preserved": make(before & after),
+        "deleted": make(before - after),
+        "introduced": make(after - before),
+        "checks": list(ref_checks(u, lit, before, after).items()),
+    }
+
+
+def ref_reconstruct(rule_pairs, bmodel_bits, n):
+    current = set(bmodel_bits)
+    while True:
+        added = [
+            bits ^ (1 << i)
+            for bits in sorted(current)
+            for i in range(n)
+            if (bits, i) not in rule_pairs and bits ^ (1 << i) not in current
+        ]
+        if not added:
+            return current
+        current.update(added)
+
+
+def masks_of(u, pairs):
+    masks = [0] * len(u)
+    for bits, i in pairs:
+        masks[i] |= 1 << bits
+    return masks
+
+
+def pairs_of(masks):
+    return frozenset(
+        (bits, i) for i, m in enumerate(masks) for bits in range(m.bit_length()) if m >> bits & 1
+    )
+
+
+class TestMasksAgainstPairReferences:
+    def test_every_report_field_matches_in_order(self):
+        rng = random.Random(71)
+        for n in range(1, 9):
+            u = Universe(n)
+            for _ in range(12 if n <= 6 else 3):
+                f = random_formula(u, rng)
+                for code in range(2 * n):
+                    lit = u.literal_by_code(code)
+                    report = oracle.brule_transition_report(f, lit)
+                    got = {
+                        "rules_before": report.rules_before.items,
+                        "rules_after": report.rules_after.items,
+                        "preserved": report.preserved,
+                        "deleted": report.deleted,
+                        "introduced": report.introduced,
+                        "checks": list(report.checks.items()),
+                    }
+                    assert got == ref_report(f, lit)
+                    assert report.passed
+
+    def test_rules_and_boundary_models_match(self):
+        rng = random.Random(73)
+        for n in range(1, 7):
+            u = Universe(n)
+            for _ in range(15):
+                f = random_formula(u, rng)
+                pairs = ref_boundary_pairs(u, oracle.models_mask(f))
+                rules = oracle.b_rules(f)
+                assert rules.items == tuple(
+                    sorted((ref_rule(u, b, i) for b, i in pairs), key=oracle.BRule.sort_key)
+                )
+                assert rules.pairs() == frozenset(pairs)
+                # a rule set built from rule objects derives the same masks
+                assert oracle.RuleSet(u, rules).pairs() == frozenset(pairs)
+                assert oracle.boundary_models(f) == {
+                    (World(u, b), World(u, b).literals()[i]) for b, i in pairs
+                }
+
+    def test_mask_checks_match_on_perturbed_masks(self):
+        # flipped bits turn the masks into rule sets no formula has, so every
+        # check must fail somewhere: none of the mask expressions is vacuous
+        rng = random.Random(79)
+        seen_false = set()
+        for _ in range(3000):
+            n = rng.randint(2, 4)
+            u = Universe(n)
+            f = random_formula(u, rng)
+            lit = u.literal_by_code(rng.randrange(2 * n))
+            before = masks_of(u, ref_boundary_pairs(u, oracle.models_mask(f)))
+            after = masks_of(
+                u, ref_boundary_pairs(u, oracle.models_mask(forall_literal(f, lit)))
+            )
+            for _ in range(rng.randint(1, 3)):
+                side = rng.choice((before, after))
+                side[rng.randrange(n)] ^= 1 << rng.randrange(1 << n)
+            got = oracle._transition_checks(u, lit, before, after)
+            want = ref_checks(u, lit, pairs_of(before), pairs_of(after))
+            assert list(got.items()) == list(want.items())
+            seen_false.update(k for k, v in got.items() if not v)
+        assert seen_false == {"a", "b", "c", "d", "add1", "add2"}
+
+    def test_reconstruction_matches_on_formulas_and_on_rule_subsets(self):
+        rng = random.Random(83)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            u = Universe(n)
+            f = random_formula(u, rng)
+            rules = oracle.b_rules(f)
+            bmodels = oracle.ModelSet(u, {w for w, _ in oracle.boundary_models(f)})
+            if rng.random() < 0.5:  # drop rules: reconstruction then overshoots
+                rules = oracle.RuleSet(u, [r for r in rules if rng.random() < 0.7])
+            if len(bmodels) == 0:
+                with pytest.raises(PreconditionError):
+                    oracle.reconstruct_models(rules, bmodels)
+                continue
+            got = oracle.reconstruct_models(rules, bmodels)
+            want = ref_reconstruct(rules.pairs(), bmodels.bits(), n)
+            assert [w.bits for w in got] == sorted(want)
