@@ -41,6 +41,21 @@ from .tractable import Cnf, Dnf
 
 __version__ = "0.1.0"
 
+# the seeded property suites of ``qlit.checks``, listed here so that the
+# command line can offer them without importing that module
+SUITE_NAMES = (
+    "duality",
+    "order",
+    "selection",
+    "syntax",
+    "sandwich",
+    "know",
+    "tractable",
+    "appendixA",
+    "reasons",
+    "bias",
+)
+
 __all__ = [
     "Annotation",
     "ArityError",

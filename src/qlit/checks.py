@@ -11,13 +11,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import SUITE_NAMES, oracle
 from .core import (
     Universe,
     World,
     condition,
     negate,
 )
-from . import oracle
 from .quantify import (
     exists_literal,
     exists_variable,
@@ -516,20 +516,26 @@ def _bias(suite: _Suite) -> SuiteResult:
     return suite.run(trial)
 
 
-_SUITES = {
-    "duality": _duality,
-    "order": _order,
-    "selection": _selection,
-    "syntax": _syntax,
-    "sandwich": _sandwich,
-    "know": _know,
-    "tractable": _tractable,
-    "appendixA": _appendix_a,
-    "reasons": _reasons,
-    "bias": _bias,
-}
-
-SUITE_NAMES = tuple(_SUITES)
+# in the order of SUITE_NAMES, which the command line reads without
+# importing this module
+_SUITES = dict(
+    zip(
+        SUITE_NAMES,
+        (
+            _duality,
+            _order,
+            _selection,
+            _syntax,
+            _sandwich,
+            _know,
+            _tractable,
+            _appendix_a,
+            _reasons,
+            _bias,
+        ),
+        strict=True,
+    )
+)
 
 
 def run_suite(name: str, variables: int, trials: int, seed: int) -> SuiteResult:

@@ -19,25 +19,12 @@ enumeration cap of the oracle.
 from __future__ import annotations
 
 import argparse
-import json
-import shlex
 import sys
 from typing import Sequence
 
+from . import SUITE_NAMES
 from .core import Circuit, Formula
 from .errors import ParseError, QlitError
-from . import oracle
-from .quantify import quantify
-from .tractable import Cnf, Dnf
-from .xai import (
-    Classifier,
-    Decision,
-    biased_instances,
-    decide,
-    is_decision_biased,
-    relevance_report,
-    sufficient_reasons,
-)
 from .io import (
     emit_dimacs,
     emit_nnf,
@@ -47,7 +34,11 @@ from .io import (
     parse_nnf,
     parse_sdd,
 )
-from .checks import SUITE_NAMES, run_suite
+from .quantify import quantify
+from .tractable import Cnf, Dnf
+
+# ``oracle``, ``xai``, ``checks``, ``json`` and ``shlex`` are imported by the
+# handlers that use them, so ``qlit quantify`` does not load (or compile) them
 
 __all__ = ["main", "run"]
 
@@ -55,7 +46,7 @@ __all__ = ["main", "run"]
 def _sniff(text: str) -> str:
     for line in text.splitlines():
         stripped = line.strip()
-        if not stripped or stripped.startswith("c ") or stripped == "c":
+        if not stripped or stripped.startswith("c"):  # the parsers' comments
             continue
         if stripped.startswith("p cnf"):
             return "cnf"
@@ -129,6 +120,8 @@ def _input(args, session):
 
 
 def _read_classifier(path: str) -> Classifier:
+    from .xai import Classifier
+
     with open(path, "r", encoding="ascii") as handle:
         bundle = parse_classifier_bundle(handle.read())
     return Classifier(bundle.positive, bundle.negative, protected=bundle.protected)
@@ -155,6 +148,8 @@ def _write_output(path: str, value) -> None:
 
 def _print(args, kind: str, result, items: list[str]) -> None:
     if getattr(args, "json", False):
+        import json
+
         print(json.dumps({"kind": kind, "result": result, "items": items}, sort_keys=True))
     else:
         if result is not None:
@@ -177,6 +172,8 @@ def _cmd_quantify(args, session) -> int:
 
 
 def _cmd_brules(args, session) -> int:
+    from . import oracle
+
     value = _input(args, session)
     rules = oracle.b_rules(value)
     worlds = sorted({w for w, _ in oracle.boundary_models(value)}, key=lambda w: w.bits)
@@ -199,6 +196,8 @@ def _load_classifier(args, session) -> Classifier:
     else:
         classifier = _read_classifier(args.classifier)
     if getattr(args, "protected", None):
+        from .xai import Classifier
+
         classifier = Classifier(
             classifier.positive,
             classifier.negative,
@@ -209,6 +208,8 @@ def _load_classifier(args, session) -> Classifier:
 
 
 def _cmd_decide(args, session) -> int:
+    from .xai import Decision, decide
+
     classifier = _load_classifier(args, session)
     decision = decide(classifier, classifier.population(args.term))
     _print(args, "decide", str(decision), [])
@@ -216,6 +217,8 @@ def _cmd_decide(args, session) -> int:
 
 
 def _cmd_reasons(args, session) -> int:
+    from .xai import sufficient_reasons
+
     classifier = _load_classifier(args, session)
     result = sufficient_reasons(classifier, classifier.population(args.term))
     items = [str(t) for t in result.sufficient]
@@ -224,6 +227,8 @@ def _cmd_reasons(args, session) -> int:
 
 
 def _cmd_bias(args, session) -> int:
+    from .xai import biased_instances, is_decision_biased
+
     classifier = _load_classifier(args, session)
     if args.term:
         biased = is_decision_biased(classifier, classifier.instance(args.term))
@@ -237,6 +242,8 @@ def _cmd_bias(args, session) -> int:
 
 
 def _cmd_relevance(args, session) -> int:
+    from .xai import relevance_report
+
     classifier = _load_classifier(args, session)
     report = relevance_report(classifier, classifier.population(args.term))
     _print(args, "relevance", str(report.decision), report.to_lines())
@@ -244,6 +251,8 @@ def _cmd_relevance(args, session) -> int:
 
 
 def _cmd_check(args, session) -> int:
+    from .checks import run_suite
+
     result = run_suite(args.property, args.vars, args.trials, args.seed)
     items = result.failures
     _print(args, "check", result.summary(), items)
@@ -251,6 +260,8 @@ def _cmd_check(args, session) -> int:
 
 
 def _cmd_repl(args, session) -> int:
+    import shlex
+
     print("qlit repl: load/quantify/brules/decide/reasons/bias/relevance/check, quit")
     for raw in sys.stdin:
         line = raw.strip()

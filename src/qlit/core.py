@@ -27,6 +27,7 @@ Neither recurses, so only memory bounds the depth of a DAG.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -149,6 +150,12 @@ class Universe(_Folding):
         self._literals = tuple(
             Literal(v, bool(polarity)) for v in variables for polarity in (0, 1)
         )
+        # by literal code, like ``_literals``: the display text, and the
+        # signed DIMACS integer as a string (variable ``i`` is ``i + 1``)
+        names = [v.name for v in variables]
+        numbers = [str(i) for i in range(1, len(variables) + 1)]
+        self._texts = _by_code(["~" + name for name in names], names)
+        self._dimacs = _by_code(["-" + number for number in numbers], numbers)
         self._node_cache: dict[tuple, Formula] = {}
         self._var_masks: list[int] | None = None
         self._last_walk: tuple = (None, [])
@@ -332,6 +339,24 @@ class Universe(_Folding):
         return out
 
 
+def _by_code(negative: list, positive: list) -> tuple:
+    """One entry per literal code from the entries of the negative and the
+    positive literal of each variable."""
+    return tuple(chain.from_iterable(zip(negative, positive)))
+
+
+def dimacs_codes(nvars: int) -> dict[int, int | None]:
+    """The inverse of ``Universe._dimacs``: the literal code of each DIMACS
+    integer in ``-nvars..nvars``.  ``0``, which names no literal, maps to
+    ``None``; an integer out of range is not a key."""
+    return dict(
+        zip(
+            range(-nvars, nvars + 1),
+            [*range(2 * nvars - 2, -1, -2), None, *range(1, 2 * nvars, 2)],
+        )
+    )
+
+
 class World:
     """A total truth assignment, stored as a bit per variable."""
 
@@ -468,7 +493,9 @@ class Term(_LiteralSet):
         return u.all_conj(u.lit(lit) for lit in self.literals())
 
     def __str__(self) -> str:
-        return ",".join(str(lit) for lit in self.literals()) if self.codes else "true"
+        if not self.codes:
+            return "true"
+        return ",".join(map(self.universe._texts.__getitem__, self.codes))
 
     def __repr__(self) -> str:
         return f"Term({self})"
@@ -487,7 +514,7 @@ class Clause(_LiteralSet):
     def __str__(self) -> str:
         if not self.codes:
             return "false"
-        return " | ".join(str(lit) for lit in self.literals())
+        return " | ".join(map(self.universe._texts.__getitem__, self.codes))
 
     def __repr__(self) -> str:
         return f"Clause({self})"

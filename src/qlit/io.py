@@ -26,6 +26,14 @@ A classifier bundle is a small header (``var <index> <name>`` lines and an
 optional ``protected <name>...`` line) followed by one or two DIMACS
 sections tagged ``section delta`` and ``section negdelta``.
 
+Outside formulas, a line whose first non-blank character is ``c`` is a
+comment.  Literal codes and signed DIMACS integers (in DIMACS, ``.nnf`` and
+SDD text) are converted in one place: ``Universe._dimacs`` holds each code's
+integer as text, so emitting joins strings from it, and
+:func:`~qlit.core.dimacs_codes` is its inverse.  Clauses, terms, CNFs and
+DNFs print from the display texts the universe holds next to it,
+``Universe._texts``.
+
 Parse errors always carry a 1-based line (and column for formulas); no
 partial results escape.
 """
@@ -42,6 +50,7 @@ from .core import (
     Clause,
     Formula,
     Universe,
+    dimacs_codes,
 )
 from .errors import ParseError, StructureError
 from .tractable import (
@@ -94,21 +103,32 @@ def parse_dimacs(
 
     Comment lines of the shape ``c var <index> <name>`` assign display names;
     when they cover every variable exactly once the universe uses them.
+
+    One pass over the lines turns each clause line into literal codes through
+    :func:`dimacs_codes` and checks a clause when its ``0`` is read.  A line
+    that is not integers outranks an error in the clauses (a literal out of
+    range, a tautology) on an earlier line, so the first clause error waits
+    until the last line is read.
     """
     lines = text.splitlines()
     header: tuple[int, int] | None = None
-    tokens: list[tuple[int, int]] = []  # (value, line number)
     names: dict[int, str] = {}
-    for offset, line in enumerate(lines):
-        number = first_line + offset
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
-            _note_name(stripped, names)
+    code_of: dict[int, int | None] = {}
+    clauses: list[tuple[int, ...]] = []
+    current: list[int] = []  # codes of the open clause, in text order
+    last_line = first_line  # the line of the last integer
+    error: ParseError | None = None  # the first error in the clauses
+    for number, line in enumerate(lines, first_line):
+        fields = line.split()
+        if not fields:
             continue
-        if stripped.startswith("p"):
+        head = fields[0][0]
+        if head == "c":
+            _note_name(line, names)
+            continue
+        if head == "p":
             if header is not None:
                 raise ParseError("second problem line", number)
-            fields = stripped.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError("malformed header, expected 'p cnf <vars> <clauses>'", number)
             try:
@@ -117,14 +137,41 @@ def parse_dimacs(
                 raise ParseError("non-numeric header counts", number) from None
             if header[0] < 0 or header[1] < 0:
                 raise ParseError("negative header counts", number)
+            code_of = dimacs_codes(header[0])
             continue
         if header is None:
             raise ParseError("clause before the problem line", number)
-        for field in stripped.split():
-            try:
-                tokens.append((int(field), number))
-            except ValueError:
-                raise ParseError(f"expected an integer, got {field!r}", number) from None
+        out_of_range = None
+        try:
+            codes = list(map(code_of.__getitem__, map(int, fields)))
+        except (ValueError, KeyError):
+            codes, out_of_range = _codes_before_error(fields, code_of, number)
+        last_line = number
+        if error is not None:
+            continue
+        start = 0
+        for _ in range(codes.count(None)):
+            end = codes.index(None, start)
+            current += codes[start:end]
+            start = end + 1
+            clause = sorted(current)
+            previous = -1
+            for code in clause:
+                if code | 1 == previous:
+                    # two literals over one variable: drop the repeats; a
+                    # pair of neighbours left over is a tautology
+                    clause = sorted(set(clause))
+                    if any(a ^ 1 == b for a, b in zip(clause, clause[1:])):
+                        error = _tautology(current, number)
+                    break
+                previous = code | 1
+            if error is not None:
+                break
+            clauses.append(tuple(clause))
+            current = []
+        else:
+            current += codes[start:]
+            error = out_of_range
 
     if header is None:
         line = first_line + len(lines)
@@ -137,45 +184,51 @@ def parse_dimacs(
             f"header declares {nvars} variables, universe has {len(universe)}",
             first_line,
         )
-
-    clauses: list[Clause] = []
-    current: list[int] = []
-    current_line = first_line
-    for value, number in tokens:
-        if value == 0:
-            codes = set()
-            for item in current:
-                code = 2 * (abs(item) - 1) + (1 if item > 0 else 0)
-                if code ^ 1 in codes:
-                    raise ParseError(
-                        f"tautological clause over variable {abs(item)}", number
-                    )
-                codes.add(code)
-            clauses.append(Clause(universe, tuple(sorted(codes))))
-            current = []
-        else:
-            if abs(value) > nvars:
-                raise ParseError(f"literal {value} out of range", number)
-            current.append(value)
-            current_line = number
+    if error is not None:
+        raise error
     if current:
-        raise ParseError("unterminated clause", current_line)
+        raise ParseError("unterminated clause", last_line)
     if len(clauses) != nclauses:
         raise ParseError(
-            f"header declares {nclauses} clauses, found {len(clauses)}",
-            tokens[-1][1] if tokens else first_line,
+            f"header declares {nclauses} clauses, found {len(clauses)}", last_line
         )
-    return Cnf(universe, clauses)
+    return Cnf(universe, [Clause(universe, clause) for clause in clauses])
+
+
+def _codes_before_error(
+    fields: list[str], code_of: dict[int, int | None], number: int
+) -> tuple[list, ParseError]:
+    """For a clause line that is not all literals in range: raise on the
+    first field that is not an integer, else return the codes before the
+    first integer out of range and the error that names it."""
+    values = []
+    for field in fields:
+        try:
+            values.append(int(field))
+        except ValueError:
+            raise ParseError(f"expected an integer, got {field!r}", number) from None
+    bad = next(k for k, value in enumerate(values) if value not in code_of)
+    codes = [code_of[value] for value in values[:bad]]
+    return codes, ParseError(f"literal {values[bad]} out of range", number)
+
+
+def _tautology(items: list[int], number: int) -> ParseError:
+    """The error for a clause with both literals of a variable, named by the
+    first literal whose complement came before it."""
+    seen: set[int] = set()
+    for code in items:
+        if code ^ 1 in seen:
+            return ParseError(f"tautological clause over variable {(code >> 1) + 1}", number)
+        seen.add(code)
+    raise AssertionError("no complementary pair")
 
 
 def emit_dimacs(cnf: Cnf) -> str:
+    dimacs = cnf.universe._dimacs.__getitem__
     lines = [f"p cnf {len(cnf.universe)} {len(cnf.elements)}"]
-    for clause in cnf.sorted_elements():
-        numbers = [
-            (code >> 1) + 1 if code & 1 else -((code >> 1) + 1)
-            for code in clause.codes
-        ]
-        lines.append(" ".join(str(n) for n in numbers + [0]))
+    lines.extend(
+        " ".join([*map(dimacs, clause.codes), "0"]) for clause in cnf.sorted_elements()
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -217,6 +270,7 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
                 )
             declared_edges = header[1]
             builder = CircuitBuilder(universe)
+            code_of = dimacs_codes(nvars)
             continue
 
         kind = fields[0]
@@ -228,11 +282,9 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
         if kind == "L":
             if len(numbers) != 1 or numbers[0] == 0:
                 raise ParseError("literal node needs one nonzero integer", number)
-            var = abs(numbers[0])
-            if var > len(universe):
+            if numbers[0] not in code_of:
                 raise ParseError(f"literal {numbers[0]} out of range", number)
-            code = 2 * (var - 1) + (1 if numbers[0] > 0 else 0)
-            ids.append(builder.lit(code))
+            ids.append(builder.lit(code_of[numbers[0]]))
             decision_flags.append(True)
         elif kind == "A":
             if not numbers or numbers[0] != len(numbers) - 1:
@@ -298,12 +350,12 @@ def emit_nnf(circuit: Circuit) -> str:
     nodes = circuit.nodes
     body: list[str] = []
     edges = 0
+    dimacs = universe._dimacs
     for node in nodes:
         if node.kind == "const":
             body.append("A 0" if node.value else "O 0 0")
         elif node.kind == "lit":
-            var = (node.lit >> 1) + 1
-            body.append(f"L {var if node.lit & 1 else -var}")
+            body.append("L " + dimacs[node.lit])
         elif node.kind == "and":
             edges += len(node.children)
             body.append("A " + " ".join(str(c) for c in (len(node.children), *node.children)))
@@ -364,6 +416,7 @@ def parse_sdd(text: str, universe: Universe | None = None) -> Circuit:
         universe = _named_universe(names, max_var)
 
     builder = CircuitBuilder(universe)
+    code_of = dimacs_codes(len(universe))
     by_id: dict[int, int] = {}
     root = -1
     for node_id, kind, payload, number in entries:
@@ -375,10 +428,9 @@ def parse_sdd(text: str, universe: Universe | None = None) -> Circuit:
             root = builder.const(False)
         elif kind == "L":
             value = payload[0]
-            if abs(value) > len(universe):
+            if value not in code_of:
                 raise ParseError(f"literal {value} out of range", number)
-            code = 2 * (abs(value) - 1) + (1 if value > 0 else 0)
-            root = builder.lit(code)
+            root = builder.lit(code_of[value])
         else:
             count = payload[0]
             pairs = []
@@ -422,8 +474,7 @@ def emit_sdd(circuit: Circuit) -> str:
         return leaves[key]
 
     def literal(code: int) -> int:
-        var = (code >> 1) + 1
-        return leaf(("lit", code), f"L {{}} {var if code & 1 else -var}")
+        return leaf(("lit", code), "L {} " + circuit.universe._dimacs[code])
 
     order = sorted(circuit.reachable())
     # the root, primes and subs; pair nodes and the literals of terms are implicit

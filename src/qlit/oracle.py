@@ -200,9 +200,17 @@ class BRule:
     def __post_init__(self):
         universe = self.antecedent.universe
         universe.check(self.consequent)
-        ante_vars = {c >> 1 for c in self.antecedent.codes}
-        expected = set(range(len(universe))) - {self.consequent.variable.index}
-        if ante_vars != expected:
+        # a term's literals are over distinct variables, so n - 1 of them,
+        # all in range and none over the consequent's variable, are exactly
+        # the other variables
+        codes = self.antecedent.codes
+        skip = 2 * self.consequent.variable.index
+        if (
+            len(codes) != len(universe) - 1
+            or skip in codes
+            or skip + 1 in codes
+            or (codes and (min(codes) < 0 or max(codes) >= 2 * len(universe)))
+        ):
             raise UniverseMismatchError(
                 "antecedent must cover exactly the non-consequent variables"
             )

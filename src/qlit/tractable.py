@@ -13,8 +13,8 @@ fails.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .core import (
@@ -35,7 +35,6 @@ from .errors import (
     PreconditionError,
     StructureError,
 )
-from . import oracle
 
 __all__ = [
     "Cnf",
@@ -90,7 +89,7 @@ class _FlatForm:
 
     def sorted_elements(self) -> tuple:
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements, key=lambda e: e.codes))
+            self._sorted = tuple(sorted(self.elements, key=attrgetter("codes")))
         return self._sorted
 
     def literal_count(self) -> int:
@@ -140,10 +139,11 @@ class Cnf(_FlatForm):
     def __str__(self) -> str:
         if self.is_true():
             return "true"
+        text = self.universe._texts.__getitem__
         parts = []
         for clause in self.sorted_elements():
-            text = str(clause)
-            parts.append(f"({text})" if len(clause) > 1 else text)
+            part = " | ".join(map(text, clause.codes)) or "false"
+            parts.append(f"({part})" if len(clause.codes) > 1 else part)
         return " & ".join(parts)
 
     def __repr__(self) -> str:
@@ -177,9 +177,10 @@ class Dnf(_FlatForm):
     def __str__(self) -> str:
         if self.is_false():
             return "false"
+        text = self.universe._texts.__getitem__
         return " | ".join(
-            " & ".join(str(lit) for lit in term) if term.codes else "true"
-            for term in self.sorted_elements()
+            " & ".join(map(text, t.codes)) if t.codes else "true"
+            for t in self.sorted_elements()
         )
 
     def __repr__(self) -> str:
@@ -377,6 +378,8 @@ def prime_forms(value, mode: str) -> Dnf | Cnf:
     seeds are then closed under consensus/resolution and pruned by
     subsumption.  Capped at 16 variables.
     """
+    from . import oracle  # imported where used: the linear routines never need it
+
     u = value.universe
     if len(u) > PRIME_FORM_CAP:
         raise CapacityError(
@@ -588,6 +591,8 @@ def _check_partition_semantic(
 ) -> None:
     """Truth tables of the primes over their variables must partition all
     rows."""
+    from . import oracle
+
     masks = dict(zip(var_list, oracle._var_patterns(len(var_list))))
     full = (1 << (1 << len(var_list))) - 1
     union = 0
@@ -614,8 +619,9 @@ def _check_partition_syntactic(circuit: Circuit, or_id: int, elements) -> None:
     for a, b in combinations(terms, 2):
         if not any(code ^ 1 in b for code in a):
             raise StructureError("primes are not pairwise inconsistent", or_id)
-    covered = sum(Fraction(1, 2 ** len(t)) for t in terms)
-    if covered != 1:
+    # the terms cover every assignment when their shares 2**-len sum to 1
+    depth = max(map(len, terms), default=0)
+    if sum(1 << (depth - len(t)) for t in terms) != 1 << depth:
         raise StructureError("primes do not cover all assignments", or_id)
 
 

@@ -305,6 +305,68 @@ class TestClassifierCommands:
         assert code == 1
 
 
+class TestSniffing:
+    @pytest.mark.parametrize("comment", ["c\tnote", "cnote", "c", "c note"])
+    def test_dimacs_and_nnf_after_any_comment_line(self, capsys, tmp_path, comment):
+        for name, text in (("loan.cnf", LOAN_CNF), ("loan.nnf", LOAN_DECISION_NNF)):
+            plain, commented = tmp_path / name, tmp_path / ("commented-" + name)
+            plain.write_text(text)
+            commented.write_text(f"{comment}\n{text}")
+            assert cli._sniff(commented.read_text()) == cli._sniff(text) != "formula"
+            argv = ["quantify", "--op", "forall", "--items", "d"]
+            assert main([*argv, "--in", str(commented)]) == 0
+            got = capsys.readouterr().out
+            assert main([*argv, "--in", str(plain)]) == 0
+            assert got == capsys.readouterr().out
+
+    def test_a_formula_on_a_c_line_is_still_a_formula(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("c & d\n")
+        assert cli._sniff(path.read_text()) == "formula"
+        assert main(["quantify", "--op", "exists", "--items", "c", "--in", str(path)]) == 0
+        assert capsys.readouterr().out == "d\n"
+
+
+class TestImports:
+    def test_cli_loads_only_what_quantify_needs(self):
+        import os
+        import subprocess
+        import sys
+
+        import qlit
+
+        src = os.path.dirname(os.path.dirname(qlit.__file__))
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        script = (
+            "import sys, qlit.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('qlit')))\n"
+            "print([m for m in ('json', 'shlex') if m in sys.modules])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        ).stdout
+        modules = ["cli", "core", "errors", "io", "quantify", "tractable"]
+        assert out == f"{['qlit'] + ['qlit.' + m for m in modules]}\n[]\n"
+
+    def test_unknown_suite_keeps_the_argparse_refusal(self, capsys):
+        from qlit import SUITE_NAMES
+        from qlit.checks import _SUITES
+
+        assert tuple(_SUITES) == SUITE_NAMES
+        with pytest.raises(SystemExit) as stop:
+            main(["check", "--property", "nosuch"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "qlit check: error: argument --property: invalid choice: 'nosuch' (choose from "
+            "'duality', 'order', 'selection', 'syntax', 'sandwich', 'know', 'tractable', "
+            "'appendixA', 'reasons', 'bias')\n"
+        )
+
+
 class TestCheck:
     def test_small_suite_passes(self, capsys):
         code = main(

@@ -384,3 +384,281 @@ class TestDeepFormula:
         for name in names[1:]:  # left-deep
             conj = conj & u.lit(name)
         assert parse_formula(" & ".join(names), u) is conj
+
+
+def _reference_parse_dimacs(text, universe=None, first_line=1):
+    """The token-list DIMACS parser that the one-pass parser replaced: the
+    reference it must match result for result and error for error."""
+    from qlit.core import Clause
+    from qlit.io import _named_universe, _note_name
+    from qlit.tractable import Cnf
+
+    lines = text.splitlines()
+    header = None
+    tokens = []  # (value, line number)
+    names = {}
+    for offset, line in enumerate(lines):
+        number = first_line + offset
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            _note_name(stripped, names)
+            continue
+        if stripped.startswith("p"):
+            if header is not None:
+                raise ParseError("second problem line", number)
+            fields = stripped.split()
+            if len(fields) != 4 or fields[1] != "cnf":
+                raise ParseError("malformed header, expected 'p cnf <vars> <clauses>'", number)
+            try:
+                header = (int(fields[2]), int(fields[3]))
+            except ValueError:
+                raise ParseError("non-numeric header counts", number) from None
+            if header[0] < 0 or header[1] < 0:
+                raise ParseError("negative header counts", number)
+            continue
+        if header is None:
+            raise ParseError("clause before the problem line", number)
+        for field in stripped.split():
+            try:
+                tokens.append((int(field), number))
+            except ValueError:
+                raise ParseError(f"expected an integer, got {field!r}", number) from None
+
+    if header is None:
+        line = first_line + len(lines)
+        raise ParseError("missing 'p cnf' header", max(line - 1, first_line))
+    nvars, nclauses = header
+    if universe is None:
+        universe = _named_universe(names, nvars)
+    elif len(universe) != nvars:
+        raise ParseError(
+            f"header declares {nvars} variables, universe has {len(universe)}", first_line
+        )
+
+    clauses = []
+    current = []
+    current_line = first_line
+    for value, number in tokens:
+        if value == 0:
+            codes = set()
+            for item in current:
+                code = 2 * (abs(item) - 1) + (1 if item > 0 else 0)
+                if code ^ 1 in codes:
+                    raise ParseError(f"tautological clause over variable {abs(item)}", number)
+                codes.add(code)
+            clauses.append(Clause(universe, tuple(sorted(codes))))
+            current = []
+        else:
+            if abs(value) > nvars:
+                raise ParseError(f"literal {value} out of range", number)
+            current.append(value)
+            current_line = number
+    if current:
+        raise ParseError("unterminated clause", current_line)
+    if len(clauses) != nclauses:
+        raise ParseError(
+            f"header declares {nclauses} clauses, found {len(clauses)}",
+            tokens[-1][1] if tokens else first_line,
+        )
+    return Cnf(universe, clauses)
+
+
+def _dimacs_outcome(parse, text, *args):
+    """Universe names and clause codes in order, or the error with its
+    line: comparable across parsers."""
+    try:
+        cnf = parse(text, *args)
+    except ParseError as error:
+        return ("ParseError", str(error), error.line)
+    except Exception as error:  # the same escape from both parsers is no regression
+        return (type(error).__name__, str(error))
+    return ([v.name for v in cnf.universe], [c.codes for c in cnf.elements])
+
+
+def _random_dimacs(rng):
+    """A valid DIMACS text over 0-6 variables, dressed in the format's
+    freedoms: comments anywhere, ``c var`` names, clauses across and
+    sharing lines, empty clauses, repeated literals and CRLF endings."""
+    nvars = rng.randrange(7)
+    clauses = []
+    for _ in range(rng.randrange(6)):
+        width = rng.randrange(min(nvars, 4) + 1)
+        chosen = rng.sample(range(1, nvars + 1), width)
+        clause = [v if rng.random() < 0.5 else -v for v in chosen]
+        if clause and rng.random() < 0.15:
+            clause.append(rng.choice(clause))  # a repeated literal
+        clauses.append(clause)
+    tokens = [str(v) for clause in clauses for v in [*clause, 0]]
+    body = []
+    while tokens:
+        take = rng.randrange(1, 6)
+        body.append(" ".join(tokens[:take]))
+        tokens = tokens[take:]
+    comments = ["c", "c hello", "c\tnote", "cnote", "c var", "c var 9 z"]
+    if rng.random() < 0.5:
+        ids = list(range(1, nvars + 1))
+        if rng.random() < 0.3 and ids:
+            ids.pop(rng.randrange(len(ids)))  # names that miss a variable
+        comments += [f"c var {i} v{i}" for i in ids]
+    lines = [f"p cnf {nvars} {len(clauses)}", *body]
+    for comment in rng.sample(comments, rng.randrange(len(comments) + 1)):
+        lines.insert(rng.randrange(len(lines) + 1), comment)
+    if rng.random() < 0.2:
+        lines.insert(rng.randrange(len(lines) + 1), "")
+    newline = "\r\n" if rng.random() < 0.2 else "\n"
+    return newline.join(lines) + (newline if rng.random() < 0.8 else "")
+
+
+_BYTES = "0123456789- \t\n\rcpnfx+_"
+_TOKENS = ["0", "1", "-1", "2", "-2", "3", "7", "-9", "x", "p", "cnf", "c", "01", "+2", "1_0"]
+
+
+def _mutate(text, rng):
+    """One seeded byte or token mutation."""
+    kind = rng.randrange(6)
+    at = rng.randrange(len(text) + 1)
+    if kind == 0:
+        return text[:at] + rng.choice(_BYTES) + text[at:]
+    if kind == 1:
+        return text[:at] + text[at + 1 :]
+    if kind == 2:
+        return text[:at] + rng.choice(_BYTES) + text[at + 1 :]
+    lines = text.split("\n")
+    row = rng.randrange(len(lines))
+    fields = lines[row].split(" ")
+    if kind == 3:  # replace a token
+        fields[rng.randrange(len(fields))] = rng.choice(_TOKENS)
+    elif kind == 4:  # insert a token
+        fields.insert(rng.randrange(len(fields) + 1), rng.choice(_TOKENS))
+    else:  # drop, repeat or swap lines
+        other = rng.randrange(len(lines))
+        lines[row], lines[other] = lines[other], lines[row]
+        if rng.random() < 0.5:
+            lines.insert(row, lines[other])
+        return "\n".join(lines)
+    lines[row] = " ".join(fields)
+    return "\n".join(lines)
+
+
+class TestDimacsAgainstReference:
+    CORPUS = [
+        "",
+        "c only a comment\n",
+        "p cnf 0 0\n",
+        "p cnf 0 1\n0\n",
+        "p cnf 2 2\n0\n1 -2 0\n",
+        "p cnf 3 2\n1 -2\n3 0 -1\n0\n",
+        "p cnf 3 2\r\n1 -2 0\r\nc mid\r\n2 3 0\r\n",
+        "c var 1 a\nc var 2 b\np cnf 2 1\n1 2 0\nc var 1 z\n",
+        "c var 1 a\nc var 2 a\np cnf 2 1\n1 2 0\n",
+        "p cnf 2 1\n1 1 -2 0\n",
+        "p cnf 3 1\n1 2 -2 -1 0\n",
+        "p cnf 3 2\n1 -1 0 9 0\n",
+        "p cnf 3 2\n9 0 1 -1 0\n",
+        "p cnf 2 1\n3 0\nx 0\n",
+        "p cnf 2 1\n1 -1 0\np cnf 2 1\n",
+        "p cnf 2 1\n1 2\n",
+        "p cnf 2 2\n1 0\n",
+        "  c\tindented comment\n p cnf 1 1 \n\t1 0\n",
+        "1 0\np cnf 1 1\n",
+        "p cnf -1 0\n",
+        "p cnf a 0\n",
+        "p dnf 1 1\n",
+    ]
+
+    def test_corpus_and_mutations_match_the_reference(self):
+        rng = random.Random(1709)
+        texts = list(self.CORPUS)
+        for _ in range(300):
+            texts.append(_random_dimacs(rng))
+        base = list(texts)
+        for _ in range(1500):
+            text = rng.choice(base)
+            for _ in range(rng.randrange(1, 4)):
+                text = _mutate(text, rng)
+            texts.append(text)
+        errors = 0
+        for text in texts:
+            want = _dimacs_outcome(_reference_parse_dimacs, text)
+            assert _dimacs_outcome(parse_dimacs, text) == want, repr(text)
+            errors += want[0] == "ParseError"
+            if rng.random() < 0.2:  # a declared universe and an offset start
+                u = Universe(rng.randrange(4))
+                line = rng.randrange(1, 9)
+                want = _dimacs_outcome(_reference_parse_dimacs, text, u, line)
+                assert _dimacs_outcome(parse_dimacs, text, u, line) == want, repr(text)
+        # both outcomes are well represented
+        assert 300 < errors < len(texts) - 300
+
+
+def _reference_texts(value):
+    """``str`` of a clause, term, CNF or DNF, literal by literal."""
+    from qlit.core import Clause, Term
+    from qlit.tractable import Cnf, Dnf
+
+    if isinstance(value, Clause):
+        return " | ".join(str(lit) for lit in value.literals()) if value.codes else "false"
+    if isinstance(value, Term):
+        return ",".join(str(lit) for lit in value.literals()) if value.codes else "true"
+    if isinstance(value, Cnf):
+        if value.is_true():
+            return "true"
+        parts = []
+        for clause in value.sorted_elements():
+            text = _reference_texts(clause)
+            parts.append(f"({text})" if len(clause) > 1 else text)
+        return " & ".join(parts)
+    assert isinstance(value, Dnf)
+    if value.is_false():
+        return "false"
+    return " | ".join(
+        " & ".join(str(lit) for lit in term) if term.codes else "true"
+        for term in value.sorted_elements()
+    )
+
+
+def _reference_emit_dimacs(cnf):
+    lines = [f"p cnf {len(cnf.universe)} {len(cnf.elements)}"]
+    for clause in cnf.sorted_elements():
+        numbers = [
+            (code >> 1) + 1 if code & 1 else -((code >> 1) + 1) for code in clause.codes
+        ]
+        lines.append(" ".join(str(n) for n in numbers + [0]))
+    return "\n".join(lines) + "\n"
+
+
+class TestTextsAgainstReference:
+    def test_random_and_edge_cnfs_and_dnfs(self):
+        from qlit.generators import random_cnf, random_dnf
+        from qlit.tractable import Cnf, Dnf
+
+        rng = random.Random(4409)
+        values = []
+        for n in range(0, 8):
+            u = Universe([f"v{i}" for i in range(n)] if n % 2 else n)
+            values += [Cnf(u), Cnf(u, [u.clause()]), Dnf(u), Dnf(u, [u.term()])]
+            if n:
+                values += [
+                    Cnf(u, [u.clause([lit]) for lit in u._literals[::3]]),
+                    Cnf(u, [u.clause(), u.clause([u._literals[-1]])]),
+                    Dnf(u, [u.term([lit]) for lit in u._literals[1::3]]),
+                    Dnf(u, [u.term(), u.term([u._literals[0]])]),
+                ]
+                for _ in range(40):
+                    values += [random_cnf(u, rng), random_dnf(u, rng)]
+        for value in values:
+            assert str(value) == _reference_texts(value)
+            for element in value.elements:
+                assert str(element) == _reference_texts(element)
+            if isinstance(value, Cnf):
+                assert emit_dimacs(value) == _reference_emit_dimacs(value)
+
+    def test_dimacs_codes_invert_the_universe_table(self):
+        from qlit.core import dimacs_codes
+
+        for n in range(6):
+            u = Universe(n)
+            code_of = dimacs_codes(n)
+            assert sorted(code_of) == list(range(-n, n + 1)) and code_of[0] is None
+            for code, text in enumerate(u._dimacs):
+                assert code_of[int(text)] == code

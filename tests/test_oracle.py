@@ -94,6 +94,40 @@ class TestBRules:
         assert oracle.boundary_models(u.false) == set()
 
 
+class TestBRuleValidation:
+    def test_accepts_exactly_what_the_set_definition_accepts(self):
+        from qlit.core import Term
+
+        def set_definition(antecedent, consequent):
+            universe = antecedent.universe
+            ante_vars = {c >> 1 for c in antecedent.codes}
+            return ante_vars == set(range(len(universe))) - {consequent.variable.index}
+
+        rng = random.Random(61)
+        seen = {True: 0, False: 0}
+        for _ in range(3000):
+            n = rng.randrange(1, 7)
+            u = Universe(n)
+            consequent = u.literal_by_code(rng.randrange(2 * n))
+            # distinct variables, some of them out of range or negative
+            if rng.random() < 0.5:  # the other variables, one maybe out of range
+                chosen = [v for v in range(n) if v != consequent.variable.index]
+                if chosen and rng.random() < 0.3:
+                    chosen[rng.randrange(len(chosen))] = rng.choice([-1, n, n + 1])
+            else:
+                chosen = rng.sample(range(-2, n + 2), rng.randrange(n + 1))
+            codes = tuple(2 * v + rng.randrange(2) for v in chosen)
+            antecedent = Term(u, codes)
+            want = set_definition(antecedent, consequent)
+            seen[want] += 1
+            if want:
+                assert oracle.BRule(antecedent, consequent).consequent is consequent
+            else:
+                with pytest.raises(UniverseMismatchError, match="antecedent must cover"):
+                    oracle.BRule(antecedent, consequent)
+        assert min(seen.values()) > 500
+
+
 class TestIndependentModels:
     def test_model_depending_on_pair(self, xyz):
         f = parse_formula("(x | y) & z", xyz)
