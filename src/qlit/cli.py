@@ -128,20 +128,17 @@ def _read_classifier(path: str) -> Classifier:
 
 
 def _emit_result(value) -> str:
-    if isinstance(value, (Cnf, Dnf, Formula)):
-        return str(value)
+    """The text ``quantify`` prints: a circuit in the ``.nnf`` format, any
+    other value in its display form."""
     if isinstance(value, Circuit):
-        return emit_nnf(value).rstrip("\n")
+        return emit_nnf(value)[:-1]  # without the final newline
     return str(value)
 
 
-def _write_output(path: str, value) -> None:
-    if isinstance(value, Cnf):
-        text = emit_dimacs(value)
-    elif isinstance(value, Circuit):
-        text = emit_nnf(value)
-    else:
-        text = str(value) + "\n"
+def _write_output(path: str, value, printed: str) -> None:
+    """Write a result to ``path``: a CNF in DIMACS, any other value as the
+    printed text plus a newline."""
+    text = emit_dimacs(value) if isinstance(value, Cnf) else printed + "\n"
     with open(path, "w", encoding="ascii") as handle:
         handle.write(text)
 
@@ -165,9 +162,10 @@ def _cmd_quantify(args, session) -> int:
     value = _input(args, session)
     items = [s for s in args.items.split(",") if s.strip()]
     out = quantify(value, args.op, items)
+    printed = _emit_result(out)
     if args.out:
-        _write_output(args.out, out)
-    _print(args, "quantify", _emit_result(out), [])
+        _write_output(args.out, out, printed)
+    _print(args, "quantify", printed, [])
     return 0
 
 

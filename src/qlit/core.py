@@ -22,14 +22,21 @@ DAG into a builder (a universe for formulas, a :class:`CircuitBuilder` for
 circuits): it replaces literals by constants, builds the De Morgan dual on
 request and folds every gate by the one rule of :meth:`_Folding.fold`.
 Neither recurses, so only memory bounds the depth of a DAG.
+
+A circuit is stored as three parallel per-node lists, the kinds, the
+arguments (literal code, tuple of child ids, or ``None``) and the declared
+decision variables, so no pass makes an object per node.
+:attr:`Circuit.nodes` is a read-only view over the lists, built on each
+access.  An SDD or-node's (prime, sub) pairs are its children's two
+children.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     ArityError,
@@ -100,7 +107,7 @@ class _Folding:
 
     A builder keeps the refs of its two constants in ``true`` and ``false``
     (``None`` until a circuit builder has made one), makes a constant with
-    ``const`` and an unfolded gate with ``gate``.
+    ``const`` and an unfolded gate over a tuple of parts with ``gate``.
     """
 
     __slots__ = ()
@@ -112,17 +119,15 @@ class _Folding:
             unit, zero = self.true, self.false
         else:
             unit, zero = self.false, self.true
-        kept = []
-        for part in parts:
-            if part == zero:
-                return part
-            if part != unit:
-                kept.append(part)
-        if not kept:
+        if zero is not None and zero in parts:
+            return zero
+        if unit is not None and unit in parts:
+            parts = [part for part in parts if part != unit]
+        if not parts:
             return self.const(kind == "and")
-        if len(kept) == 1:
-            return kept[0]
-        return self.gate(kind, kept)
+        if len(parts) == 1:
+            return parts[0]
+        return self.gate(kind, tuple(parts))
 
 
 class Universe(_Folding):
@@ -309,8 +314,8 @@ class Universe(_Folding):
 
     const = constant
 
-    def gate(self, kind: str, parts: Sequence["Formula"]) -> "Formula":
-        return self._intern((kind, tuple(parts)))
+    def gate(self, kind: str, parts: tuple["Formula", ...]) -> "Formula":
+        return self._intern((kind, parts))
 
     def negation(self, part: "Formula") -> "Formula":
         """``~part``, folded on constants."""
@@ -652,18 +657,8 @@ def walk(value, roots: Sequence | None = None, done=()) -> list[tuple]:
     passes and is never changed.
     """
     if isinstance(value, Circuit):
-        nodes = value.nodes
-        out = []
-        for i in sorted(value.reachable(roots)):
-            node = nodes[i]
-            kind = node.kind
-            if kind == "lit":
-                out.append((i, kind, node.lit))
-            elif kind == "const":
-                out.append((i, "true" if node.value else "false", None))
-            else:
-                out.append((i, kind, node.children))
-        return out
+        kinds, args = value.kinds, value.args
+        return [(i, kinds[i], args[i]) for i in value.order(roots)]
     if roots is None:
         roots = (value,)
     # passes often run twice over one formula (both conditionings of a
@@ -848,78 +843,144 @@ class Annotation:
     SDD = "sdd"
 
 
-@dataclass(slots=True)
-class CNode:
-    """One circuit node.  ``children`` index earlier nodes only."""
-
-    kind: str  # "const" | "lit" | "and" | "or"
-    value: bool = False  # for "const"
-    lit: int = -1  # literal code, for "lit"
-    children: tuple[int, ...] = ()
-    decision: int = -1  # variable index for decision or-nodes, -1 if unknown
-    elements: tuple[tuple[int, int], ...] = ()  # (prime, sub) pairs for SDD or-nodes
-
-
 class Circuit:
-    """A shared-subgraph NNF DAG in topological order.
+    """A shared-subgraph NNF DAG stored as parallel per-node lists in
+    topological order.
 
-    ``annotation`` records the strongest structural class the circuit is known
-    to be in; ``verified`` says whether that class has actually been checked.
-    Neither changes after construction: parsers and verifiers return a new
-    circuit sharing the node list, and transformation passes build new
-    circuits carrying what they can prove.
+    Node ``i`` has the kind ``kinds[i]`` (``true``, ``false``, ``lit``,
+    ``and`` or ``or``), the argument ``args[i]`` (the literal code, the tuple
+    of child ids, which index earlier nodes only, or ``None`` for a
+    constant) and the declared decision variable ``decisions[i]`` (-1 if
+    none).  An SDD or-node's (prime, sub) pairs are its children's two
+    children.  ``annotation`` records the strongest structural class the
+    circuit is known to be in; ``verified`` says whether that class has
+    actually been checked.  Nothing changes after construction: parsers and
+    verifiers return a new circuit sharing the lists, and transformation
+    passes build new circuits carrying what they can prove.
     """
 
-    __slots__ = ("universe", "nodes", "root", "annotation", "verified")
+    __slots__ = ("universe", "kinds", "args", "decisions", "root", "annotation", "verified")
 
     def __init__(
         self,
         universe: Universe,
-        nodes: list[CNode],
+        kinds: list[str],
+        args: list,
+        decisions: list[int],
         root: int,
         annotation: str = Annotation.NNF,
         verified: bool = False,
     ):
         self.universe = universe
-        self.nodes = nodes
+        self.kinds = kinds
+        self.args = args
+        self.decisions = decisions
         self.root = root
         self.annotation = annotation
         self.verified = verified
 
+    @property
+    def nodes(self) -> "_NodeView":
+        """A read-only sequence of :class:`Node` records over the lists,
+        built on each access."""
+        return _NodeView(self)
+
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.kinds)
 
     def size(self) -> int:
         """Node count plus edge count — the usual circuit size measure."""
-        return len(self.nodes) + sum(len(n.children) for n in self.nodes)
+        return len(self.kinds) + sum(len(arg) for arg in self.args if type(arg) is tuple)
 
     def literal_codes(self) -> set[int]:
         """Codes of literal nodes reachable from the root."""
         return {arg for _, kind, arg in walk(self) if kind == "lit"}
 
+    def order(self, roots: Iterable[int] | None = None) -> list[int]:
+        """Ids of the nodes under ``roots`` (default: the root), roots
+        included, in list order.
+
+        One mark pass runs down the ids from the highest root: children come
+        before their parents, so a node is marked before the pass reaches
+        it, and the pass stops below the lowest mark.
+        """
+        roots = [self.root] if roots is None else list(roots)
+        if not roots:
+            return []
+        args = self.args
+        top, low = max(roots), min(roots)
+        marks = bytearray(top + 1)
+        for root in roots:
+            marks[root] = 1
+        for i in range(top, -1, -1):
+            if marks[i]:
+                arg = args[i]
+                if type(arg) is tuple:
+                    for child in arg:
+                        marks[child] = 1
+                        if child < low:
+                            low = child
+            elif i < low:
+                break
+        return list(compress(range(low, top + 1), memoryview(marks)[low:]))
+
     def reachable(self, roots: Iterable[int] | None = None) -> set[int]:
         """Ids of the nodes under ``roots`` (default: the root), roots included."""
-        stack = [self.root] if roots is None else list(roots)
-        seen = set(stack)
-        while stack:
-            for child in self.nodes[stack.pop()].children:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return seen
+        return set(self.order(roots))
 
     def with_annotation(self, annotation: str) -> "Circuit":
-        """The same nodes under ``annotation``, marked verified."""
-        return Circuit(self.universe, self.nodes, self.root, annotation, verified=True)
+        """The same lists under ``annotation``, marked verified."""
+        return Circuit(
+            self.universe, self.kinds, self.args, self.decisions, self.root,
+            annotation, verified=True,
+        )
 
     def to_formula(self) -> Formula:
         return rebuild(self, self.universe)[self.root]
 
     def __repr__(self) -> str:
         return (
-            f"Circuit({len(self.nodes)} nodes, root {self.root}, "
+            f"Circuit({len(self.kinds)} nodes, root {self.root}, "
             f"{self.annotation}{' verified' if self.verified else ''})"
         )
+
+
+class Node(NamedTuple):
+    """One node of :attr:`Circuit.nodes`, read from the lists."""
+
+    kind: str
+    arg: int | tuple[int, ...] | None
+    decision: int
+
+    @property
+    def children(self) -> tuple[int, ...]:
+        return self.arg if type(self.arg) is tuple else ()
+
+    @property
+    def lit(self) -> int:
+        """The literal code of a ``lit`` node, -1 for other kinds."""
+        return self.arg if self.kind == "lit" else -1
+
+
+class _NodeView:
+    """:attr:`Circuit.nodes`: the nodes as :class:`Node` records, each made
+    when it is read."""
+
+    __slots__ = ("_circuit",)
+
+    def __init__(self, circuit: Circuit):
+        self._circuit = circuit
+
+    def __len__(self) -> int:
+        return len(self._circuit.kinds)
+
+    def __getitem__(self, index: int) -> Node:
+        c = self._circuit
+        return Node(c.kinds[index], c.args[index], c.decisions[index])
+
+    def __iter__(self) -> Iterator[Node]:
+        c = self._circuit
+        return map(Node, c.kinds, c.args, c.decisions)
 
 
 class CircuitBuilder(_Folding):
@@ -932,50 +993,39 @@ class CircuitBuilder(_Folding):
 
     def __init__(self, universe: Universe):
         self.universe = universe
-        self.nodes: list[CNode] = []
+        self.kinds: list[str] = []
+        self.args: list = []
+        self.decisions: list[int] = []
         self._cache: dict[tuple, int] = {}
         self.true: int | None = None
         self.false: int | None = None
 
-    def _add(self, key: tuple, node: CNode) -> int:
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        self.nodes.append(node)
-        index = len(self.nodes) - 1
-        self._cache[key] = index
+    def _add(self, kind: str, arg, decision: int = -1) -> int:
+        count = len(self.kinds)
+        index = self._cache.setdefault((kind, arg, decision), count)
+        if index == count:
+            self.kinds.append(kind)
+            self.args.append(arg)
+            self.decisions.append(decision)
         return index
 
     def const(self, value: bool) -> int:
-        index = self._add(("const", value), CNode("const", value=value))
         if value:
-            self.true = index
-        else:
-            self.false = index
-        return index
+            self.true = self._add("true", None)
+            return self.true
+        self.false = self._add("false", None)
+        return self.false
 
     def lit(self, lit: Literal | int) -> int:
-        code = lit if isinstance(lit, int) else lit.code
-        return self._add(("lit", code), CNode("lit", lit=code))
+        return self._add("lit", lit if isinstance(lit, int) else lit.code)
 
     def add_and(self, children: Sequence[int]) -> int:
-        children = tuple(children)
-        return self._add(("and", children), CNode("and", children=children))
+        return self._add("and", tuple(children))
 
-    def add_or(
-        self,
-        children: Sequence[int],
-        decision: int = -1,
-        elements: tuple[tuple[int, int], ...] = (),
-    ) -> int:
-        children = tuple(children)
-        return self._add(
-            ("or", children, decision, elements),
-            CNode("or", children=children, decision=decision, elements=elements),
-        )
+    def add_or(self, children: Sequence[int], decision: int = -1) -> int:
+        return self._add("or", tuple(children), decision)
 
-    def gate(self, kind: str, children: Sequence[int]) -> int:
-        return self.add_and(children) if kind == "and" else self.add_or(children)
+    gate = _add  # ``gate(kind, children)`` with a tuple of children
 
     def finish(
         self,
@@ -984,24 +1034,20 @@ class CircuitBuilder(_Folding):
         verified: bool = False,
         prune: bool = False,
     ) -> Circuit:
-        """Wrap the nodes into a circuit; ``prune`` drops nodes unreachable
-        from the root (transformation passes leave such orphans behind)."""
-        circuit = Circuit(self.universe, self.nodes, root, annotation, verified)
-        if not prune:
-            return circuit
-        remap: dict[int, int] = {}
-        compact: list[CNode] = []
-        for index in sorted(circuit.reachable()):
-            node = self.nodes[index]
-            remap[index] = len(compact)
-            compact.append(
-                CNode(
-                    node.kind,
-                    value=node.value,
-                    lit=node.lit,
-                    children=tuple(remap[c] for c in node.children),
-                    decision=node.decision,
-                    elements=tuple((remap[p], remap[s]) for p, s in node.elements),
-                )
-            )
-        return Circuit(self.universe, compact, remap[root], annotation, verified)
+        """Wrap the lists into a circuit; ``prune`` drops nodes unreachable
+        from the root (transformation passes leave such orphans behind) and
+        renumbers the rest, keeping their order."""
+        kinds, args, decisions = self.kinds, self.args, self.decisions
+        if prune:
+            kept = Circuit(self.universe, kinds, args, decisions, root).order()
+            if len(kept) < len(kinds):
+                remap = dict(zip(kept, range(len(kept))))
+                new_id = remap.__getitem__
+                kinds = [kinds[i] for i in kept]
+                decisions = [decisions[i] for i in kept]
+                args = [
+                    tuple(map(new_id, arg)) if type(arg) is tuple else arg
+                    for arg in map(args.__getitem__, kept)
+                ]
+                root = remap[root]
+        return Circuit(self.universe, kinds, args, decisions, root, annotation, verified)

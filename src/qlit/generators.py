@@ -275,14 +275,12 @@ def _random_sdd_node(
     terms = _cube_split(prime_vars, rng)
     while len(terms) < 2:
         terms = _cube_split(prime_vars, rng)
-    elements = []
     children = []
     for codes in terms:
         prime = _term_node(builder, codes)
         sub = _random_sdd_node(builder, sub_vars, rng, depth - 1)
-        elements.append((prime, sub))
         children.append(builder.add_and([prime, sub]))
-    return builder.add_or(children, elements=tuple(elements))
+    return builder.add_or(children)
 
 
 def random_sdd(universe: Universe, rng: random.Random) -> Circuit:

@@ -41,6 +41,7 @@ partial results escape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .core import (
@@ -77,19 +78,31 @@ __all__ = [
 ]
 
 
-def _note_name(comment: str, names: dict[int, str]) -> None:
-    """Record a ``c var <index> <name>`` comment."""
+def _note_name(comment: str, names: dict[int, tuple[str, int]], number: int) -> None:
+    """Record a ``c var <index> <name>`` comment on line ``number``; an index
+    that is not ASCII digits makes it an ordinary comment."""
     fields = comment.split()
-    if len(fields) == 4 and fields[:2] == ["c", "var"] and fields[2].isdigit():
-        names[int(fields[2])] = fields[3]
+    if (
+        len(fields) == 4
+        and fields[:2] == ["c", "var"]
+        and fields[2].isascii()
+        and fields[2].isdigit()
+    ):
+        names[int(fields[2])] = (fields[3], number)
 
 
-def _named_universe(names: dict[int, str], nvars: int) -> Universe:
+def _named_universe(names: dict[int, tuple[str, int]], nvars: int) -> Universe:
     """The universe of ``nvars`` variables, named by the comments when they
-    name every variable exactly once."""
-    if sorted(names) == list(range(1, nvars + 1)):
-        return Universe([names[i] for i in range(1, nvars + 1)])
-    return Universe(nvars)
+    name every variable exactly once.  Two variables named alike are a parse
+    error on the later comment."""
+    if sorted(names) != list(range(1, nvars + 1)):
+        return Universe(nvars)
+    taken: set[str] = set()
+    for name, number in sorted(names.values(), key=itemgetter(1)):
+        if name in taken:
+            raise ParseError(f"duplicate variable name {name!r}", number)
+        taken.add(name)
+    return Universe([names[i][0] for i in range(1, nvars + 1)])
 
 
 # -- DIMACS CNF -------------------------------------------------------------------
@@ -102,7 +115,8 @@ def parse_dimacs(
     the text is embedded in a larger file.
 
     Comment lines of the shape ``c var <index> <name>`` assign display names;
-    when they cover every variable exactly once the universe uses them.
+    when they cover every variable exactly once the universe uses them (see
+    :func:`_named_universe`).
 
     One pass over the lines turns each clause line into literal codes through
     :func:`dimacs_codes` and checks a clause when its ``0`` is read.  A line
@@ -112,7 +126,7 @@ def parse_dimacs(
     """
     lines = text.splitlines()
     header: tuple[int, int] | None = None
-    names: dict[int, str] = {}
+    names: dict[int, tuple[str, int]] = {}
     code_of: dict[int, int | None] = {}
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []  # codes of the open clause, in text order
@@ -124,7 +138,7 @@ def parse_dimacs(
             continue
         head = fields[0][0]
         if head == "c":
-            _note_name(line, names)
+            _note_name(line, names, number)
             continue
         if head == "p":
             if header is not None:
@@ -243,16 +257,16 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
     ids: list[int] = []
     declared_edges = 0
     edges = 0
-    decision_flags: list[bool] = []
-    names: dict[int, str] = {}
+    decisions_declared = True  # every or-node names its decision variable
+    names: dict[int, tuple[str, int]] = {}
 
-    for offset, raw in enumerate(lines):
-        number = offset + 1
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            _note_name(line, names)
-            continue
+    for number, line in enumerate(lines, 1):
         fields = line.split()
+        if not fields:
+            continue
+        if fields[0][0] == "c":
+            _note_name(line, names, number)
+            continue
         if header is None:
             if fields[0] != "nnf" or len(fields) != 4:
                 raise ParseError("expected header 'nnf <nodes> <edges> <vars>'", number)
@@ -275,7 +289,7 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
 
         kind = fields[0]
         try:
-            numbers = [int(f) for f in fields[1:]]
+            numbers = list(map(int, fields[1:]))
         except ValueError:
             raise ParseError("non-numeric node fields", number) from None
 
@@ -285,38 +299,25 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
             if numbers[0] not in code_of:
                 raise ParseError(f"literal {numbers[0]} out of range", number)
             ids.append(builder.lit(code_of[numbers[0]]))
-            decision_flags.append(True)
         elif kind == "A":
             if not numbers or numbers[0] != len(numbers) - 1:
                 raise ParseError("and-node child count mismatch", number)
-            children = []
-            for child in numbers[1:]:
-                if not 0 <= child < len(ids):
-                    raise ParseError(f"forward or invalid reference {child}", number)
-                children.append(ids[child])
+            children = _children(numbers, 1, ids, number)
             edges += len(children)
-            if not children:
-                ids.append(builder.const(True))
-            else:
-                ids.append(builder.add_and(children))
-            decision_flags.append(True)
+            ids.append(builder.gate("and", children) if children else builder.const(True))
         elif kind == "O":
             if len(numbers) < 2 or numbers[1] != len(numbers) - 2:
                 raise ParseError("or-node child count mismatch", number)
             decision_var = numbers[0]
             if decision_var < 0 or decision_var > len(universe):
                 raise ParseError(f"decision variable {decision_var} out of range", number)
-            children = []
-            for child in numbers[2:]:
-                if not 0 <= child < len(ids):
-                    raise ParseError(f"forward or invalid reference {child}", number)
-                children.append(ids[child])
+            children = _children(numbers, 2, ids, number)
             edges += len(children)
             if not children:
                 ids.append(builder.const(False))
             else:
                 ids.append(builder.add_or(children, decision=decision_var - 1))
-            decision_flags.append(decision_var != 0 or not children)
+                decisions_declared = decisions_declared and decision_var != 0
         else:
             raise ParseError(f"unknown node kind {kind!r}", number)
 
@@ -334,7 +335,7 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
         )
 
     circuit = builder.finish(ids[-1], Annotation.NNF)
-    if all(decision_flags):
+    if decisions_declared:
         try:
             return verify_decision_dnnf(circuit)
         except StructureError:
@@ -345,28 +346,33 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
         return circuit.with_annotation(Annotation.NNF)
 
 
+def _children(numbers: list[int], start: int, ids: list[int], number: int) -> tuple[int, ...]:
+    """The builder ids of the line positions ``numbers[start:]``, which must
+    name earlier lines."""
+    refs = numbers[start:]
+    if refs and (min(refs) < 0 or max(refs) >= len(ids)):
+        bad = next(ref for ref in refs if not 0 <= ref < len(ids))
+        raise ParseError(f"forward or invalid reference {bad}", number)
+    return tuple(map(ids.__getitem__, refs))
+
+
 def emit_nnf(circuit: Circuit) -> str:
     universe = circuit.universe
-    nodes = circuit.nodes
+    dimacs = universe._dimacs
     body: list[str] = []
     edges = 0
-    dimacs = universe._dimacs
-    for node in nodes:
-        if node.kind == "const":
-            body.append("A 0" if node.value else "O 0 0")
-        elif node.kind == "lit":
-            body.append("L " + dimacs[node.lit])
-        elif node.kind == "and":
-            edges += len(node.children)
-            body.append("A " + " ".join(str(c) for c in (len(node.children), *node.children)))
+    for kind, arg, decision in zip(circuit.kinds, circuit.args, circuit.decisions):
+        if kind == "lit":
+            body.append("L " + dimacs[arg])
+        elif kind == "and":
+            edges += len(arg)
+            body.append("A " + " ".join(map(str, (len(arg), *arg))))
+        elif kind == "or":
+            edges += len(arg)
+            body.append(f"O {decision + 1} " + " ".join(map(str, (len(arg), *arg))))
         else:
-            edges += len(node.children)
-            decision = node.decision + 1 if node.decision >= 0 else 0
-            body.append(
-                f"O {decision} "
-                + " ".join(str(c) for c in (len(node.children), *node.children))
-            )
-    header = f"nnf {len(nodes)} {edges} {len(universe)}"
+            body.append("A 0" if kind == "true" else "O 0 0")
+    header = f"nnf {len(body)} {edges} {len(universe)}"
     return "\n".join([header, *body]) + "\n"
 
 
@@ -378,12 +384,11 @@ def parse_sdd(text: str, universe: Universe | None = None) -> Circuit:
     lines = text.splitlines()
     entries: list[tuple[int, str, list[int], int]] = []  # (id, kind, payload, line)
     max_var = 0
-    names: dict[int, str] = {}
-    for offset, raw in enumerate(lines):
-        number = offset + 1
+    names: dict[int, tuple[str, int]] = {}
+    for number, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("c"):
-            _note_name(line, names)
+            _note_name(line, names, number)
             continue
         fields = line.split()
         kind = fields[0]
@@ -433,17 +438,14 @@ def parse_sdd(text: str, universe: Universe | None = None) -> Circuit:
             root = builder.lit(code_of[value])
         else:
             count = payload[0]
-            pairs = []
             children = []
             for k in range(count):
                 p_id, s_id = payload[1 + 2 * k], payload[2 + 2 * k]
                 for ref in (p_id, s_id):
                     if ref not in by_id:
                         raise ParseError(f"reference to undefined node {ref}", number)
-                pair = (by_id[p_id], by_id[s_id])
-                pairs.append(pair)
-                children.append(builder.add_and(pair))
-            root = builder.add_or(children, elements=tuple(pairs))
+                children.append(builder.add_and((by_id[p_id], by_id[s_id])))
+            root = builder.add_or(children)
         by_id[node_id] = root
 
     circuit = builder.finish(root, Annotation.SDD)
@@ -459,9 +461,9 @@ def emit_sdd(circuit: Circuit) -> str:
     puts every definition before its uses; each line defines the node whose
     id is its line number.
     """
-    nodes = circuit.nodes
+    kinds, args = circuit.kinds, circuit.args
     lines: list[str] = []
-    leaves: dict[tuple, int] = {}  # ("lit", code) or ("const", value) -> id
+    leaves: dict[tuple, int] = {}  # ("lit", code) or (constant kind,) -> id
     ids: dict[int, int] = {}  # circuit node -> id
 
     def define(line: str) -> int:
@@ -476,27 +478,27 @@ def emit_sdd(circuit: Circuit) -> str:
     def literal(code: int) -> int:
         return leaf(("lit", code), "L {} " + circuit.universe._dimacs[code])
 
-    order = sorted(circuit.reachable())
+    order = circuit.order()
     # the root, primes and subs; pair nodes and the literals of terms are implicit
     written = {circuit.root}
     for i in order:
-        if nodes[i].kind == "or":
+        if kinds[i] == "or":
             written.update(j for pair in _sdd_elements(circuit, i) for j in pair)
     for i in order:
         if i not in written:
             continue
-        node = nodes[i]
-        if node.kind == "const":
-            ids[i] = leaf(("const", node.value), "T {}" if node.value else "F {}")
-        elif node.kind == "lit":
-            ids[i] = literal(node.lit)
-        elif node.kind == "and":
+        kind = kinds[i]
+        if kind == "true" or kind == "false":
+            ids[i] = leaf((kind,), "T {}" if kind == "true" else "F {}")
+        elif kind == "lit":
+            ids[i] = literal(args[i])
+        elif kind == "and":
             codes = _term_shape_codes(circuit, i)
             if not codes:
                 raise StructureError("only literal-conjunction primes can be serialized", i)
             term = literal(codes[-1])
             for head in reversed(codes[:-1]):
-                parts = (literal(head), term, literal(head ^ 1), leaf(("const", False), "F {}"))
+                parts = (literal(head), term, literal(head ^ 1), leaf(("false",), "F {}"))
                 term = define("D {{}} 2 {} {} {} {}".format(*parts))
             ids[i] = term
         else:

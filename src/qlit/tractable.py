@@ -421,38 +421,39 @@ def _world_clause_codes(universe: Universe, bits: int) -> tuple[int, ...]:
 # -- circuit structure verification -----------------------------------------------
 
 
-def _var_bitmasks(circuit: Circuit) -> tuple[list[int], dict[int, int]]:
+def _var_bitmasks(circuit: Circuit) -> tuple[list[int], list[int]]:
     """The reachable node ids in order, and the variables under each node as
-    a bitmask."""
-    order = sorted(circuit.reachable())
-    masks: dict[int, int] = {}
+    a bitmask, by node id."""
+    kinds, args = circuit.kinds, circuit.args
+    order = circuit.order()
+    masks = [0] * len(kinds)
     for i in order:
-        node = circuit.nodes[i]
-        if node.kind == "lit":
-            masks[i] = 1 << (node.lit >> 1)
-        else:
+        arg = args[i]
+        if type(arg) is tuple:
             acc = 0
-            for child in node.children:
+            for child in arg:
                 acc |= masks[child]
             masks[i] = acc
+        elif kinds[i] == "lit":
+            masks[i] = 1 << (arg >> 1)
     return order, masks
 
 
 def _sharing_node(circuit: Circuit, order, masks, kind: str) -> int:
     """The first node of ``kind`` whose children share a variable, or -1."""
+    kinds, args = circuit.kinds, circuit.args
     for i in order:
-        node = circuit.nodes[i]
-        if node.kind != kind:
+        if kinds[i] != kind:
             continue
         acc = 0
-        for child in node.children:
+        for child in args[i]:
             if acc & masks[child]:
                 return i
             acc |= masks[child]
     return -1
 
 
-def _decomposable(circuit: Circuit) -> tuple[list[int], dict[int, int]]:
+def _decomposable(circuit: Circuit) -> tuple[list[int], list[int]]:
     """:func:`_var_bitmasks`, after checking that no and-node's children
     share a variable."""
     order, masks = _var_bitmasks(circuit)
@@ -481,49 +482,47 @@ def _decision_parts(circuit: Circuit, or_id: int) -> tuple[int, int, list[int], 
     ``(l & alpha) | (~l & beta)``, plus the non-literal remainders of the two
     branches.  Raises when the node does not have the decision shape.
     """
-    node = circuit.nodes[or_id]
-    if len(node.children) != 2:
+    kinds, args = circuit.kinds, circuit.args
+    children = args[or_id]
+    if len(children) != 2:
         raise StructureError("decision node needs exactly two branches", or_id)
-
-    def branch(child_id: int) -> tuple[dict[int, int], list[int]]:
-        child = circuit.nodes[child_id]
-        while child.kind == "and" and len(child.children) == 1:
-            child_id = child.children[0]
-            child = circuit.nodes[child_id]
-        if child.kind == "lit":
-            return {child.lit: child_id}, []
-        if child.kind != "and":
+    branches = []
+    for child in children:
+        while kinds[child] == "and" and len(args[child]) == 1:
+            child = args[child][0]
+        kind = kinds[child]
+        if kind == "lit":
+            branches.append(({args[child]: child}, []))
+            continue
+        if kind != "and":
             raise StructureError("decision branch is not a literal conjunction", or_id)
         lits: dict[int, int] = {}
         rest: list[int] = []
-        for sub in child.children:
-            sub_node = circuit.nodes[sub]
-            if sub_node.kind == "lit":
-                lits[sub_node.lit] = sub
+        for sub in args[child]:
+            if kinds[sub] == "lit":
+                lits[args[sub]] = sub
             else:
                 rest.append(sub)
-        return lits, rest
-
-    first_lits, first_rest = branch(node.children[0])
-    second_lits, second_rest = branch(node.children[1])
-    split = sorted(
-        code for code in first_lits if code ^ 1 in second_lits
-    )
+        branches.append((lits, rest))
+    (first_lits, first_rest), (second_lits, second_rest) = branches
+    split = sorted(code for code in first_lits if code ^ 1 in second_lits)
     if not split:
         raise StructureError("branches do not decide a common variable", or_id)
     code = split[0]
-    if node.decision >= 0 and node.decision != code >> 1:
+    declared = circuit.decisions[or_id]
+    if declared >= 0 and declared != code >> 1:
         raise StructureError("declared decision variable does not match shape", or_id)
     alpha = first_rest + [i for c, i in sorted(first_lits.items()) if c != code]
     beta = second_rest + [i for c, i in sorted(second_lits.items()) if c != code ^ 1]
-    return code, node.children[1], alpha, beta
+    return code, children[1], alpha, beta
 
 
 def verify_decision_dnnf(circuit: Circuit) -> Circuit:
     """Check decomposability plus the decision shape of every or-node."""
     order, _ = _decomposable(circuit)
+    kinds = circuit.kinds
     for i in order:
-        if circuit.nodes[i].kind == "or":
+        if kinds[i] == "or":
             _decision_parts(circuit, i)
     return circuit.with_annotation(Annotation.DECISION_DNNF)
 
@@ -531,32 +530,31 @@ def verify_decision_dnnf(circuit: Circuit) -> Circuit:
 SDD_SEMANTIC_CHECK_CAP = 10  # prime variables; syntactic rules used above this
 
 
-def _sdd_elements(circuit: Circuit, or_id: int) -> tuple[tuple[int, int], ...]:
-    node = circuit.nodes[or_id]
-    if node.elements:
-        return node.elements
+def _sdd_elements(circuit: Circuit, or_id: int) -> list[tuple[int, int]]:
+    """The (prime, sub) pairs of an SDD or-node: its children's children."""
+    kinds, args = circuit.kinds, circuit.args
     elements = []
-    for child in node.children:
-        child_node = circuit.nodes[child]
-        if child_node.kind != "and" or len(child_node.children) != 2:
+    for child in args[or_id]:
+        pair = args[child]
+        if kinds[child] != "and" or len(pair) != 2:
             raise StructureError("or-node child is not a prime/sub pair", or_id)
-        elements.append((child_node.children[0], child_node.children[1]))
-    return tuple(elements)
+        elements.append(pair)
+    return elements
 
 
 def _term_shape_codes(circuit: Circuit, root: int) -> list[int] | None:
     """Literal codes when ``root`` is a literal or a conjunction of literals."""
-    node = circuit.nodes[root]
-    if node.kind == "lit":
-        return [node.lit]
-    if node.kind != "and":
+    kinds, args = circuit.kinds, circuit.args
+    kind = kinds[root]
+    if kind == "lit":
+        return [args[root]]
+    if kind != "and":
         return None
     codes = []
-    for child in node.children:
-        child_node = circuit.nodes[child]
-        if child_node.kind != "lit":
+    for child in args[root]:
+        if kinds[child] != "lit":
             return None
-        codes.append(child_node.lit)
+        codes.append(args[child])
     return codes
 
 
@@ -569,8 +567,9 @@ def verify_sdd(circuit: Circuit) -> Circuit:
     measure.
     """
     order, masks = _decomposable(circuit)
+    kinds = circuit.kinds
     for i in order:
-        if circuit.nodes[i].kind != "or":
+        if kinds[i] != "or":
             continue
         elements = _sdd_elements(circuit, i)
         prime_vars = 0
@@ -578,22 +577,20 @@ def verify_sdd(circuit: Circuit) -> Circuit:
             if masks[prime] & masks[sub]:
                 raise StructureError("prime and sub share variables", i)
             prime_vars |= masks[prime]
-        var_list = [v for v in range(prime_vars.bit_length()) if prime_vars >> v & 1]
-        if len(var_list) <= SDD_SEMANTIC_CHECK_CAP:
-            _check_partition_semantic(circuit, i, elements, var_list)
+        if prime_vars.bit_count() <= SDD_SEMANTIC_CHECK_CAP:
+            _check_partition_semantic(circuit, i, elements, prime_vars)
         else:
             _check_partition_syntactic(circuit, i, elements)
     return circuit.with_annotation(Annotation.SDD)
 
 
-def _check_partition_semantic(
-    circuit: Circuit, or_id: int, elements, var_list: list[int]
-) -> None:
-    """Truth tables of the primes over their variables must partition all
-    rows."""
-    from . import oracle
+def _check_partition_semantic(circuit: Circuit, or_id: int, elements, prime_vars: int) -> None:
+    """Truth tables of the primes over their variables (the bitmask
+    ``prime_vars``) must partition all rows."""
+    from .oracle import _iter_bits, _var_patterns
 
-    masks = dict(zip(var_list, oracle._var_patterns(len(var_list))))
+    var_list = list(_iter_bits(prime_vars))
+    masks = dict(zip(var_list, _var_patterns(len(var_list))))
     full = (1 << (1 << len(var_list))) - 1
     union = 0
     for prime, _ in elements:
@@ -707,11 +704,11 @@ def sdd_shift(circuit: Circuit) -> Circuit:
     """
     circuit = _require(circuit, Annotation.SDD, verify_sdd)
     builder = CircuitBuilder(circuit.universe)
-    nodes = circuit.nodes
+    kinds = circuit.kinds
     primes = [
         prime
-        for i in sorted(circuit.reachable())
-        if nodes[i].kind == "or"
+        for i in circuit.order()
+        if kinds[i] == "or"
         for prime, _ in _sdd_elements(circuit, i)
     ]
     negated = rebuild(circuit, builder, dual=True, roots=primes)

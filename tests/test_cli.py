@@ -234,6 +234,28 @@ class TestQuantifyRoutes:
         assert oracle.models_mask(parse_formula(out, u)) == want
 
 
+class TestSingleEmit:
+    def test_one_emit_for_stdout_and_out_file(self, tmp_path, capsys, monkeypatch, loan_nnf_file):
+        from qlit.io import emit_nnf, parse_nnf
+        from qlit.tractable import ddnnf_forall
+
+        calls = []
+
+        def counted(circuit):
+            calls.append(circuit)
+            return emit_nnf(circuit)
+
+        monkeypatch.setattr(cli, "emit_nnf", counted)
+        out = tmp_path / "out.nnf"
+        argv = ["quantify", "--op", "forall", "--items", "d", "--in", loan_nnf_file]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(calls) == 1
+        circuit = parse_nnf(LOAN_DECISION_NNF)
+        want = emit_nnf(ddnnf_forall(circuit, [circuit.universe.pos("d")]))
+        assert out.read_text() == want
+        assert capsys.readouterr().out == want
+
+
 class TestBrules:
     def test_counts_and_transition(self, capsys, tmp_path):
         path = tmp_path / "eq.txt"
@@ -390,6 +412,20 @@ class TestExitCodes:
         code = main(["quantify", "--op", "forall", "--items", "x1", "--in", str(bad)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("dup.cnf", "c var 1 a\nc var 2 a\np cnf 2 1\n1 2 0\n"),
+            ("dup.nnf", "c var 1 a\nc var 2 a\nnnf 3 2 2\nL 1\nL 2\nA 2 0 1\n"),
+        ],
+    )
+    def test_duplicate_var_names_are_2(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["quantify", "--op", "forall", "--items", "x1", "--in", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 2, column 1: duplicate variable name 'a'\n"
 
     def test_missing_file_is_2(self, capsys):
         code = main(["brules", "--in", "/nonexistent/file.cnf"])

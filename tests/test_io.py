@@ -141,6 +141,54 @@ class TestSdd:
             assert emit_sdd(again) == text
 
 
+class TestVarComments:
+    """``c var <index> <name>`` comments, shared by the DIMACS, ``.nnf`` and
+    SDD parsers."""
+
+    PARSERS = {
+        "dimacs": (parse_dimacs, "p cnf 2 1\n1 2 0\n"),
+        "nnf": (parse_nnf, "nnf 3 2 2\nL 1\nL 2\nA 2 0 1\n"),
+        "sdd": (parse_sdd, "L 0 1\nL 1 -1\nL 2 2\nD 3 2 0 2 1 2\n"),
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(PARSERS))
+    def test_two_variables_named_alike_are_a_parse_error(self, fmt):
+        parse, body = self.PARSERS[fmt]
+        with pytest.raises(ParseError, match="duplicate variable name 'a'") as caught:
+            parse("c var 1 a\nc var 2 a\n" + body)
+        assert caught.value.line == 2
+        # the later of the two comments is named, in either index order and
+        # when a comment renames an index named before
+        with pytest.raises(ParseError) as caught:
+            parse("c var 2 a\nc note\nc var 1 b\nc var 1 a\n" + body)
+        assert caught.value.line == 4
+        with pytest.raises(ParseError) as caught:
+            parse("c var 1 b\nc var 2 a\nc note\nc var 1 a\n" + body)
+        assert caught.value.line == 4
+
+    def test_duplicate_line_counts_from_the_first_line(self):
+        with pytest.raises(ParseError) as caught:
+            parse_dimacs("c var 1 a\nc var 2 a\np cnf 2 1\n1 2 0\n", first_line=10)
+        assert caught.value.line == 11
+
+    @pytest.mark.parametrize("fmt", sorted(PARSERS))
+    def test_names_that_do_not_cover_the_variables_are_ignored(self, fmt):
+        parse, body = self.PARSERS[fmt]
+        circuit = parse("c var 1 a\nc var 3 a\n" + body)
+        assert [v.name for v in circuit.universe] == ["x1", "x2"]
+
+    @pytest.mark.parametrize("fmt", sorted(PARSERS))
+    @pytest.mark.parametrize("index", ["\u00b2", "\u0661", "\uff11"])
+    def test_an_index_of_other_digits_is_an_ordinary_comment(self, fmt, index):
+        parse, body = self.PARSERS[fmt]
+        # superscript two, Arabic-Indic one, fullwidth one: str.isdigit() holds
+        assert index.isdigit()
+        value = parse(f"c var {index} a\nc var 2 b\n" + body)
+        assert [v.name for v in value.universe] == ["x1", "x2"]
+        value = parse(f"c var 1 a\nc var 2 b\n" + body)
+        assert [v.name for v in value.universe] == ["a", "b"]
+
+
 class TestFormula:
     def test_precedence(self):
         u = Universe(["x", "y", "z"])
@@ -401,7 +449,7 @@ def _reference_parse_dimacs(text, universe=None, first_line=1):
         number = first_line + offset
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
-            _note_name(stripped, names)
+            _note_name(stripped, names, number)
             continue
         if stripped.startswith("p"):
             if header is not None:

@@ -377,6 +377,15 @@ class TestSddCircuit:
         with pytest.raises(StructureError):
             parse_sdd(text, u)
 
+    def test_semantic_route_is_chosen_by_the_number_of_prime_variables(self):
+        # the prime x16 is itself a partition node, so the syntactic route
+        # would refuse it; one prime variable takes the semantic route,
+        # however high its index
+        u = Universe(20)
+        text = "L 1 16\nL 2 -16\nT 3\nF 4\nD 5 2 1 3 2 4\nL 6 20\nL 7 -20\nD 8 2 5 6 2 7\n"
+        circuit = parse_sdd(text, u)
+        assert oracle.equivalent(circuit, parse_formula("(x16 & x20) | (~x16 & ~x20)", u))
+
     def test_non_covering_primes_detected(self):
         u = Universe(["x", "y"])
         from qlit.core import CircuitBuilder
@@ -385,7 +394,7 @@ class TestSddCircuit:
         x = builder.lit(1)
         y = builder.lit(3)
         pair = builder.add_and([x, y])
-        node = builder.add_or([pair], elements=((x, y),))
+        node = builder.add_or([pair])
         with pytest.raises(StructureError):
             verify_sdd(builder.finish(node, Annotation.SDD))
 
@@ -410,7 +419,9 @@ class TestVerifiersLeaveArgumentsAlone:
         circuit = parse_sdd("L 1 1\nL 2 -1\nL 3 2\nL 4 -2\nD 5 2 1 3 2 4\n", u)
         as_decision = verify_decision_dnnf(circuit)
         assert as_decision.annotation == Annotation.DECISION_DNNF
-        assert as_decision.nodes is circuit.nodes
+        assert as_decision.kinds is circuit.kinds
+        assert as_decision.args is circuit.args
+        assert as_decision.decisions is circuit.decisions
         assert circuit.annotation == Annotation.SDD and circuit.verified
         assert verify_dnnf(circuit).annotation == Annotation.SDD
         out = sdd_exists(circuit, [u.pos("x")])
@@ -419,8 +430,11 @@ class TestVerifiersLeaveArgumentsAlone:
     def test_routines_verify_a_copy(self):
         u = Universe(["d", "g", "h", "i"])
         parsed = parse_nnf(LOAN_DECISION_NNF, u)
-        claimed = Circuit(u, parsed.nodes, parsed.root, Annotation.DECISION_DNNF)
+        claimed = Circuit(
+            u, parsed.kinds, parsed.args, parsed.decisions, parsed.root, Annotation.DECISION_DNNF
+        )
         out = ddnnf_forall(claimed, [u.pos("d")])
         assert oracle.equivalent(out, u.lit("i") & u.lit("g"))
         assert not claimed.verified
-        assert verify_dnnf(Circuit(u, parsed.nodes, parsed.root)).annotation == Annotation.DNNF
+        plain = Circuit(u, parsed.kinds, parsed.args, parsed.decisions, parsed.root)
+        assert verify_dnnf(plain).annotation == Annotation.DNNF
