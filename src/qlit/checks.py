@@ -91,17 +91,13 @@ class _Suite:
         return self.result
 
 
-def _universe(size: int) -> Universe:
-    return Universe(size)
-
-
 # -- individual suites ---------------------------------------------------------
 
 
 def _duality(suite: _Suite) -> SuiteResult:
     """Pushing a negation through a quantifier flips it, for literals and
     variables."""
-    u = _universe(suite.variables)
+    u = Universe(suite.variables)
 
     def trial(rng: random.Random):
         f = random_formula(u, rng)
@@ -127,7 +123,7 @@ def _duality(suite: _Suite) -> SuiteResult:
 def _order(suite: _Suite) -> SuiteResult:
     """Quantifying a set of items is order-independent, and quantifying both
     literals of a variable equals quantifying the variable."""
-    u = _universe(suite.variables)
+    u = Universe(suite.variables)
 
     def trial(rng: random.Random):
         f = random_formula(u, rng)
@@ -160,7 +156,7 @@ def _selection(suite: _Suite) -> SuiteResult:
     """Worlds (and terms, up to 6 variables) satisfy a universal
     quantification exactly when they are independent of their literals that
     fall among the quantified complements."""
-    u = _universe(suite.variables)
+    u = Universe(suite.variables)
 
     def trial(rng: random.Random):
         f = random_formula(u, rng)
@@ -201,7 +197,7 @@ def _syntax(suite: _Suite) -> SuiteResult:
     existential quantification disjoins the antecedents of the rules
     inferring the dropped literal.  Also the term law and the
     variable-quantification decomposition."""
-    u = _universe(suite.variables)
+    u = Universe(suite.variables)
 
     def trial(rng: random.Random):
         f = random_formula(u, rng)
@@ -283,7 +279,7 @@ def _sandwich(suite: _Suite) -> SuiteResult:
     the complement literal, and the added models exactly the boundary models
     of the negation.  Also implication monotonicity and implicant/implicate
     preservation."""
-    u = _universe(suite.variables)
+    u = Universe(suite.variables)
 
     def trial(rng: random.Random):
         f = random_formula(u, rng)
@@ -332,7 +328,7 @@ def _sandwich(suite: _Suite) -> SuiteResult:
 def _know(suite: _Suite) -> SuiteResult:
     """Models are reconstructible from boundary rules alone, and equal rule
     sets characterize equal model sets among consistent formulas."""
-    u = _universe(suite.variables)
+    u = Universe(suite.variables)
 
     def trial(rng: random.Random):
         f = random_consistent_formula(u, rng)
@@ -355,7 +351,7 @@ def _know(suite: _Suite) -> SuiteResult:
 def _appendix_a(suite: _Suite) -> SuiteResult:
     """Every clause of the rule deletion/preservation/introduction
     characterization holds for the transition report."""
-    u = _universe(suite.variables)
+    u = Universe(suite.variables)
 
     def trial(rng: random.Random):
         f = random_formula(u, rng)
@@ -372,7 +368,7 @@ def _appendix_a(suite: _Suite) -> SuiteResult:
 def _tractable(suite: _Suite) -> SuiteResult:
     """Every flat-form and circuit routine agrees with its definitional
     counterpart, and the size bounds hold."""
-    u = _universe(suite.variables)
+    u = Universe(suite.variables)
 
     def trial(rng: random.Random):
         lit = random_literal(u, rng)
@@ -385,7 +381,7 @@ def _tractable(suite: _Suite) -> SuiteResult:
         fast = cnf_exists_literal(cnf, lit)
         if not oracle.equivalent(fast.to_formula(), exists_literal(cnf.to_formula(), lit)):
             return f"cnf existential broke on {cnf} with {lit}"
-        closed = close_under(cnf, lit.variable, "resolution")
+        closed = close_under(cnf, lit.variable)
         fast = cnf_exists_literal(closed, lit, assume_closed=True)
         if not oracle.equivalent(fast.to_formula(), exists_literal(cnf.to_formula(), lit)):
             return f"cnf existential (preclosed) broke on {cnf} with {lit}"
@@ -448,7 +444,7 @@ def _reasons(suite: _Suite) -> SuiteResult:
     """Sufficient reasons equal the minimal same-decision sub-terms, found by
     exhaustive subset search; alternating CNF and free-form classifiers."""
     size = min(suite.variables, 6)
-    u = _universe(size)
+    u = Universe(size)
 
     def trial(rng: random.Random):
         if rng.random() < 0.5:
@@ -486,7 +482,7 @@ def _bias(suite: _Suite) -> SuiteResult:
     """The bias formula agrees with brute-force search over reassignments of
     the protected features."""
     size = min(suite.variables, 8)
-    u = _universe(size)
+    u = Universe(size)
 
     def trial(rng: random.Random):
         classifier = Classifier(

@@ -34,7 +34,7 @@ children.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, count
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -162,6 +162,7 @@ class Universe(_Folding):
         self._texts = _by_code(["~" + name for name in names], names)
         self._dimacs = _by_code(["-" + number for number in numbers], numbers)
         self._node_cache: dict[tuple, Formula] = {}
+        self._serials = count()
         self._var_masks: list[int] | None = None
         self._last_walk: tuple = (None, [])
         self.true = self._intern(("true",))
@@ -299,8 +300,9 @@ class Universe(_Folding):
     def _intern(self, key: tuple) -> "Formula":
         node = self._node_cache.get(key)
         if node is None:
-            node = Formula(self, key, len(self._node_cache))
-            self._node_cache[key] = node
+            # one atomic store: a thread that loses a race for the key adopts
+            # the winner's node, and its own serial is left unused
+            node = self._node_cache.setdefault(key, Formula(self, key, next(self._serials)))
         return node
 
     def lit(self, spec: LiteralLike | int) -> "Formula":
@@ -475,13 +477,6 @@ class Term(_LiteralSet):
     def issubset(self, other: "Term") -> bool:
         return set(self.codes) <= set(other.codes)
 
-    def union(self, other: "Term") -> "Term":
-        u = self.universe
-        if other.universe is not u:
-            raise UniverseMismatchError("terms from different universes")
-        merged = set(self.codes) | set(other.codes)
-        return Term(u, tuple(sorted(merged)))
-
     def difference(self, literals: Iterable[Literal]) -> "Term":
         drop = {self.universe.literal(l).code for l in literals}
         return Term(self.universe, tuple(c for c in self.codes if c not in drop))
@@ -508,9 +503,6 @@ class Term(_LiteralSet):
 
 class Clause(_LiteralSet):
     """A non-valid set of literals; the empty clause is ``false``."""
-
-    def without(self, lit: Literal) -> "Clause":
-        return Clause(self.universe, tuple(c for c in self.codes if c != lit.code))
 
     def to_formula(self) -> "Formula":
         u = self.universe

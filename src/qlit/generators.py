@@ -21,7 +21,6 @@ from .core import (
     Formula,
     Term,
     Universe,
-    World,
 )
 from .oracle import models_mask
 from .tractable import Cnf, Dnf, verify_decision_dnnf, verify_sdd
@@ -33,7 +32,6 @@ __all__ = [
     "random_clause",
     "random_cnf",
     "random_dnf",
-    "random_world",
     "random_literal",
     "random_decision_dnnf",
     "random_sdd",
@@ -45,10 +43,6 @@ __all__ = [
 
 def random_literal(universe: Universe, rng: random.Random):
     return universe.literal_by_code(rng.randrange(2 * len(universe)))
-
-
-def random_world(universe: Universe, rng: random.Random) -> World:
-    return World(universe, rng.getrandbits(len(universe)) if len(universe) else 0)
 
 
 def random_formula(universe: Universe, rng: random.Random, depth: int = 3) -> Formula:
@@ -74,17 +68,16 @@ def random_formula(universe: Universe, rng: random.Random, depth: int = 3) -> Fo
 
 
 def random_consistent_formula(
-    universe: Universe, rng: random.Random, depth: int = 3, allow_valid: bool = False
+    universe: Universe, rng: random.Random, depth: int = 3
 ) -> Formula:
-    """Redraw until the formula has a model (and a counter-model unless
-    ``allow_valid``)."""
+    """Redraw until the formula has a model and a counter-model."""
     full = (1 << (1 << len(universe))) - 1
     while True:
         formula = random_formula(universe, rng, depth)
         mask = models_mask(formula)
         if mask == 0:
             continue
-        if not allow_valid and mask == full:
+        if mask == full:
             continue
         return formula
 

@@ -92,9 +92,9 @@ def _note_name(comment: str, names: dict[int, tuple[str, int]], number: int) -> 
 
 
 def _named_universe(names: dict[int, tuple[str, int]], nvars: int) -> Universe:
-    """The universe of ``nvars`` variables, named by the comments when they
-    name every variable exactly once.  Two variables named alike are a parse
-    error on the later comment."""
+    """The universe of ``nvars`` variables, named by the ``c var`` comments
+    (or a bundle's ``var`` lines) when they name every variable exactly once.
+    Two variables named alike are a parse error on the later line."""
     if sorted(names) != list(range(1, nvars + 1)):
         return Universe(nvars)
     taken: set[str] = set()
@@ -680,7 +680,7 @@ class ClassifierBundle:
 def parse_classifier_bundle(text: str) -> ClassifierBundle:
     """Parse a classifier bundle: variable map, protected set, CNF sections."""
     lines = text.splitlines()
-    names: dict[int, str] = {}
+    names: dict[int, tuple[str, int]] = {}
     protected: list[str] = []
     sections: dict[str, tuple[int, list[str]]] = {}
     current: list[str] | None = None
@@ -703,7 +703,7 @@ def parse_classifier_bundle(text: str) -> ClassifierBundle:
                 raise ParseError("non-numeric variable index", number) from None
             if index in names:
                 raise ParseError(f"variable index {index} declared twice", number)
-            names[index] = fields[2]
+            names[index] = (fields[2], number)
         elif fields[0] == "protected":
             protected.extend(fields[1:])
         elif fields[0] == "section":
@@ -722,7 +722,7 @@ def parse_classifier_bundle(text: str) -> ClassifierBundle:
         raise ParseError("bundle declares no variables", 1)
     if sorted(names) != list(range(1, len(names) + 1)):
         raise ParseError("variable indexes must be 1..n contiguous", 1)
-    universe = Universe([names[i] for i in range(1, len(names) + 1)])
+    universe = _named_universe(names, len(names))
     for name in protected:
         if name not in universe:
             raise ParseError(f"protected variable {name!r} is not declared", 1)

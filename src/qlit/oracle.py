@@ -10,9 +10,11 @@ models, rules, their transitions under quantification, independent models and
 the fixed-point reconstruction of models from rules are all computed on these
 integers.  Other modules are validated against this one, never the reverse.
 
-Enumeration is exact and capped (default 24 variables, overridable through
-the ``QLIT_ENUM_CAP`` environment variable); exceeding the cap is an error,
-never silent sampling.
+Every query takes values only: the universe is the value's own, and the
+queries that compare two values refuse values of different universes.
+Enumeration is exact and capped (default 24 variables); the
+``QLIT_ENUM_CAP`` environment variable is the one way to change the cap, and
+exceeding it is an error, never silent sampling.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ def default_cap() -> int:
     return int(os.environ.get("QLIT_ENUM_CAP", _DEFAULT_CAP))
 
 
-def _check_cap(universe: Universe, cap: int | None) -> None:
-    limit = default_cap() if cap is None else cap
+def _check_cap(universe: Universe) -> None:
+    limit = default_cap()
     if len(universe) > limit:
         raise CapacityError(
             f"universe has {len(universe)} variables, enumeration cap is {limit}"
@@ -120,12 +122,11 @@ def _literal_mask(universe: Universe, code: int) -> int:
     return ones if code & 1 else _full_mask(universe) & ~ones
 
 
-def models_mask(value, universe: Universe | None = None, cap: int | None = None) -> int:
-    """Truth table of any logical value, as an integer over ``2**n`` worlds."""
-    u = universe or value.universe
-    if value.universe is not u:
-        raise UniverseMismatchError("value does not live in the requested universe")
-    _check_cap(u, cap)
+def models_mask(value) -> int:
+    """Truth table of any logical value, as an integer over the ``2**n``
+    worlds of its universe."""
+    u = value.universe
+    _check_cap(u)
     if isinstance(value, (Formula, Circuit)):
         return _dag_mask(u, value)
     if isinstance(value, World):
@@ -161,22 +162,31 @@ def _dag_mask(universe: Universe, value: Formula | Circuit) -> int:
     return truth_table(value, _var_masks(universe), _full_mask(universe), memo=memo)
 
 
-def equivalent(a, b, cap: int | None = None) -> bool:
+def _same_universe(value, universe: Universe) -> None:
+    if value.universe is not universe:
+        raise UniverseMismatchError("value does not live in the requested universe")
+
+
+def equivalent(a, b) -> bool:
     """Exact model-set equality, by enumeration."""
-    return models_mask(a, cap=cap) == models_mask(b, a.universe, cap=cap)
+    mask = models_mask(a)
+    _same_universe(b, a.universe)
+    return mask == models_mask(b)
 
 
-def entails(a, b, cap: int | None = None) -> bool:
+def entails(a, b) -> bool:
     """``a`` implies ``b``: every model of ``a`` is a model of ``b``."""
-    return models_mask(a, cap=cap) & ~models_mask(b, a.universe, cap=cap) == 0
+    mask = models_mask(a)
+    _same_universe(b, a.universe)
+    return mask & ~models_mask(b) == 0
 
 
-def consistent(a, cap: int | None = None) -> bool:
-    return models_mask(a, cap=cap) != 0
+def consistent(a) -> bool:
+    return models_mask(a) != 0
 
 
-def valid(a, cap: int | None = None) -> bool:
-    return models_mask(a, cap=cap) == _full_mask(a.universe)
+def valid(a) -> bool:
+    return models_mask(a) == _full_mask(a.universe)
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -297,9 +307,6 @@ class RuleSet(_SortedSet):
             for bits in _iter_bits(crossing)
         )
 
-    def consequents(self) -> set[Literal]:
-        return {r.consequent for r in self.items}
-
     def __repr__(self) -> str:
         return "RuleSet({" + ", ".join(str(r) for r in self.items) + "})"
 
@@ -330,49 +337,44 @@ def _rule_set(universe: Universe, rules: list[BRule], crossings: list[int]) -> R
 # -- oracle operations ----------------------------------------------------------
 
 
-def enumerate_models(value, universe: Universe | None = None, cap: int | None = None) -> ModelSet:
+def enumerate_models(value) -> ModelSet:
     """Exactly the worlds satisfying ``value``, in canonical order."""
-    u = universe or value.universe
-    mask = models_mask(value, u, cap)
+    u = value.universe
+    mask = models_mask(value)
     return ModelSet(u, (World(u, bits) for bits in _iter_bits(mask)))
 
 
-def boundary_models(
-    value, universe: Universe | None = None, cap: int | None = None
-) -> set[tuple[World, Literal]]:
+def boundary_models(value) -> set[tuple[World, Literal]]:
     """All pairs ``(world, literal)`` where the world is a model containing the
     literal and flipping that literal produces a counter-model."""
-    u = universe or value.universe
+    u = value.universe
     literals = u._literals
     return {
         (World(u, bits), literals[2 * i + (bits >> i & 1)])
-        for i, crossing in enumerate(_crossings(u, models_mask(value, u, cap)))
+        for i, crossing in enumerate(_crossings(u, models_mask(value)))
         for bits in _iter_bits(crossing)
     }
 
 
-def b_rules(value, universe: Universe | None = None, cap: int | None = None) -> RuleSet:
+def b_rules(value) -> RuleSet:
     """The boundary rules of ``value``: one per boundary (model, literal) pair."""
-    u = universe or value.universe
-    crossings = _crossings(u, models_mask(value, u, cap))
+    u = value.universe
+    crossings = _crossings(u, models_mask(value))
     return _rule_set(u, _rules(u, crossings), crossings)
 
 
-def is_independent_model(value, world: World, term: Term, cap: int | None = None) -> bool:
+def is_independent_model(value, world: World, term: Term) -> bool:
     """True iff ``term`` is contained in ``world`` and every way of flipping
     literals of ``term`` keeps the world a model of ``value``."""
-    u = world.universe
-    mask = models_mask(value, u, cap)
+    _same_universe(value, world.universe)
+    mask = models_mask(value)
     if any(code not in world.to_term().codes for code in term.codes):
         return False
     rest = world.to_term().difference(term.literals())
-    rest_mask = models_mask(rest, u, cap)
-    return rest_mask & ~mask == 0
+    return models_mask(rest) & ~mask == 0
 
 
-def reconstruct_models(
-    rules: RuleSet, bmodels: ModelSet, universe: Universe | None = None
-) -> ModelSet:
+def reconstruct_models(rules: RuleSet, bmodels: ModelSet) -> ModelSet:
     """Grow the boundary models to the full model set using only the rules.
 
     Iterates ``W |= flip_i(W & ~R_i)`` over every variable ``i``, where ``R_i``
@@ -381,7 +383,7 @@ def reconstruct_models(
     of a consistent, non-valid formula are never empty, so empty input means
     the source formula was valid or inconsistent and is refused.
     """
-    u = universe or bmodels.universe
+    u = bmodels.universe
     if len(bmodels) == 0:
         raise PreconditionError(
             "valid-or-inconsistent formula: no boundary models to reconstruct from"
@@ -400,25 +402,23 @@ def reconstruct_models(
     return ModelSet(u, (World(u, bits) for bits in _iter_bits(current)))
 
 
-def literal_independent(value, lit: Literal, cap: int | None = None) -> bool:
+def literal_independent(value, lit: Literal) -> bool:
     """True iff no boundary rule of ``value`` infers ``lit``."""
     u = value.universe
     u.check(lit)
-    mask = models_mask(value, u, cap)
+    mask = models_mask(value)
     i = lit.variable.index
     crossing = mask & ~_flip_mask(u, mask, i)
     side = _literal_mask(u, lit.code)
     return crossing & side == 0
 
 
-def variable_independent(value, var: Variable, cap: int | None = None) -> bool:
+def variable_independent(value, var: Variable) -> bool:
     """Independence of both literals of ``var``."""
     u = value.universe
     u.check(var)
     pos = u.literal_by_code(2 * var.index + 1)
-    return literal_independent(value, pos, cap) and literal_independent(
-        value, ~pos, cap
-    )
+    return literal_independent(value, pos) and literal_independent(value, ~pos)
 
 
 # -- boundary-rule dynamics under universal literal quantification ---------------
@@ -494,14 +494,12 @@ def _transition_checks(
     }
 
 
-def brule_transition_report(
-    value, lit: Literal, universe: Universe | None = None, cap: int | None = None
-) -> TransitionReport:
+def brule_transition_report(value, lit: Literal) -> TransitionReport:
     """Compare rules before and after quantifying ``lit`` universally and check
     every clause of the deletion/preservation/introduction characterization."""
-    u = universe or value.universe
+    u = value.universe
     u.check(lit)
-    mask = models_mask(value, u, cap)
+    mask = models_mask(value)
 
     lit_mask = _literal_mask(u, lit.code)
     mask_given_lit = _condition_mask(u, mask, lit)

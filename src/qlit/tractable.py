@@ -1,7 +1,17 @@
 """Efficient quantification on CNF, DNF, Decision-DNNF and SDD inputs.
 
-The flat-form routines drop literals or whole clauses/terms in one linear
-pass; the circuit routines are single traversals that replace literals by
+The flat-form routines come in dual pairs, as in the source paper, and each
+pair is one rule on literal codes.  Universal quantification of ``l`` on a
+CNF and existential quantification of ``l`` on a DNF drop one literal (``~l``
+and ``l``) from every element, in one linear pass.  Existential
+quantification of ``l`` on a CNF and universal quantification of ``l`` on a
+DNF delete every element holding one literal (``l`` and ``~l``), once the form
+is closed under resolution (CNF) or consensus (DNF) on its variable; the
+missing resolvents and consensus terms come from one generator.  Prime
+implicants and implicates are likewise one construction, seeded from models
+or counter-models.
+
+The circuit routines are single traversals that replace literals by
 constants, after an equivalence-preserving reshaping pass for the universal
 case.  Every routine here is oracle-checked against its definitional
 counterpart by the test suite.
@@ -117,6 +127,7 @@ class Cnf(_FlatForm):
     the empty clause means ``false``."""
 
     _element_type = Clause
+    _name, _rule = "CNF", "resolution"
 
     @classmethod
     def _make_element(cls, universe: Universe, spec) -> Clause:
@@ -155,6 +166,7 @@ class Dnf(_FlatForm):
     the empty term means ``true``."""
 
     _element_type = Term
+    _name, _rule = "DNF", "consensus"
 
     @classmethod
     def _make_element(cls, universe: Universe, spec) -> Term:
@@ -190,132 +202,102 @@ class Dnf(_FlatForm):
 # -- flat-form quantification ---------------------------------------------------
 
 
-def cnf_forall_literal(cnf: Cnf, lit) -> Cnf:
-    """Drop the negation of ``lit`` from every clause; a clause reduced to
-    nothing collapses the result to ``false``.  Linear in literal count."""
-    u = cnf.universe
-    drop = u.literal(lit).code ^ 1
+def _drop(form, code: int):
+    """Remove ``code`` from every element.  An empty element, there already
+    or left so, absorbs the form: ``false`` for a CNF, ``true`` for a DNF."""
+    u = form.universe
+    make = form._element_type
+    if () in form._key:
+        return type(form)(u, [make(u, ())])
     out = []
-    for clause in cnf.elements:
-        if drop in clause.codes:
-            slim = clause.without(u.literal_by_code(drop))
-            if not slim.codes:
-                return Cnf(u, [slim])
-            out.append(slim)
-        else:
-            out.append(clause)
-    return Cnf(u, out)
+    for element in form.elements:
+        if code in element.codes:
+            element = make(u, tuple(c for c in element.codes if c != code))
+            if not element.codes:
+                return type(form)(u, [element])
+        out.append(element)
+    return type(form)(u, out)
+
+
+def _remove(form, code: int, assume_closed: bool):
+    """Delete every element holding ``code``.  Sound only once the form is
+    closed on the code's variable: with ``assume_closed`` the closure is
+    verified (error on failure), otherwise it is computed first."""
+    var = form.universe.variables[code >> 1]
+    if assume_closed:
+        if not is_closed_under(form, var):
+            raise PreconditionError(
+                f"{form._name} is not closed under {form._rule} on {var.name}"
+            )
+    else:
+        form = close_under(form, var)
+    return type(form)(form.universe, [e for e in form.elements if code not in e.codes])
+
+
+def cnf_forall_literal(cnf: Cnf, lit) -> Cnf:
+    """Drop the negation of ``lit`` from every clause; an empty clause
+    collapses the result to ``false``.  Linear in literal count."""
+    return _drop(cnf, cnf.universe.literal(lit).code ^ 1)
 
 
 def cnf_exists_literal(cnf: Cnf, lit, assume_closed: bool = False) -> Cnf:
-    """Remove every clause containing ``lit``.
-
-    Sound only on CNFs closed under resolution on the literal's variable:
-    with ``assume_closed`` the closure is verified (error on failure),
-    otherwise it is computed first.
-    """
-    u = cnf.universe
-    lit = u.literal(lit)
-    if assume_closed:
-        if not is_closed_under(cnf, lit.variable):
-            raise PreconditionError(
-                f"CNF is not closed under resolution on {lit.variable.name}"
-            )
-    else:
-        cnf = close_under(cnf, lit.variable, "resolution")
-    return Cnf(u, [c for c in cnf.elements if lit.code not in c.codes])
+    """Remove every clause containing ``lit``, on the closure under
+    resolution on its variable."""
+    return _remove(cnf, cnf.universe.literal(lit).code, assume_closed)
 
 
 def dnf_exists_literal(dnf: Dnf, lit) -> Dnf:
-    """Drop ``lit`` from every term.  Linear in literal count."""
-    u = dnf.universe
-    drop = u.literal(lit).code
-    out = []
-    for term in dnf.elements:
-        if drop in term.codes:
-            out.append(term.difference([u.literal_by_code(drop)]))
-        else:
-            out.append(term)
-    result = Dnf(u, out)
-    if result.is_true():
-        return Dnf(u, [u.term()])
-    return result
+    """Drop ``lit`` from every term; an empty term collapses the result to
+    ``true``.  Linear in literal count."""
+    return _drop(dnf, dnf.universe.literal(lit).code)
 
 
 def dnf_forall_literal(dnf: Dnf, lit, assume_closed: bool = False) -> Dnf:
-    """Remove every term containing the negation of ``lit``.
-
-    Sound only on DNFs closed under consensus on the literal's variable;
-    closure handling mirrors :func:`cnf_exists_literal`.
-    """
-    u = dnf.universe
-    lit = u.literal(lit)
-    if assume_closed:
-        if not is_closed_under(dnf, lit.variable):
-            raise PreconditionError(
-                f"DNF is not closed under consensus on {lit.variable.name}"
-            )
-    else:
-        dnf = close_under(dnf, lit.variable, "consensus")
-    drop = lit.code ^ 1
-    return Dnf(u, [t for t in dnf.elements if drop not in t.codes])
+    """Remove every term containing the negation of ``lit``, on the closure
+    under consensus on its variable."""
+    return _remove(dnf, dnf.universe.literal(lit).code ^ 1, assume_closed)
 
 
-def _combine(a: tuple[int, ...], b: tuple[int, ...], var_index: int) -> tuple[int, ...] | None:
-    """Resolution/consensus of two literal-code sets on one variable; ``None``
-    when the rest of the sets clash on some other variable."""
-    pos = 2 * var_index + 1
-    merged = set(a) | set(b)
-    merged.discard(pos)
-    merged.discard(pos ^ 1)
-    for code in merged:
-        if code ^ 1 in merged:
-            return None
-    return tuple(sorted(merged))
+def _missing(form, var: Variable) -> Iterator[tuple[int, ...]]:
+    """The resolvents (CNF) or consensus terms (DNF) on ``var`` that the form
+    lacks, as code tuples, each once: the union of an element holding the
+    positive literal and one holding the negative, less both, unless the rest
+    clashes on some other variable."""
+    form.universe.check(var)
+    pos = 2 * var.index + 1
+    seen = set(form._key)
+    with_pos = [e.codes for e in form.elements if pos in e.codes]
+    with_neg = [e.codes for e in form.elements if pos ^ 1 in e.codes]
+    for a in with_pos:
+        for b in with_neg:
+            merged = set(a) | set(b)
+            merged.discard(pos)
+            merged.discard(pos ^ 1)
+            for code in merged:
+                if code ^ 1 in merged:
+                    break
+            else:
+                codes = tuple(sorted(merged))
+                if codes not in seen:
+                    seen.add(codes)
+                    yield codes
 
 
-def close_under(form: Cnf | Dnf, var: Variable, mode: str) -> Cnf | Dnf:
-    """Add every resolvent (CNF) or consensus (DNF) on ``var``.
+def close_under(form: Cnf | Dnf, var: Variable) -> Cnf | Dnf:
+    """Add every resolvent (CNF) or consensus term (DNF) on ``var``.
 
     Results never mention ``var``, so one pass reaches the fixpoint.  Models
     are unchanged.
     """
-    if isinstance(form, Cnf) and mode != "resolution":
-        raise ValueError("CNFs close under resolution")
-    if isinstance(form, Dnf) and mode != "consensus":
-        raise ValueError("DNFs close under consensus")
     u = form.universe
-    u.check(var)
-    pos_code = 2 * var.index + 1
-    with_pos = [e for e in form.elements if pos_code in e.codes]
-    with_neg = [e for e in form.elements if pos_code ^ 1 in e.codes]
-    new_codes = []
-    seen = {e.codes for e in form.elements}
-    for a in with_pos:
-        for b in with_neg:
-            merged = _combine(a.codes, b.codes, var.index)
-            if merged is not None and merged not in seen:
-                seen.add(merged)
-                new_codes.append(merged)
-    if isinstance(form, Cnf):
-        return Cnf(u, list(form.elements) + [Clause(u, c) for c in new_codes])
-    return Dnf(u, list(form.elements) + [Term(u, c) for c in new_codes])
+    make = form._element_type
+    return type(form)(u, [*form.elements, *(make(u, c) for c in _missing(form, var))])
 
 
 def is_closed_under(form: Cnf | Dnf, var: Variable) -> bool:
-    """Whether every resolution/consensus on ``var`` is already present."""
-    u = form.universe
-    u.check(var)
-    pos_code = 2 * var.index + 1
-    present = {e.codes for e in form.elements}
-    with_pos = [e.codes for e in form.elements if pos_code in e.codes]
-    with_neg = [e.codes for e in form.elements if pos_code ^ 1 in e.codes]
-    for a in with_pos:
-        for b in with_neg:
-            merged = _combine(a, b, var.index)
-            if merged is not None and merged not in present:
-                return False
-    return True
+    """Whether every resolvent or consensus term on ``var`` is already
+    present."""
+    return next(_missing(form, var), None) is None
 
 
 # -- prime implicants and implicates ---------------------------------------------
@@ -345,7 +327,7 @@ def _absorb(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
     return kept
 
 
-def _closure_primes(universe: Universe, seeds: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _closure_primes(seeds: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Close literal-code sets under pairwise combination with absorption
     after every round.  Quine's classic construction: applied to any DNF of a
     function it yields all prime implicants, and to any CNF all prime
@@ -374,9 +356,10 @@ def prime_forms(value, mode: str) -> Dnf | Cnf:
     """All prime implicants (as a DNF) or prime implicates (as a CNF).
 
     Accepts a formula, circuit, CNF or DNF.  Seeds come from the matching
-    flat form when one is given, else from the models / counter-models; the
-    seeds are then closed under consensus/resolution and pruned by
-    subsumption.  Capped at 16 variables.
+    flat form when one is given, else from the models (one term each) or the
+    counter-models (one clause each, every literal negated); the seeds are
+    then closed under consensus/resolution and pruned by subsumption.  Capped
+    at 16 variables.
     """
     from . import oracle  # imported where used: the linear routines never need it
 
@@ -387,35 +370,20 @@ def prime_forms(value, mode: str) -> Dnf | Cnf:
         )
     if mode not in ("implicants", "implicates"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    if mode == "implicants":
-        if isinstance(value, Dnf):
-            seeds = {t.codes for t in value.elements}
-        else:
-            mask = oracle.models_mask(value, u)
-            seeds = {_world_term_codes(u, bits) for bits in oracle._iter_bits(mask)}
-        primes = _closure_primes(u, seeds)
-        return Dnf(u, [Term(u, codes) for codes in primes])
-
-    if isinstance(value, Cnf):
-        seeds = {c.codes for c in value.elements}
+    form = Dnf if mode == "implicants" else Cnf
+    if isinstance(value, form):
+        seeds = {e.codes for e in value.elements}
     else:
-        full = (1 << (1 << len(u))) - 1
-        mask = oracle.models_mask(value, u)
+        flip = form is Cnf
+        mask = oracle.models_mask(value)
+        if flip:
+            mask ^= (1 << (1 << len(u))) - 1
         seeds = {
-            _world_clause_codes(u, bits) for bits in oracle._iter_bits(full & ~mask)
+            tuple(2 * i + ((bits >> i & 1) ^ flip) for i in range(len(u)))
+            for bits in oracle._iter_bits(mask)
         }
-    primes = _closure_primes(u, seeds)
-    return Cnf(u, [Clause(u, codes) for codes in primes])
-
-
-def _world_term_codes(universe: Universe, bits: int) -> tuple[int, ...]:
-    return tuple(2 * i + (bits >> i & 1) for i in range(len(universe)))
-
-
-def _world_clause_codes(universe: Universe, bits: int) -> tuple[int, ...]:
-    # the clause falsified exactly at this world: each literal negated
-    return tuple(2 * i + (1 - (bits >> i & 1)) for i in range(len(universe)))
+    make = form._element_type
+    return form(u, [make(u, codes) for codes in _closure_primes(seeds)])
 
 
 # -- circuit structure verification -----------------------------------------------

@@ -188,12 +188,6 @@ def decide(classifier: Classifier, population: Term | str) -> Decision:
     return Decision.UNDEFINED
 
 
-def _forall_items(classifier: Classifier, side, items: Sequence) -> Formula | Cnf:
-    """Universal quantification of literals/variables over one side, using
-    the linear clause rule for CNF classifiers."""
-    return quantify(classifier.side(side), "forall", items)
-
-
 def instances_independent_of_features(
     classifier: Classifier, side, variables: Iterable[Variable | str]
 ) -> Formula | Cnf:
@@ -204,7 +198,7 @@ def instances_independent_of_features(
     ]
     for var in resolved:
         classifier.features.check(var)
-    return _forall_items(classifier, side, resolved)
+    return quantify(classifier.side(side), "forall", resolved)
 
 
 def instances_independent_of_characteristics(
@@ -215,7 +209,7 @@ def instances_independent_of_characteristics(
     quantified = [
         ~classifier.features.literal(lit) for lit in characteristics
     ]
-    return _forall_items(classifier, side, quantified)
+    return quantify(classifier.side(side), "forall", quantified)
 
 
 def complete_reason(classifier: Classifier, population: Term | str) -> Formula | Cnf:
@@ -327,8 +321,10 @@ def biased_instances(classifier: Classifier, side) -> Formula:
     if not classifier.protected:
         raise ConfigurationError("classifier has no protected features")
     deciding = _as_formula(classifier.side(side))
-    invariant = _forall_items(
-        classifier, side, sorted(classifier.protected, key=lambda v: v.index)
+    invariant = quantify(
+        classifier.side(side),
+        "forall",
+        sorted(classifier.protected, key=lambda v: v.index),
     )
     return deciding & negate(_as_formula(invariant))
 

@@ -427,6 +427,13 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "error: line 2, column 1: duplicate variable name 'a'\n"
 
+    def test_duplicate_bundle_var_names_are_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.bundle"
+        path.write_text("var 1 a\nvar 2 a\nsection delta\np cnf 2 1\n1 2 0\n")
+        code = main(["decide", "--classifier", str(path), "--term", "a"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 2, column 1: duplicate variable name 'a'\n"
+
     def test_missing_file_is_2(self, capsys):
         code = main(["brules", "--in", "/nonexistent/file.cnf"])
         assert code == 2

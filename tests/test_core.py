@@ -3,6 +3,7 @@ evaluation and negation."""
 
 import random
 import sys
+import threading
 
 import pytest
 
@@ -161,6 +162,38 @@ class TestStructuralHashing:
         other = Universe(["x"])
         with pytest.raises(UniverseMismatchError):
             xyz.lit("x") & other.lit("x")
+
+    def test_two_threads_get_one_node_per_key(self):
+        # two threads build the same 600 conjunctions on each of 60 fresh
+        # universes, switching as often as the interpreter allows; both must
+        # get the node the universe keeps for each key
+        rng = random.Random(4099)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(60):
+                u = Universe(24)
+                pairs = [(rng.randrange(48), rng.randrange(48)) for _ in range(600)]
+                barrier = threading.Barrier(2, timeout=60)
+                results = [[], []]
+
+                def build(slot):
+                    barrier.wait()
+                    results[slot] = [u.lit(a) & u.lit(b) for a, b in pairs]
+
+                threads = [threading.Thread(target=build, args=(slot,)) for slot in (0, 1)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                first, second = results
+                assert len(first) == len(second) == 600
+                assert all(a is b for a, b in zip(first, second))
+                assert all(u._node_cache[node.key] is node for node in first)
+        finally:
+            sys.setswitchinterval(old)
+        assert sys.getswitchinterval() == old
 
 
 class TestWorlds:

@@ -257,6 +257,16 @@ class TestBundle:
         with pytest.raises(ParseError, match="line 4"):
             parse_classifier_bundle(text)
 
+    def test_two_variables_named_alike_are_a_parse_error(self):
+        text = "var 1 a\nc note\nvar 2 a\nsection delta\np cnf 2 1\n1 2 0\n"
+        with pytest.raises(ParseError, match="duplicate variable name 'a'") as caught:
+            parse_classifier_bundle(text)
+        assert caught.value.line == 3
+        # the later line is named, whatever the index order
+        with pytest.raises(ParseError) as caught:
+            parse_classifier_bundle("var 2 a\nvar 1 a\nsection delta\np cnf 2 0\n")
+        assert caught.value.line == 2
+
     def test_round_trip(self):
         bundle = parse_classifier_bundle(ADMISSION_BUNDLE)
         text = emit_classifier_bundle(bundle)
@@ -561,23 +571,23 @@ _BYTES = "0123456789- \t\n\rcpnfx+_"
 _TOKENS = ["0", "1", "-1", "2", "-2", "3", "7", "-9", "x", "p", "cnf", "c", "01", "+2", "1_0"]
 
 
-def _mutate(text, rng):
+def _mutate(text, rng, alphabet=_BYTES, tokens=_TOKENS):
     """One seeded byte or token mutation."""
     kind = rng.randrange(6)
     at = rng.randrange(len(text) + 1)
     if kind == 0:
-        return text[:at] + rng.choice(_BYTES) + text[at:]
+        return text[:at] + rng.choice(alphabet) + text[at:]
     if kind == 1:
         return text[:at] + text[at + 1 :]
     if kind == 2:
-        return text[:at] + rng.choice(_BYTES) + text[at + 1 :]
+        return text[:at] + rng.choice(alphabet) + text[at + 1 :]
     lines = text.split("\n")
     row = rng.randrange(len(lines))
     fields = lines[row].split(" ")
     if kind == 3:  # replace a token
-        fields[rng.randrange(len(fields))] = rng.choice(_TOKENS)
+        fields[rng.randrange(len(fields))] = rng.choice(tokens)
     elif kind == 4:  # insert a token
-        fields.insert(rng.randrange(len(fields) + 1), rng.choice(_TOKENS))
+        fields.insert(rng.randrange(len(fields) + 1), rng.choice(tokens))
     else:  # drop, repeat or swap lines
         other = rng.randrange(len(lines))
         lines[row], lines[other] = lines[other], lines[row]
@@ -710,3 +720,43 @@ class TestTextsAgainstReference:
             assert sorted(code_of) == list(range(-n, n + 1)) and code_of[0] is None
             for code, text in enumerate(u._dimacs):
                 assert code_of[int(text)] == code
+
+
+_BUNDLE_BYTES = "0123456789- \t\nacdegiprvx"
+_BUNDLE_TOKENS = [
+    "var", "protected", "section", "delta", "negdelta", "c", "p", "cnf",
+    "0", "1", "2", "-1", "-3", "9", "a", "d", "e", "g", "r", "~d",
+]
+
+
+class TestBundleFuzz:
+    def test_mutated_bundles_parse_or_fail_with_a_line(self, tmp_path, capsys):
+        from qlit.cli import main
+
+        rng = random.Random(4111)
+        path = tmp_path / "fuzz.bundle"
+        outcomes = {"parsed": 0, "ParseError": 0}
+        codes = set()
+        for _ in range(1000):
+            text = rng.choice([LOAN_BUNDLE, ADMISSION_BUNDLE])
+            if rng.random() < 0.3:
+                text = _mutate(text, rng, _BUNDLE_BYTES, _BUNDLE_TOKENS)
+            text = _mutate(text, rng, _BUNDLE_BYTES, _BUNDLE_TOKENS)
+            try:
+                bundle = parse_classifier_bundle(text)
+            except ParseError as error:
+                assert error.line >= 1, repr(text)
+                outcomes["ParseError"] += 1
+                term = "d"
+            else:
+                outcomes["parsed"] += 1
+                names = [v.name for v in bundle.universe]
+                term = ",".join(rng.sample(names, rng.randint(1, len(names))))
+            path.write_text(text)
+            code = main(["decide", "--classifier", str(path), f"--term={term}"])
+            assert code in (0, 1, 2), (repr(text), term, capsys.readouterr().err)
+            capsys.readouterr()
+            codes.add(code)
+        # both outcomes, and every exit code, are represented
+        assert min(outcomes.values()) > 100, outcomes
+        assert codes == {0, 1, 2}

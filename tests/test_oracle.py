@@ -332,13 +332,9 @@ class TestCaps:
         with pytest.raises(CapacityError, match="24"):
             oracle.enumerate_models(u.true)
 
-    def test_explicit_cap_parameter(self, xyz):
-        with pytest.raises(CapacityError, match="cap is 2"):
-            oracle.enumerate_models(xyz.true, cap=2)
-
     def test_environment_override(self, xyz, monkeypatch):
         monkeypatch.setenv("QLIT_ENUM_CAP", "2")
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="cap is 2"):
             oracle.enumerate_models(xyz.true)
         monkeypatch.setenv("QLIT_ENUM_CAP", "8")
         assert len(oracle.enumerate_models(xyz.true)) == 8

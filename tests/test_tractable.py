@@ -122,14 +122,14 @@ class TestClosures:
     def test_resolution_adds_the_resolvent(self):
         u = Universe(["a", "b", "x"])
         cnf = Cnf(u, [u.clause("x,a"), u.clause("~x,b")])
-        closed = close_under(cnf, u.variable("x"), "resolution")
+        closed = close_under(cnf, u.variable("x"))
         assert {str(c) for c in closed} >= {"a | b"}
         assert is_closed_under(closed, u.variable("x"))
 
     def test_consensus_adds_the_consensus_term(self):
         u = Universe(["a", "b", "x"])
         dnf = Dnf(u, [u.term("x,a"), u.term("~x,b")])
-        closed = close_under(dnf, u.variable("x"), "consensus")
+        closed = close_under(dnf, u.variable("x"))
         assert {str(t) for t in closed.sorted_elements()} >= {"a,b"}
 
     def test_closure_is_idempotent_and_model_preserving(self):
@@ -138,14 +138,9 @@ class TestClosures:
         for _ in range(100):
             cnf = random_cnf(u, rng)
             var = u.variables[rng.randrange(5)]
-            closed = close_under(cnf, var, "resolution")
+            closed = close_under(cnf, var)
             assert oracle.equivalent(closed.to_formula(), cnf.to_formula())
-            assert close_under(closed, var, "resolution") == closed
-
-    def test_mode_must_match_representation(self):
-        u = Universe(["x"])
-        with pytest.raises(ValueError):
-            close_under(Cnf(u, []), u.variable("x"), "consensus")
+            assert close_under(closed, var) == closed
 
 
 class TestDnf:
