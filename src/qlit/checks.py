@@ -373,26 +373,26 @@ def _tractable(suite: _Suite) -> SuiteResult:
     def trial(rng: random.Random):
         lit = random_literal(u, rng)
         cnf = random_cnf(u, rng)
-        fast = cnf_forall_literal(cnf, lit)
+        fast = cnf_forall_literal(cnf, [lit])
         if not oracle.equivalent(fast.to_formula(), forall_literal(cnf.to_formula(), lit)):
             return f"cnf universal broke on {cnf} with {lit}"
         if fast.literal_count() > cnf.literal_count():
             return f"cnf universal grew on {cnf}"
-        fast = cnf_exists_literal(cnf, lit)
+        fast = cnf_exists_literal(cnf, [lit])
         if not oracle.equivalent(fast.to_formula(), exists_literal(cnf.to_formula(), lit)):
             return f"cnf existential broke on {cnf} with {lit}"
         closed = close_under(cnf, lit.variable)
-        fast = cnf_exists_literal(closed, lit, assume_closed=True)
+        fast = cnf_exists_literal(closed, [lit], assume_closed=True)
         if not oracle.equivalent(fast.to_formula(), exists_literal(cnf.to_formula(), lit)):
             return f"cnf existential (preclosed) broke on {cnf} with {lit}"
 
         dnf = random_dnf(u, rng)
-        fast = dnf_exists_literal(dnf, lit)
+        fast = dnf_exists_literal(dnf, [lit])
         if not oracle.equivalent(fast.to_formula(), exists_literal(dnf.to_formula(), lit)):
             return f"dnf existential broke on {dnf} with {lit}"
         if fast.literal_count() > dnf.literal_count():
             return f"dnf existential grew on {dnf}"
-        fast = dnf_forall_literal(dnf, lit)
+        fast = dnf_forall_literal(dnf, [lit])
         if not oracle.equivalent(fast.to_formula(), forall_literal(dnf.to_formula(), lit)):
             return f"dnf universal broke on {dnf} with {lit}"
 

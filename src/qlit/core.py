@@ -164,6 +164,8 @@ class Universe(_Folding):
         self._node_cache: dict[tuple, Formula] = {}
         self._serials = count()
         self._var_masks: list[int] | None = None
+        # the oracle's truth tables of formula nodes, by node (small universes)
+        self._oracle_mask_cache: dict[Formula, int] = {}
         self._last_walk: tuple = (None, [])
         self.true = self._intern(("true",))
         self.false = self._intern(("false",))

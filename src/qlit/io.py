@@ -681,7 +681,7 @@ def parse_classifier_bundle(text: str) -> ClassifierBundle:
     """Parse a classifier bundle: variable map, protected set, CNF sections."""
     lines = text.splitlines()
     names: dict[int, tuple[str, int]] = {}
-    protected: list[str] = []
+    protected: list[tuple[str, int]] = []  # (name, line)
     sections: dict[str, tuple[int, list[str]]] = {}
     current: list[str] | None = None
 
@@ -705,7 +705,7 @@ def parse_classifier_bundle(text: str) -> ClassifierBundle:
                 raise ParseError(f"variable index {index} declared twice", number)
             names[index] = (fields[2], number)
         elif fields[0] == "protected":
-            protected.extend(fields[1:])
+            protected += [(name, number) for name in fields[1:]]
         elif fields[0] == "section":
             if len(fields) != 2 or fields[1] not in ("delta", "negdelta"):
                 raise ParseError(
@@ -720,12 +720,15 @@ def parse_classifier_bundle(text: str) -> ClassifierBundle:
 
     if not names:
         raise ParseError("bundle declares no variables", 1)
-    if sorted(names) != list(range(1, len(names) + 1)):
-        raise ParseError("variable indexes must be 1..n contiguous", 1)
+    # indexes are distinct, so they are 1..n unless one lies outside it; the
+    # first such ``var`` line in the file is the one reported
+    for index, (_, number) in names.items():
+        if not 1 <= index <= len(names):
+            raise ParseError("variable indexes must be 1..n contiguous", number)
     universe = _named_universe(names, len(names))
-    for name in protected:
+    for name, number in protected:
         if name not in universe:
-            raise ParseError(f"protected variable {name!r} is not declared", 1)
+            raise ParseError(f"protected variable {name!r} is not declared", number)
     if "delta" not in sections:
         raise ParseError("bundle has no 'section delta'", len(lines) or 1)
 
@@ -735,7 +738,7 @@ def parse_classifier_bundle(text: str) -> ClassifierBundle:
     if "negdelta" in sections:
         start, body = sections["negdelta"]
         negative = parse_dimacs("\n".join(body), universe, first_line=start)
-    return ClassifierBundle(universe, tuple(protected), positive, negative)
+    return ClassifierBundle(universe, tuple(name for name, _ in protected), positive, negative)
 
 
 def emit_classifier_bundle(bundle: ClassifierBundle) -> str:

@@ -155,10 +155,7 @@ def _dag_mask(universe: Universe, value: Formula | Circuit) -> int:
     # formula nodes are interned per universe and immutable, so their truth
     # tables can be remembered across calls (bounded to small universes)
     if isinstance(value, Formula) and len(universe) <= _MASK_CACHE_VAR_LIMIT:
-        memo = getattr(universe, "_oracle_mask_cache", None)
-        if memo is None:
-            memo = {}
-            universe._oracle_mask_cache = memo
+        memo = universe._oracle_mask_cache
     return truth_table(value, _var_masks(universe), _full_mask(universe), memo=memo)
 
 

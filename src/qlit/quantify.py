@@ -15,26 +15,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import (
-    Annotation,
-    Circuit,
-    Formula,
-    Term,
-    Variable,
-    condition,
-)
-from .tractable import (
-    Cnf,
-    Dnf,
-    cnf_exists_literal,
-    cnf_forall_literal,
-    ddnnf_exists,
-    ddnnf_forall,
-    dnf_exists_literal,
-    dnf_forall_literal,
-    sdd_exists,
-    sdd_forall,
-)
+from . import tractable
+from .core import Annotation, Circuit, Formula, Literal, Term, Variable, condition
+from .tractable import Cnf, Dnf
 
 __all__ = [
     "quantify",
@@ -47,48 +30,45 @@ __all__ = [
 ]
 
 
+def _expand(formula: Formula, forall: bool, item) -> Formula:
+    """The definitional rule: join both conditionings of ``formula``, with
+    ``and`` to quantify universally and ``or`` existentially.  For a literal
+    ``l`` the ``~l`` side is guarded first, ``l | formula|~l`` or ``~l &
+    formula|~l``; a variable needs no guard."""
+    u = formula.universe
+    outer, inner = ("and", "or") if forall else ("or", "and")
+    if not isinstance(item, Literal):
+        pos = u.literal_by_code(2 * item.index + 1)
+        parts = [condition(formula, pos), condition(formula, ~pos)]
+    elif forall:
+        parts = [u.fold(inner, [u.lit(item), condition(formula, ~item)]), condition(formula, item)]
+    else:
+        parts = [condition(formula, item), u.fold(inner, [u.lit(~item), condition(formula, ~item)])]
+    return u.fold(outer, parts)
+
+
 def forall_literal(formula: Formula, lit) -> Formula:
     """Strengthen ``formula`` so it no longer depends on the negation of
     ``lit``: ``(lit | (formula | ~lit)) & (formula | lit)``, folded."""
-    u = formula.universe
-    lit = u.literal(lit)
-    return u.fold(
-        "and",
-        [
-            u.fold("or", [u.lit(lit), condition(formula, ~lit)]),
-            condition(formula, lit),
-        ],
-    )
+    return _expand(formula, True, formula.universe.literal(lit))
 
 
 def exists_literal(formula: Formula, lit) -> Formula:
     """Weaken ``formula`` so it no longer depends on ``lit``:
     ``(formula | lit) | (~lit & (formula | ~lit))``, folded."""
-    u = formula.universe
-    lit = u.literal(lit)
-    return u.fold(
-        "or",
-        [
-            condition(formula, lit),
-            u.fold("and", [u.lit(~lit), condition(formula, ~lit)]),
-        ],
-    )
+    return _expand(formula, False, formula.universe.literal(lit))
 
 
 def forall_variable(formula: Formula, var: Variable) -> Formula:
     """Conjoin both conditionings; equals quantifying both literals."""
-    u = formula.universe
-    u.check(var)
-    pos = u.literal_by_code(2 * var.index + 1)
-    return u.fold("and", [condition(formula, pos), condition(formula, ~pos)])
+    formula.universe.check(var)
+    return _expand(formula, True, var)
 
 
 def exists_variable(formula: Formula, var: Variable) -> Formula:
     """Disjoin both conditionings; equals quantifying both literals."""
-    u = formula.universe
-    u.check(var)
-    pos = u.literal_by_code(2 * var.index + 1)
-    return u.fold("or", [condition(formula, pos), condition(formula, ~pos)])
+    formula.universe.check(var)
+    return _expand(formula, False, var)
 
 
 def quantify_set(formula: Formula, quantifier: str, items: Iterable) -> Formula:
@@ -104,41 +84,38 @@ def quantify_set(formula: Formula, quantifier: str, items: Iterable) -> Formula:
     u = formula.universe
     out = formula
     for spec in items:
-        item = u.item(spec)
-        if isinstance(item, Variable):
-            out = (
-                forall_variable(out, item)
-                if quantifier == "forall"
-                else exists_variable(out, item)
-            )
-        else:
-            out = (
-                forall_literal(out, item)
-                if quantifier == "forall"
-                else exists_literal(out, item)
-            )
+        out = _expand(out, quantifier == "forall", u.item(spec))
     return out
+
+
+# the linear routines (universal, existential) by value type or circuit
+# annotation; looked up by name on ``tractable`` at call time, so wrappers
+# installed on that module (such as perfbench's tracer) are the ones called
+_ROUTINES = {
+    Cnf: ("cnf_forall_literal", "cnf_exists_literal"),
+    Dnf: ("dnf_forall_literal", "dnf_exists_literal"),
+    Annotation.DECISION_DNNF: ("ddnnf_forall", "ddnnf_exists"),
+    Annotation.SDD: ("sdd_forall", "sdd_exists"),
+}
 
 
 def quantify(value, quantifier: str, items: Iterable):
     """Quantify ``items`` out of any value with the best routine it admits.
 
     CNFs and DNFs take the flat-form rules and verified Decision-DNNF and SDD
-    circuits the linear circuit routines, one literal at a time (a variable
-    stands for both of its literals).  Formulas take :func:`quantify_set`,
-    and so do plain NNF and DNNF circuits, through their formula.
+    circuits the linear circuit routines, each in one call on the whole
+    literal set (a variable stands for both of its literals).  Anything else
+    takes :func:`quantify_set` on its formula: formulas themselves, and plain
+    NNF and DNNF circuits.
     """
     if quantifier not in ("forall", "exists"):
         raise ValueError(f"unknown quantifier {quantifier!r}")
     u = value.universe
     resolved = [u.item(spec) for spec in items]
-    if isinstance(value, Formula):
-        return quantify_set(value, quantifier, resolved)
-    if isinstance(value, Circuit) and value.annotation not in (
-        Annotation.DECISION_DNNF,
-        Annotation.SDD,
-    ):
-        return quantify_set(value.to_formula(), quantifier, resolved)
+    names = _ROUTINES.get(value.annotation if isinstance(value, Circuit) else type(value))
+    if names is None:
+        formula = value if isinstance(value, Formula) else value.to_formula()
+        return quantify_set(formula, quantifier, resolved)
     lits = []
     for item in resolved:
         if isinstance(item, Variable):
@@ -146,20 +123,7 @@ def quantify(value, quantifier: str, items: Iterable):
             lits += [pos, ~pos]
         else:
             lits.append(item)
-    forall = quantifier == "forall"
-    if isinstance(value, Circuit):
-        if value.annotation == Annotation.SDD:
-            return sdd_forall(value, lits) if forall else sdd_exists(value, lits)
-        return ddnnf_forall(value, lits) if forall else ddnnf_exists(value, lits)
-    if isinstance(value, Cnf):
-        step = cnf_forall_literal if forall else cnf_exists_literal
-    elif isinstance(value, Dnf):
-        step = dnf_forall_literal if forall else dnf_exists_literal
-    else:
-        raise TypeError(f"cannot quantify {value!r}")
-    for lit in lits:
-        value = step(value, lit)
-    return value
+    return getattr(tractable, names[quantifier == "exists"])(value, lits)
 
 
 def erase(term: Term, variables: Iterable[Variable]) -> Term:

@@ -1,15 +1,16 @@
 """Efficient quantification on CNF, DNF, Decision-DNNF and SDD inputs.
 
-The flat-form routines come in dual pairs, as in the source paper, and each
-pair is one rule on literal codes.  Universal quantification of ``l`` on a
-CNF and existential quantification of ``l`` on a DNF drop one literal (``~l``
-and ``l``) from every element, in one linear pass.  Existential
-quantification of ``l`` on a CNF and universal quantification of ``l`` on a
-DNF delete every element holding one literal (``l`` and ``~l``), once the form
-is closed under resolution (CNF) or consensus (DNF) on its variable; the
-missing resolvents and consensus terms come from one generator.  Prime
-implicants and implicates are likewise one construction, seeded from models
-or counter-models.
+Every quantifier here takes a value and a collection of literals, ``(value,
+lits)``.  The flat-form routines come in dual pairs, as in the source paper,
+and each pair is one rule on literal codes.  Universal quantification on a
+CNF and existential quantification on a DNF drop the negated literals (CNF)
+or the literals (DNF) from every element, in one linear pass for the whole
+set.  Existential quantification on a CNF and universal quantification on a
+DNF delete, literal by literal, every element holding ``l`` (CNF) or ``~l``
+(DNF), once the form is closed under resolution or consensus on its
+variable; the missing resolvents and consensus terms come from one
+generator.  Prime implicants and implicates are likewise one construction,
+seeded from models or counter-models.
 
 The circuit routines are single traversals that replace literals by
 constants, after an equivalence-preserving reshaping pass for the universal
@@ -33,6 +34,7 @@ from .core import (
     CircuitBuilder,
     Clause,
     Formula,
+    Literal,
     Term,
     Universe,
     Variable,
@@ -202,60 +204,71 @@ class Dnf(_FlatForm):
 # -- flat-form quantification ---------------------------------------------------
 
 
-def _drop(form, code: int):
-    """Remove ``code`` from every element.  An empty element, there already
-    or left so, absorbs the form: ``false`` for a CNF, ``true`` for a DNF."""
+def _codes(universe: Universe, lits: Iterable) -> list[int]:
+    """The codes of ``lits``, in order.  A bare literal or string is refused
+    rather than read as one literal or as its characters."""
+    if isinstance(lits, (str, Literal)):
+        raise TypeError(f"expected a collection of literals, got {lits!r}")
+    return [universe.literal(lit).code for lit in lits]
+
+
+def _drop(form, codes: set[int]):
+    """Remove ``codes`` from every element, in one pass.  An empty element,
+    there already or left so, absorbs the form: ``false`` for a CNF, ``true``
+    for a DNF.  No codes leave the form as it is."""
     u = form.universe
     make = form._element_type
-    if () in form._key:
+    if codes and () in form._key:
         return type(form)(u, [make(u, ())])
     out = []
     for element in form.elements:
-        if code in element.codes:
-            element = make(u, tuple(c for c in element.codes if c != code))
+        if not codes.isdisjoint(element.codes):
+            element = make(u, tuple(c for c in element.codes if c not in codes))
             if not element.codes:
                 return type(form)(u, [element])
         out.append(element)
     return type(form)(u, out)
 
 
-def _remove(form, code: int, assume_closed: bool):
-    """Delete every element holding ``code``.  Sound only once the form is
-    closed on the code's variable: with ``assume_closed`` the closure is
-    verified (error on failure), otherwise it is computed first."""
-    var = form.universe.variables[code >> 1]
-    if assume_closed:
-        if not is_closed_under(form, var):
-            raise PreconditionError(
-                f"{form._name} is not closed under {form._rule} on {var.name}"
-            )
-    else:
-        form = close_under(form, var)
-    return type(form)(form.universe, [e for e in form.elements if code not in e.codes])
+def _remove(form, codes: list[int], assume_closed: bool):
+    """Delete every element holding each code, in the given order.  Sound only
+    once the form is closed on the code's variable: with ``assume_closed`` the
+    closure is verified (error on failure), otherwise it is computed first."""
+    for code in codes:
+        var = form.universe.variables[code >> 1]
+        if assume_closed:
+            if not is_closed_under(form, var):
+                raise PreconditionError(
+                    f"{form._name} is not closed under {form._rule} on {var.name}"
+                )
+        else:
+            form = close_under(form, var)
+        form = type(form)(form.universe, [e for e in form.elements if code not in e.codes])
+    return form
 
 
-def cnf_forall_literal(cnf: Cnf, lit) -> Cnf:
-    """Drop the negation of ``lit`` from every clause; an empty clause
-    collapses the result to ``false``.  Linear in literal count."""
-    return _drop(cnf, cnf.universe.literal(lit).code ^ 1)
+def cnf_forall_literal(cnf: Cnf, lits: Iterable) -> Cnf:
+    """Drop the negation of every literal in ``lits`` from every clause; an
+    empty clause collapses the result to ``false``.  Linear in literal count."""
+    return _drop(cnf, {code ^ 1 for code in _codes(cnf.universe, lits)})
 
 
-def cnf_exists_literal(cnf: Cnf, lit, assume_closed: bool = False) -> Cnf:
-    """Remove every clause containing ``lit``, on the closure under
-    resolution on its variable."""
-    return _remove(cnf, cnf.universe.literal(lit).code, assume_closed)
+def cnf_exists_literal(cnf: Cnf, lits: Iterable, assume_closed: bool = False) -> Cnf:
+    """Remove every clause containing a literal of ``lits``, on the closure
+    under resolution on its variable, one literal at a time."""
+    return _remove(cnf, _codes(cnf.universe, lits), assume_closed)
 
 
-def dnf_exists_literal(dnf: Dnf, lit) -> Dnf:
-    """Drop ``lit`` from every term; an empty term collapses the result to
-    ``true``.  Linear in literal count."""
-    return _drop(dnf, dnf.universe.literal(lit).code)
+def dnf_exists_literal(dnf: Dnf, lits: Iterable) -> Dnf:
+    """Drop every literal in ``lits`` from every term; an empty term collapses
+    the result to ``true``.  Linear in literal count."""
+    return _drop(dnf, set(_codes(dnf.universe, lits)))
 
 
-def dnf_forall_literal(dnf: Dnf, lit, assume_closed: bool = False) -> Dnf:
-    """Remove every term containing the negation of ``lit``, on the closure
-    under consensus on its variable."""
-    return _remove(dnf, dnf.universe.literal(lit).code ^ 1, assume_closed)
+def dnf_forall_literal(dnf: Dnf, lits: Iterable, assume_closed: bool = False) -> Dnf:
+    """Remove every term containing the negation of a literal of ``lits``, on
+    the closure under consensus on its variable, one literal at a time."""
+    return _remove(dnf, [code ^ 1 for code in _codes(dnf.universe, lits)], assume_closed)
 
 
 def _missing(form, var: Variable) -> Iterator[tuple[int, ...]]:
@@ -618,7 +631,7 @@ def _quantify_circuit(circuit: Circuit, lits: Iterable, annotation: str, forall:
     replaces each negation by ``false``."""
     decision = annotation == Annotation.DECISION_DNNF
     circuit = _require(circuit, annotation, verify_decision_dnnf if decision else verify_sdd)
-    codes = {circuit.universe.literal(lit).code for lit in lits}
+    codes = set(_codes(circuit.universe, lits))
     if not forall:
         return _substitute(circuit, dict.fromkeys(codes, True), Annotation.DNNF)
     shifted = ddnnf_shift(circuit) if decision else sdd_shift(circuit)

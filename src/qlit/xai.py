@@ -8,8 +8,9 @@ out of the deciding formula yields the complete reason, whose prime
 implicants are the sufficient reasons; quantifying the protected features
 characterizes biased decisions.
 
-When both the classifier and its negation are CNFs, every query here runs on
-the linear drop-literal rule; otherwise the definitional operators are used.
+Every quantifying query goes through :func:`qlit.quantify.quantify`, so a
+CNF side reaches the linear drop rule there, one pass for the whole literal
+set, and a formula side the definitional operators.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     UniverseMismatchError,
 )
 from . import oracle
-from .quantify import erase, quantify, quantify_set
+from .quantify import erase, quantify
 from .tractable import Cnf, prime_forms
 
 __all__ = [
@@ -138,10 +139,6 @@ class Classifier:
             stacklevel=3,
         )
 
-    @property
-    def is_cnf_pair(self) -> bool:
-        return isinstance(self.positive, Cnf) and isinstance(self.negative, Cnf)
-
     def side(self, side) -> Formula | Cnf:
         return self.positive if _side_of(side) is Decision.POSITIVE else self.negative
 
@@ -227,17 +224,7 @@ def complete_reason(classifier: Classifier, population: Term | str) -> Formula |
     deciding = classifier.side(decision)
     mentioned = {v.index for v in term.variables()}
     unmentioned = [v for v in classifier.features if v.index not in mentioned]
-    if isinstance(deciding, Cnf):
-        u = classifier.features
-        kept_codes = set(term.codes)
-        clauses = []
-        for clause in deciding.elements:
-            clauses.append(
-                u.clause([u.literal_by_code(c) for c in clause.codes if c in kept_codes])
-            )
-        return Cnf(u, clauses)
-    items: list = list(term.literals()) + unmentioned
-    return quantify_set(deciding, "forall", items)
+    return quantify(deciding, "forall", [*term.literals(), *unmentioned])
 
 
 @dataclass

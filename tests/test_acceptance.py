@@ -270,10 +270,10 @@ class TestCriterion8:
             cnf = big_random_cnf(u, rng, clauses=target // 3)
             lit = u.literal_by_code(1)
             best = min(
-                _timed(lambda: cnf_forall_literal(cnf, lit))
+                _timed(lambda: cnf_forall_literal(cnf, [lit]))
                 for _ in range(3 if target <= 100_000 else 1)
             )
-            out = cnf_forall_literal(cnf, lit)
+            out = cnf_forall_literal(cnf, [lit])
             check(
                 failures,
                 out.literal_count() <= cnf.literal_count(),

@@ -434,6 +434,15 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "error: line 2, column 1: duplicate variable name 'a'\n"
 
+    def test_undeclared_protected_name_is_2_on_its_line(self, tmp_path, capsys):
+        path = tmp_path / "stray.bundle"
+        path.write_text("var 1 a\nprotected zz\nsection delta\np cnf 1 1\n1 0\n")
+        code = main(["decide", "--classifier", str(path), "--term", "a"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 2, column 1: protected variable 'zz' is not declared\n"
+        )
+
     def test_missing_file_is_2(self, capsys):
         code = main(["brules", "--in", "/nonexistent/file.cnf"])
         assert code == 2

@@ -237,7 +237,7 @@ class TestFlatFormsAgainstReference:
             lit = random_item(u, rng, other)
             var = random_variable(u, rng, other)
 
-            got = outcome(cnf_forall_literal, cnf, lit)
+            got = outcome(cnf_forall_literal, cnf, [lit])
             want = outcome(ref_cnf_forall_literal, cnf, lit)
             if want[0] == "ok" and has_empty(cnf):
                 # the one intended change: an already-empty clause absorbs
@@ -247,7 +247,7 @@ class TestFlatFormsAgainstReference:
             else:
                 assert got == want, (str(cnf), lit)
 
-            got = outcome(dnf_exists_literal, dnf, lit)
+            got = outcome(dnf_exists_literal, dnf, [lit])
             want = outcome(ref_dnf_exists_literal, dnf, lit)
             assert got == want, (str(dnf), lit)
             if want[0] == "ok" and has_empty(dnf):
@@ -255,12 +255,12 @@ class TestFlatFormsAgainstReference:
                 absorbed["Dnf"] += 1
 
             for assume_closed in (False, True):
-                got = outcome(cnf_exists_literal, cnf, lit, assume_closed)
+                got = outcome(cnf_exists_literal, cnf, [lit], assume_closed)
                 assert got == outcome(
                     ref_cnf_exists_literal, cnf, lit, assume_closed
                 ), (str(cnf), lit, assume_closed)
                 refused += got[:2] == ("error", "PreconditionError")
-                got = outcome(dnf_forall_literal, dnf, lit, assume_closed)
+                got = outcome(dnf_forall_literal, dnf, [lit], assume_closed)
                 assert got == outcome(
                     ref_dnf_forall_literal, dnf, lit, assume_closed
                 ), (str(dnf), lit, assume_closed)

@@ -267,6 +267,22 @@ class TestBundle:
             parse_classifier_bundle("var 2 a\nvar 1 a\nsection delta\np cnf 2 0\n")
         assert caught.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("var 1 a\nprotected zz\n", 2, "protected variable 'zz' is not declared"),
+            ("var 1 a\nvar 3 b\n", 2, "contiguous"),
+            ("c x\nvar 2 a\n", 2, "contiguous"),
+            # the first var line in file order whose index lies outside 1..n
+            ("var 2 b\nvar 5 c\nvar 1 a\nvar 4 d\nsection delta\np cnf 4 0\n", 2, "contiguous"),
+            ("var 1 a\nprotected a\nvar 2 b\nprotected b zz\nsection delta\n", 4, "'zz'"),
+        ],
+    )
+    def test_whole_bundle_errors_name_their_line(self, text, line, message):
+        with pytest.raises(ParseError, match=message) as caught:
+            parse_classifier_bundle(text)
+        assert caught.value.line == line
+
     def test_round_trip(self):
         bundle = parse_classifier_bundle(ADMISSION_BUNDLE)
         text = emit_classifier_bundle(bundle)
@@ -760,3 +776,90 @@ class TestBundleFuzz:
         # both outcomes, and every exit code, are represented
         assert min(outcomes.values()) > 100, outcomes
         assert codes == {0, 1, 2}
+
+
+# the loan classifier as a partition circuit: decide d, then g/h/i blocks
+_LOAN_SDD = (
+    "c var 1 d\nc var 2 g\nc var 3 h\nc var 4 i\n"
+    "L 1 1\nL 2 -1\nL 3 2\nL 4 -2\nL 5 3\nL 6 -3\nL 7 4\nL 8 -4\n"
+    "F 9\nT 10\nD 11 2 7 10 8 9\nD 12 2 5 10 6 11\nD 13 2 3 11 4 9\nD 14 2 1 13 2 12\n"
+)
+
+
+def _generated(make, emit, seed):
+    """Four emitted texts of seeded random values over three variables."""
+    rng = random.Random(seed)
+    u = Universe(3)
+    return [emit(make(u, rng)) for _ in range(4)]
+
+
+# per format: the parser, the CLI's --repr, seed texts, mutation bytes and tokens
+_PARSER_FUZZ = {
+    "nnf": (
+        parse_nnf,
+        "ddnnf",
+        [LOAN_DECISION_NNF, *_generated(random_decision_dnnf, emit_nnf, 23)],
+        "0123456789- \t\nLAOncvdgx",
+        ["nnf", "L", "A", "O", "0", "1", "2", "3", "-1", "-3", "9", "c", "var", "d"],
+    ),
+    "sdd": (
+        parse_sdd,
+        "sdd",
+        [_LOAN_SDD, *_generated(random_sdd, emit_sdd, 29)],
+        "0123456789- \t\nTFLDcvdgx",
+        ["T", "F", "L", "D", "0", "1", "2", "-1", "-2", "5", "9", "c", "var", "d"],
+    ),
+    "formula": (
+        parse_formula,
+        "formula",
+        [
+            "(h | i) & (~d | g) & (~d | i)\n",
+            "x => (y <=> ~z)",
+            "true | false",
+            *_generated(random_formula, str, 31),
+        ],
+        "dghixyz~&|=<>() \t\n",
+        ["d", "x1", "~", "&", "|", "=>", "<=>", "(", ")", "true", "false", "c"],
+    ),
+}
+
+
+class TestParserFuzz:
+    """Seeded mutations of ``.nnf``, SDD and formula texts: each text parses
+    or fails with a ``ParseError`` carrying a line, or a ``StructureError``;
+    ``qlit quantify`` on it exits 0, 1 or 2, never 3."""
+
+    @pytest.mark.parametrize("fmt", sorted(_PARSER_FUZZ))
+    def test_mutated_texts_parse_or_fail_with_a_line(self, fmt, tmp_path, capsys):
+        from qlit.cli import main
+        from qlit.errors import StructureError
+
+        parse, repr_, corpus, alphabet, tokens = _PARSER_FUZZ[fmt]
+        rng = random.Random(7919)
+        path = tmp_path / "fuzz.in"
+        outcomes = {"parsed": 0, "refused": 0}
+        for _ in range(1000):
+            text = rng.choice(corpus)
+            for _ in range(rng.randint(1, 2)):
+                text = _mutate(text, rng, alphabet, tokens)
+            try:
+                value = parse(text)
+            except ParseError as error:
+                assert error.line >= 1, repr(text)
+                outcomes["refused"] += 1
+                items = "d"
+            except StructureError:
+                outcomes["refused"] += 1
+                items = "d"
+            else:
+                outcomes["parsed"] += 1
+                names = [v.name for v in value.universe] or ["d"]
+                picked = rng.sample(names, rng.randint(1, len(names)))
+                items = ",".join(rng.choice([n, "~" + n, n[:1].upper() + n[1:]]) for n in picked)
+            path.write_text(text)
+            op = rng.choice(["forall", "exists"])
+            code = main(["quantify", "--op", op, "--items", items, "--in", str(path), "--repr", repr_])
+            assert code in (0, 1, 2), (repr(text), items, capsys.readouterr().err)
+            capsys.readouterr()
+        # both outcomes are represented
+        assert min(outcomes.values()) > 10, outcomes

@@ -60,28 +60,28 @@ class TestCnfForall:
         u = loan_cnf.universe
         out = loan_cnf
         for name in ("d", "h"):
-            out = cnf_forall_literal(out, u.pos(name))
-            out = cnf_forall_literal(out, u.neg(name))
+            out = cnf_forall_literal(out, [u.pos(name)])
+            out = cnf_forall_literal(out, [u.neg(name)])
         assert oracle.equivalent(out.to_formula(), u.lit("g") & u.lit("i"))
 
     def test_loan_forall_d_g_variables_is_false(self, loan_cnf):
         u = loan_cnf.universe
         out = loan_cnf
         for name in ("d", "g"):
-            out = cnf_forall_literal(out, u.pos(name))
-            out = cnf_forall_literal(out, u.neg(name))
+            out = cnf_forall_literal(out, [u.pos(name)])
+            out = cnf_forall_literal(out, [u.neg(name)])
         assert out.is_false()
 
     def test_loan_negation_forall_neg_d_neg_h(self, loan_neg_cnf):
         u = loan_neg_cnf.universe
-        out = cnf_forall_literal(loan_neg_cnf, u.neg("d"))
-        out = cnf_forall_literal(out, u.neg("h"))
+        out = cnf_forall_literal(loan_neg_cnf, [u.neg("d")])
+        out = cnf_forall_literal(out, [u.neg("h")])
         assert oracle.equivalent(out.to_formula(), ~u.lit("h") & ~u.lit("i"))
 
     def test_collapses_to_single_empty_clause(self):
         u = Universe(["x"])
         cnf = Cnf(u, [u.clause("~x"), u.clause("x")])
-        out = cnf_forall_literal(cnf, u.pos("x"))
+        out = cnf_forall_literal(cnf, [u.pos("x")])
         assert out.is_false()
         assert len(out) == 1
 
@@ -90,7 +90,7 @@ class TestCnfExists:
     def test_prime_implicate_cnf_drops_clauses_with_literal(self):
         u = Universe(["x", "y"])
         cnf = Cnf(u, [u.clause("~x,y"), u.clause("x,~y")])
-        out = cnf_exists_literal(cnf, u.pos("x"), assume_closed=True)
+        out = cnf_exists_literal(cnf, [u.pos("x")], assume_closed=True)
         assert {str(c) for c in out} == {"~x | y"}
 
     def test_independent_literal_is_identity(self, loan_cnf):
@@ -99,14 +99,14 @@ class TestCnfExists:
         lifted = parse_dimacs(
             "p cnf 5 3\n3 4 0\n-1 2 0\n-1 4 0\n", fresh
         )
-        assert cnf_exists_literal(lifted, fresh.pos("extra")) == lifted
+        assert cnf_exists_literal(lifted, [fresh.pos("extra")]) == lifted
         del u
 
     def test_assume_closed_rejects_open_cnf(self):
         u = Universe(["x", "y", "z"])
         cnf = Cnf(u, [u.clause("x,y"), u.clause("~x,z")])
         with pytest.raises(PreconditionError):
-            cnf_exists_literal(cnf, u.pos("x"), assume_closed=True)
+            cnf_exists_literal(cnf, [u.pos("x")], assume_closed=True)
 
     def test_matches_definitional_operator(self):
         u = Universe(6)
@@ -114,7 +114,7 @@ class TestCnfExists:
         for _ in range(150):
             cnf = random_cnf(u, rng)
             lit = u.literal_by_code(rng.randrange(12))
-            out = cnf_exists_literal(cnf, lit)
+            out = cnf_exists_literal(cnf, [lit])
             assert oracle.equivalent(out.to_formula(), exists_literal(cnf.to_formula(), lit))
 
 
@@ -147,19 +147,19 @@ class TestDnf:
     def test_exists_drops_the_literal(self):
         u = Universe(["x", "y"])
         dnf = Dnf(u, [u.term("x,y"), u.term("~x,~y")])
-        out = dnf_exists_literal(dnf, u.pos("x"))
+        out = dnf_exists_literal(dnf, [u.pos("x")])
         assert oracle.equivalent(out.to_formula(), parse_formula("~x | y", u))
 
     def test_forall_on_prime_implicants(self):
         u = Universe(["x", "y"])
         dnf = Dnf(u, [u.term("x,y"), u.term("~x,~y")])
-        out = dnf_forall_literal(dnf, u.pos("x"), assume_closed=True)
+        out = dnf_forall_literal(dnf, [u.pos("x")], assume_closed=True)
         assert {str(t) for t in out.sorted_elements()} == {"x,y"}
 
     def test_forall_empties_when_every_term_blocked(self):
         u = Universe(["x", "y"])
         dnf = Dnf(u, [u.term("~x,y"), u.term("~x,~y")])
-        out = dnf_forall_literal(dnf, u.pos("x"))
+        out = dnf_forall_literal(dnf, [u.pos("x")])
         assert out.is_false()
 
     def test_matches_definitional_operators(self):
@@ -168,9 +168,9 @@ class TestDnf:
         for _ in range(150):
             dnf = random_dnf(u, rng)
             lit = u.literal_by_code(rng.randrange(12))
-            fast = dnf_exists_literal(dnf, lit)
+            fast = dnf_exists_literal(dnf, [lit])
             assert oracle.equivalent(fast.to_formula(), exists_literal(dnf.to_formula(), lit))
-            fast = dnf_forall_literal(dnf, lit)
+            fast = dnf_forall_literal(dnf, [lit])
             assert oracle.equivalent(fast.to_formula(), forall_literal(dnf.to_formula(), lit))
 
 
