@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import SUITE_NAMES
 from .core import Circuit, Formula

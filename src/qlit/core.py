@@ -8,7 +8,9 @@ the universe changes.
 
 Literals are encoded internally as dense integer codes ``2*index + polarity``
 so that the canonical order (variable index ascending, negative before
-positive) is plain integer order.
+positive) is plain integer order.  A term or clause is a sorted tuple of
+codes; CNFs and DNFs store only such tuples and make :class:`Clause` and
+:class:`Term` objects when their elements are read.
 
 Formulas and circuits are both DAGs, and every pass over them is written
 once, on one walk.  :func:`walk` lists the nodes under a root children first
@@ -33,10 +35,11 @@ children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from functools import reduce
 from itertools import chain, compress, count
-from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from operator import and_, attrgetter, or_
 
 from .errors import (
     ArityError,
@@ -62,23 +65,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+def _refuse_assignment(self, name: str, value=None) -> None:
+    """Variables and literals are immutable: the constructor sets each field once."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class Variable:
     """A Boolean variable: a dense index plus a display name."""
 
-    index: int
-    name: str
+    __slots__ = ("index", "name")
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __init__(self, index: int, name: str):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Variable:
+            return self.index == other.index and self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.name))
+
+    def __reduce__(self) -> tuple:
+        return Variable, (self.index, self.name)
 
     def __repr__(self) -> str:
         return f"Variable({self.index}, {self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Literal:
     """A variable together with a polarity."""
 
-    variable: Variable
-    positive: bool
+    __slots__ = ("variable", "positive")
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __init__(self, variable: Variable, positive: bool):
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "positive", positive)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Literal:
+            return self.variable == other.variable and self.positive == other.positive
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.variable, self.positive))
+
+    def __reduce__(self) -> tuple:
+        return Literal, (self.variable, self.positive)
 
     @property
     def code(self) -> int:
@@ -97,8 +133,8 @@ class Literal:
         return self.code < other.code
 
 
-LiteralLike = Union[Literal, str]
-ItemLike = Union[Literal, Variable, str]
+LiteralLike = Literal | str
+ItemLike = Literal | Variable | str
 
 
 class _Folding:
@@ -204,8 +240,10 @@ class Universe(_Folding):
         return False
 
     def check(self, item: Variable | Literal) -> None:
-        if item not in self:
-            raise UniverseMismatchError(f"{item} does not belong to {self}")
+        """Refuse anything but a variable or literal of this universe (names
+        are resolved by :meth:`variable` and :meth:`item`, not here)."""
+        if not isinstance(item, (Variable, Literal)) or item not in self:
+            raise UniverseMismatchError(f"expected a variable or literal of {self}, got {item!r}")
 
     # -- literal construction ---------------------------------------------
 
@@ -331,21 +369,11 @@ class Universe(_Folding):
 
     def all_conj(self, parts: Iterable["Formula"]) -> "Formula":
         parts = tuple(parts)
-        if not parts:
-            return self.true
-        out = parts[0]
-        for part in parts[1:]:
-            out = out & part
-        return out
+        return reduce(and_, parts) if parts else self.true
 
     def all_disj(self, parts: Iterable["Formula"]) -> "Formula":
         parts = tuple(parts)
-        if not parts:
-            return self.false
-        out = parts[0]
-        for part in parts[1:]:
-            out = out | part
-        return out
+        return reduce(or_, parts) if parts else self.false
 
 
 def _by_code(negative: list, positive: list) -> tuple:
@@ -391,6 +419,8 @@ class World:
         return self.value(lit.variable) == lit.positive
 
     def flip(self, lit: LiteralLike) -> "World":
+        """Replace the literal of ``lit``'s variable by ``lit``; the world is
+        returned unchanged when the literal already holds."""
         lit = self.universe.literal(lit)
         if lit in self:
             return self
@@ -421,7 +451,8 @@ class World:
 
 class _LiteralSet:
     """Shared behaviour of terms and clauses (sets of literals over distinct
-    variables, kept in canonical code order)."""
+    variables, kept in canonical code order).  CNFs and DNFs make them on
+    access through :meth:`_view`, which skips the constructor's check."""
 
     __slots__ = ("universe", "codes")
 
@@ -431,6 +462,14 @@ class _LiteralSet:
         vars_seen = {c >> 1 for c in codes}
         if len(vars_seen) != len(codes):
             raise InvalidLiteralSetError("two literals over one variable")
+
+    @classmethod
+    def _view(cls, universe: Universe, codes: tuple[int, ...]):
+        """The element of ``codes``, known to be over distinct variables."""
+        element = object.__new__(cls)
+        element.universe = universe
+        element.codes = codes
+        return element
 
     def literals(self) -> tuple[Literal, ...]:
         return tuple(self.universe.literal_by_code(c) for c in self.codes)
@@ -460,9 +499,22 @@ class _LiteralSet:
     def __lt__(self, other: "_LiteralSet") -> bool:
         return self.codes < other.codes
 
+    def to_formula(self) -> "Formula":
+        """The conjunction (term) or disjunction (clause) of the literals."""
+        u = self.universe
+        return self._join(u, map(u.lit, self.codes))
+
+    def __str__(self) -> str:
+        return self._sep.join(map(self.universe._texts.__getitem__, self.codes)) or self._empty
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
 
 class Term(_LiteralSet):
     """A consistent set of literals; the empty term is ``true``."""
+
+    _join, _sep, _empty = staticmethod(Universe.all_conj), ",", "true"
 
     def is_total(self) -> bool:
         return len(self.codes) == len(self.universe)
@@ -490,33 +542,11 @@ class Term(_LiteralSet):
     def add(self, lit: Literal) -> "Term":
         return Term(self.universe, tuple(sorted(set(self.codes) | {lit.code})))
 
-    def to_formula(self) -> "Formula":
-        u = self.universe
-        return u.all_conj(u.lit(lit) for lit in self.literals())
-
-    def __str__(self) -> str:
-        if not self.codes:
-            return "true"
-        return ",".join(map(self.universe._texts.__getitem__, self.codes))
-
-    def __repr__(self) -> str:
-        return f"Term({self})"
-
 
 class Clause(_LiteralSet):
     """A non-valid set of literals; the empty clause is ``false``."""
 
-    def to_formula(self) -> "Formula":
-        u = self.universe
-        return u.all_disj(u.lit(lit) for lit in self.literals())
-
-    def __str__(self) -> str:
-        if not self.codes:
-            return "false"
-        return " | ".join(map(self.universe._texts.__getitem__, self.codes))
-
-    def __repr__(self) -> str:
-        return f"Clause({self})"
+    _join, _sep, _empty = staticmethod(Universe.all_disj), " | ", "false"
 
 
 class Formula:
@@ -778,12 +808,7 @@ def rebuild(value, builder: _Folding, replace: Mapping[int, bool] | None = None,
 # -- core operations ---------------------------------------------------------
 
 
-def flip(world: World, lit: LiteralLike) -> World:
-    """Replace the literal of ``lit``'s variable in ``world`` by ``lit``.
-
-    The world is returned unchanged when the literal already holds.
-    """
-    return world.flip(lit)
+flip = World.flip  # ``flip(world, lit)``
 
 
 def condition(formula: Formula, lit: LiteralLike) -> Formula:
@@ -939,12 +964,12 @@ class Circuit:
         )
 
 
-class Node(NamedTuple):
-    """One node of :attr:`Circuit.nodes`, read from the lists."""
+class Node(namedtuple("Node", "kind arg decision")):
+    """One node of :attr:`Circuit.nodes`, read from the lists: the kind, the
+    argument (literal code, tuple of child ids or ``None``) and the declared
+    decision variable (-1 if none)."""
 
-    kind: str
-    arg: int | tuple[int, ...] | None
-    decision: int
+    __slots__ = ()
 
     @property
     def children(self) -> tuple[int, ...]:

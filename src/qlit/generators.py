@@ -82,24 +82,22 @@ def random_consistent_formula(
         return formula
 
 
+def _random_codes(universe: Universe, rng: random.Random, width: int) -> tuple[int, ...]:
+    """The sorted codes of ``width`` literals over distinct random variables."""
+    chosen = rng.sample(range(len(universe)), width)
+    return tuple(sorted(2 * v + rng.randrange(2) for v in chosen))
+
+
 def random_term(universe: Universe, rng: random.Random, width: int | None = None) -> Term:
-    n = len(universe)
     if width is None:
-        width = rng.randint(0, n)
-    chosen = rng.sample(range(n), width)
-    return Term(
-        universe, tuple(sorted(2 * v + rng.randrange(2) for v in chosen))
-    )
+        width = rng.randint(0, len(universe))
+    return Term(universe, _random_codes(universe, rng, width))
 
 
 def random_clause(universe: Universe, rng: random.Random, width: int | None = None) -> Clause:
-    n = len(universe)
     if width is None:
-        width = rng.randint(1, max(1, min(3, n)))
-    chosen = rng.sample(range(n), width)
-    return Clause(
-        universe, tuple(sorted(2 * v + rng.randrange(2) for v in chosen))
-    )
+        width = rng.randint(1, max(1, min(3, len(universe))))
+    return Clause(universe, _random_codes(universe, rng, width))
 
 
 def random_cnf(
@@ -219,15 +217,9 @@ def parity_decision_dnnf(universe: Universe) -> Circuit:
 
 
 def big_random_cnf(universe: Universe, rng: random.Random, clauses: int, width: int = 3) -> Cnf:
-    """A large random CNF built without per-literal parsing, for the ladders."""
-    n = len(universe)
-    out = []
-    for _ in range(clauses):
-        chosen = rng.sample(range(n), min(width, n))
-        out.append(
-            Clause(universe, tuple(sorted(2 * v + rng.randrange(2) for v in chosen)))
-        )
-    return Cnf(universe, out)
+    """A large random CNF built straight from code tuples, for the ladders."""
+    width = min(width, len(universe))
+    return Cnf._of(universe, [_random_codes(universe, rng, width) for _ in range(clauses)])
 
 
 # -- partition circuits --------------------------------------------------------------

@@ -40,15 +40,15 @@ partial results escape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .core import (
     Annotation,
     Circuit,
     CircuitBuilder,
-    Clause,
     Formula,
     Universe,
     dimacs_codes,
@@ -206,7 +206,7 @@ def parse_dimacs(
         raise ParseError(
             f"header declares {nclauses} clauses, found {len(clauses)}", last_line
         )
-    return Cnf(universe, [Clause(universe, clause) for clause in clauses])
+    return Cnf._of(universe, clauses)
 
 
 def _codes_before_error(
@@ -238,12 +238,15 @@ def _tautology(items: list[int], number: int) -> ParseError:
 
 
 def emit_dimacs(cnf: Cnf) -> str:
-    dimacs = cnf.universe._dimacs.__getitem__
-    lines = [f"p cnf {len(cnf.universe)} {len(cnf.elements)}"]
-    lines.extend(
-        " ".join([*map(dimacs, clause.codes), "0"]) for clause in cnf.sorted_elements()
-    )
-    return "\n".join(lines) + "\n"
+    """The DIMACS text, one line per clause in canonical order: one join over
+    the codes of the sorted clauses, each followed by an end mark that reads
+    ``0`` and a line break."""
+    u = cnf.universe
+    words = [number + " " for number in u._dimacs]
+    words.append("0\n")
+    end = (len(words) - 1,)
+    codes = chain.from_iterable(chain.from_iterable(zip(sorted(cnf.codes), repeat(end))))
+    return f"p cnf {len(u)} {len(cnf.codes)}\n" + "".join(map(words.__getitem__, codes))
 
 
 # -- compiled NNF circuits -----------------------------------------------------------
@@ -510,12 +513,7 @@ def emit_sdd(circuit: Circuit) -> str:
 # -- formula mini-language ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | punct | end
-    text: str
-    line: int
-    column: int
+_Token = namedtuple("_Token", "kind text line column")  # kind: ident, punct or end
 
 
 _PUNCT = ("<=>", "=>", "~", "&", "|", "(", ")")
@@ -669,12 +667,9 @@ def emit_formula(formula: Formula) -> str:
 # -- classifier bundles ---------------------------------------------------------------------
 
 
-@dataclass
-class ClassifierBundle:
-    universe: Universe
-    protected: tuple[str, ...]
-    positive: Cnf
-    negative: Cnf | None
+# a parsed bundle: its universe, the tuple of protected names, and the CNFs
+# of the positive and (or ``None``) the negative side
+ClassifierBundle = namedtuple("ClassifierBundle", "universe protected positive negative")
 
 
 def parse_classifier_bundle(text: str) -> ClassifierBundle:

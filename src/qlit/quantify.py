@@ -13,7 +13,7 @@ formulas, plain NNF and DNNF circuits take the definitional route.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import tractable
 from .core import Annotation, Circuit, Formula, Literal, Term, Variable, condition

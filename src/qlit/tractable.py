@@ -1,8 +1,11 @@
 """Efficient quantification on CNF, DNF, Decision-DNNF and SDD inputs.
 
 Every quantifier here takes a value and a collection of literals, ``(value,
-lits)``.  The flat-form routines come in dual pairs, as in the source paper,
-and each pair is one rule on literal codes.  Universal quantification on a
+lits)``.  A CNF or DNF is stored as one tuple of sorted literal-code tuples,
+and the flat-form routines read and write those tuples; :class:`Clause` and
+:class:`Term` objects are made only when a caller reads ``elements``.  The
+flat-form routines come in dual pairs, as in the source paper, and each pair
+is one rule on literal codes.  Universal quantification on a
 CNF and existential quantification on a DNF drop the negated literals (CNF)
 or the literals (DNF) from every element, in one linear pass for the whole
 set.  Existential quantification on a CNF and universal quantification on a
@@ -24,9 +27,8 @@ fails.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import combinations
-from operator import attrgetter
-from typing import Iterable, Iterator
 
 from .core import (
     Annotation,
@@ -73,42 +75,63 @@ PRIME_FORM_CAP = 16  # desk scale: prime enumeration is exponential past this
 
 
 class _FlatForm:
-    """Shared behaviour of CNFs and DNFs: deduplicated element sets kept in
-    construction order, displayed and iterated in canonical order."""
+    """Shared behaviour of CNFs and DNFs.
 
-    __slots__ = ("universe", "elements", "_key", "_sorted")
+    A form stores ``codes``, one tuple of sorted literal codes per element,
+    deduplicated and in construction order; nothing else is kept and nothing
+    is filled in later.  The constructor checks each element: a clause or
+    term, or a literal collection as for :meth:`Universe.clause`.
+    ``elements`` (``clauses``, ``terms``) makes a :class:`Clause` or
+    :class:`Term` per element on each access, and display and iteration sort
+    the tuples on each call."""
+
+    __slots__ = ("universe", "codes")
     _element_type: type
+    _what: str
 
     def __init__(self, universe: Universe, elements: Iterable = ()):
-        self.universe = universe
-        kept = []
-        seen = set()
+        codes = []
         for element in elements:
-            if not isinstance(element, self._element_type):
-                element = self._make_element(universe, element)
-            if element.universe is not universe:
-                raise InvalidLiteralSetError("element from a different universe")
-            if element.codes not in seen:
-                seen.add(element.codes)
-                kept.append(element)
-        self.elements: tuple = tuple(kept)
-        self._key = frozenset(seen)
-        self._sorted: tuple | None = None
+            if isinstance(element, self._element_type):
+                if element.universe is not universe:
+                    raise InvalidLiteralSetError("element from a different universe")
+                codes.append(element.codes)
+            else:
+                codes.append(universe._codes(element, self._what))
+        self.universe = universe
+        self.codes: tuple[tuple[int, ...], ...] = tuple(dict.fromkeys(codes))
 
     @classmethod
-    def _make_element(cls, universe: Universe, spec):
-        raise NotImplementedError
+    def _of(cls, universe: Universe, codes: Iterable[tuple[int, ...]]):
+        """The form of code tuples known to be valid elements, deduplicated."""
+        form = object.__new__(cls)
+        form.universe = universe
+        form.codes = tuple(dict.fromkeys(codes))
+        return form
+
+    @property
+    def elements(self) -> tuple:
+        view, u = self._element_type._view, self.universe
+        return tuple([view(u, codes) for codes in self.codes])
 
     def sorted_elements(self) -> tuple:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements, key=attrgetter("codes")))
-        return self._sorted
+        return tuple(sorted(self.elements))
+
+    @property
+    def _key(self) -> frozenset:
+        return frozenset(self.codes)
+
+    def to_formula(self) -> Formula:
+        """The conjunction (CNF) or disjunction (DNF) of the elements'
+        formulas, in canonical order."""
+        u, join = self.universe, self._element_type._join
+        return self._join(u, [join(u, map(u.lit, codes)) for codes in sorted(self.codes)])
 
     def literal_count(self) -> int:
-        return sum(len(e) for e in self.elements)
+        return sum(map(len, self.codes))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator:
         return iter(self.sorted_elements())
@@ -123,82 +146,54 @@ class _FlatForm:
     def __hash__(self) -> int:
         return hash((type(self).__name__, id(self.universe), self._key))
 
+    def __str__(self) -> str:
+        """The elements in canonical order; a CNF parenthesizes its clauses
+        of two literals or more."""
+        text, inner, wrap = self.universe._texts.__getitem__, self._inner, self._wrap
+        return self._outer.join([
+            wrap % inner.join(map(text, codes)) if len(codes) > 1
+            else text(codes[0]) if codes else self._element_type._empty
+            for codes in sorted(self.codes)
+        ]) or self._empty
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
 
 class Cnf(_FlatForm):
     """A conjunction of non-valid clauses.  Empty means ``true``; containing
     the empty clause means ``false``."""
 
-    _element_type = Clause
+    __slots__ = ()
+    _element_type, _what, _join = Clause, "clause", staticmethod(Universe.all_conj)
     _name, _rule = "CNF", "resolution"
+    _outer, _inner, _wrap, _empty = " & ", " | ", "(%s)", "true"
 
-    @classmethod
-    def _make_element(cls, universe: Universe, spec) -> Clause:
-        return universe.clause(spec)
-
-    @property
-    def clauses(self) -> tuple[Clause, ...]:
-        return self.elements
+    clauses = _FlatForm.elements
 
     def is_true(self) -> bool:
-        return not self.elements
+        return not self.codes
 
     def is_false(self) -> bool:
-        return any(not c.codes for c in self.elements)
-
-    def to_formula(self) -> Formula:
-        u = self.universe
-        return u.all_conj(c.to_formula() for c in self.sorted_elements())
-
-    def __str__(self) -> str:
-        if self.is_true():
-            return "true"
-        text = self.universe._texts.__getitem__
-        parts = []
-        for clause in self.sorted_elements():
-            part = " | ".join(map(text, clause.codes)) or "false"
-            parts.append(f"({part})" if len(clause.codes) > 1 else part)
-        return " & ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Cnf({self})"
+        return () in self.codes
 
 
 class Dnf(_FlatForm):
     """A disjunction of consistent terms.  Empty means ``false``; containing
     the empty term means ``true``."""
 
-    _element_type = Term
+    __slots__ = ()
+    _element_type, _what, _join = Term, "term", staticmethod(Universe.all_disj)
     _name, _rule = "DNF", "consensus"
+    _outer, _inner, _wrap, _empty = " | ", " & ", "%s", "false"
 
-    @classmethod
-    def _make_element(cls, universe: Universe, spec) -> Term:
-        return universe.term(spec)
-
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        return self.elements
+    terms = _FlatForm.elements
 
     def is_false(self) -> bool:
-        return not self.elements
+        return not self.codes
 
     def is_true(self) -> bool:
-        return any(not t.codes for t in self.elements)
-
-    def to_formula(self) -> Formula:
-        u = self.universe
-        return u.all_disj(t.to_formula() for t in self.sorted_elements())
-
-    def __str__(self) -> str:
-        if self.is_false():
-            return "false"
-        text = self.universe._texts.__getitem__
-        return " | ".join(
-            " & ".join(map(text, t.codes)) if t.codes else "true"
-            for t in self.sorted_elements()
-        )
-
-    def __repr__(self) -> str:
-        return f"Dnf({self})"
+        return () in self.codes
 
 
 # -- flat-form quantification ---------------------------------------------------
@@ -216,18 +211,16 @@ def _drop(form, codes: set[int]):
     """Remove ``codes`` from every element, in one pass.  An empty element,
     there already or left so, absorbs the form: ``false`` for a CNF, ``true``
     for a DNF.  No codes leave the form as it is."""
-    u = form.universe
-    make = form._element_type
-    if codes and () in form._key:
-        return type(form)(u, [make(u, ())])
+    if not codes:
+        return form
     out = []
-    for element in form.elements:
-        if not codes.isdisjoint(element.codes):
-            element = make(u, tuple(c for c in element.codes if c not in codes))
-            if not element.codes:
-                return type(form)(u, [element])
+    for element in form.codes:
+        if not codes.isdisjoint(element):
+            element = tuple([c for c in element if c not in codes])
+        if not element:
+            return form._of(form.universe, [()])
         out.append(element)
-    return type(form)(u, out)
+    return form._of(form.universe, out)
 
 
 def _remove(form, codes: list[int], assume_closed: bool):
@@ -243,7 +236,7 @@ def _remove(form, codes: list[int], assume_closed: bool):
                 )
         else:
             form = close_under(form, var)
-        form = type(form)(form.universe, [e for e in form.elements if code not in e.codes])
+        form = form._of(form.universe, [e for e in form.codes if code not in e])
     return form
 
 
@@ -278,9 +271,9 @@ def _missing(form, var: Variable) -> Iterator[tuple[int, ...]]:
     clashes on some other variable."""
     form.universe.check(var)
     pos = 2 * var.index + 1
-    seen = set(form._key)
-    with_pos = [e.codes for e in form.elements if pos in e.codes]
-    with_neg = [e.codes for e in form.elements if pos ^ 1 in e.codes]
+    seen = set(form.codes)
+    with_pos = [e for e in form.codes if pos in e]
+    with_neg = [e for e in form.codes if pos ^ 1 in e]
     for a in with_pos:
         for b in with_neg:
             merged = set(a) | set(b)
@@ -302,9 +295,7 @@ def close_under(form: Cnf | Dnf, var: Variable) -> Cnf | Dnf:
     Results never mention ``var``, so one pass reaches the fixpoint.  Models
     are unchanged.
     """
-    u = form.universe
-    make = form._element_type
-    return type(form)(u, [*form.elements, *(make(u, c) for c in _missing(form, var))])
+    return form._of(form.universe, [*form.codes, *_missing(form, var)])
 
 
 def is_closed_under(form: Cnf | Dnf, var: Variable) -> bool:
@@ -385,7 +376,7 @@ def prime_forms(value, mode: str) -> Dnf | Cnf:
         raise ValueError(f"unknown mode {mode!r}")
     form = Dnf if mode == "implicants" else Cnf
     if isinstance(value, form):
-        seeds = {e.codes for e in value.elements}
+        seeds = set(value.codes)
     else:
         flip = form is Cnf
         mask = oracle.models_mask(value)
@@ -395,8 +386,7 @@ def prime_forms(value, mode: str) -> Dnf | Cnf:
             tuple(2 * i + ((bits >> i & 1) ^ flip) for i in range(len(u)))
             for bits in oracle._iter_bits(mask)
         }
-    make = form._element_type
-    return form(u, [make(u, codes) for codes in _closure_primes(seeds)])
+    return form._of(u, _closure_primes(seeds))
 
 
 # -- circuit structure verification -----------------------------------------------

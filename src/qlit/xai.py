@@ -168,7 +168,7 @@ def _term_entails(term: Term, value) -> bool:
     """Every completion of ``term`` satisfies ``value``."""
     if isinstance(value, Cnf):
         codes = set(term.codes)
-        return all(any(c in codes for c in clause.codes) for clause in value.elements)
+        return not any(codes.isdisjoint(clause) for clause in value.codes)
     return oracle.entails(term, _as_formula(value))
 
 
@@ -288,17 +288,14 @@ def sufficient_reasons(
     reason = complete_reason(classifier, term)
     u = classifier.features
     if isinstance(reason, Cnf):
-        hitting = _minimal_hitting_sets(
-            [frozenset(c.codes) for c in reason.elements], cap
-        )
-        terms = tuple(Term(u, codes) for codes in hitting)
+        hitting = _minimal_hitting_sets([frozenset(c) for c in reason.codes], cap)
     else:
-        implicants = prime_forms(reason, "implicants")
-        if len(implicants.terms) > cap:
+        hitting = sorted(prime_forms(reason, "implicants").codes)
+        if len(hitting) > cap:
             raise CapacityError(
                 f"more than {cap} sufficient reasons; raise the cap to enumerate"
             )
-        terms = tuple(sorted(implicants.terms, key=lambda t: t.codes))
+    terms = tuple(Term._view(u, codes) for codes in hitting)
     return ReasonSet(complete=reason, sufficient=terms, decision=decision)
 
 

@@ -362,7 +362,7 @@ class TestImports:
         script = (
             "import sys, qlit.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('qlit')))\n"
-            "print([m for m in ('json', 'shlex') if m in sys.modules])\n"
+            "print([m for m in ('json', 'shlex', 'dataclasses', 'inspect') if m in sys.modules])\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script],

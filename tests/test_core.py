@@ -1,6 +1,8 @@
 """Core value types: worlds, terms, clauses, formulas, conditioning,
 evaluation and negation."""
 
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -10,7 +12,9 @@ import pytest
 from qlit import oracle
 from qlit.core import (
     CircuitBuilder,
+    Literal,
     Universe,
+    Variable,
     World,
     condition,
     evaluate,
@@ -22,6 +26,7 @@ from qlit.errors import ArityError, InvalidLiteralSetError, UniverseMismatchErro
 from qlit.generators import random_formula
 from qlit.io import parse_formula
 from qlit.quantify import exists_literal, forall_literal
+from qlit.tractable import Cnf, Dnf
 
 from conftest import tt_models
 
@@ -149,6 +154,73 @@ class TestLiteralSets:
     def test_canonical_order(self, xyz):
         term = xyz.term("z,~x,y")
         assert str(term) == "~x,y,z"
+
+
+class TestRecords:
+    """``Variable`` and ``Literal`` are immutable records compared by field."""
+
+    def test_assignment_and_deletion_are_refused(self, xyz):
+        var, lit = xyz.variable("x"), xyz.literal("~y")
+        for record, field in ((var, "index"), (var, "name"), (lit, "positive"), (lit, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        assert (var.index, var.name, lit.positive) == (0, "x", False)
+
+    def test_equal_fields_compare_and_hash_alike(self, xyz):
+        var = xyz.variable("y")
+        twin = Variable(1, "y")
+        assert twin == var and twin is not var and hash(twin) == hash((1, "y"))
+        assert Variable(1, "z") != var and Variable(2, "y") != var and var != (1, "y")
+        lit = Literal(twin, True)
+        assert lit == xyz.literal("y") and hash(lit) == hash((var, True))
+        assert {lit: 1}[xyz.literal("y")] == 1
+        assert ~lit == xyz.literal("~y") and ~lit != lit
+        assert sorted([xyz.literal("z"), lit, ~lit]) == [~lit, lit, xyz.literal("z")]
+        assert repr(var) == "Variable(1, 'y')" and repr(~lit) == "Literal(~y)"
+
+    def test_records_survive_copy_and_pickle(self, xyz):
+        lit = xyz.literal("~z")
+        assert pickle.loads(pickle.dumps(lit)) == lit
+        assert copy.deepcopy(lit) == lit and copy.copy(lit.variable) == lit.variable
+
+
+class TestFlatFormViews:
+    """A CNF or DNF stores code tuples; ``Clause`` and ``Term`` objects are
+    made on each access and never kept."""
+
+    def test_each_access_makes_equal_new_elements(self, xyz):
+        cnf = Cnf(xyz, [["x", "~y"], "z"])
+        first, second = cnf.elements, cnf.clauses
+        assert first == second == (xyz.clause("x,~y"), xyz.clause("z"))
+        assert all(a is not b for a, b in zip(first, second))
+        assert cnf.codes == ((1, 2), (5,))
+        dnf = Dnf(xyz, [xyz.term("y"), []])
+        assert dnf.terms == (xyz.term("y"), xyz.term()) and dnf.terms[0] is not dnf.terms[0]
+
+    def test_duplicates_are_kept_once_in_first_order(self, xyz):
+        clause = xyz.clause("y,x")
+        cnf = Cnf(xyz, [clause, xyz.clause("z"), clause, ["x", "y"]])
+        assert cnf.codes == ((1, 3), (5,)) and len(cnf) == 2
+        assert cnf == Cnf(xyz, ["z", "x,y"]) and hash(cnf) == hash(Cnf(xyz, ["z", "x,y"]))
+
+    def test_invalid_elements_are_refused(self, xyz):
+        with pytest.raises(InvalidLiteralSetError):
+            Cnf(xyz, [["x", "~x"]])
+        with pytest.raises(InvalidLiteralSetError):
+            Dnf(xyz, ["y,~y"])
+        with pytest.raises(InvalidLiteralSetError):
+            Cnf(xyz, [Universe(["x", "y", "z"]).clause("x")])
+        with pytest.raises(InvalidLiteralSetError):
+            Dnf(xyz, [Universe(["x"]).term("x")])
+
+    def test_no_state_beyond_the_codes(self, xyz):
+        cnf = Cnf(xyz, ["y,z", "x"])
+        str(cnf), list(cnf), cnf.elements
+        assert set(Cnf.__slots__) | set(Cnf.__mro__[1].__slots__) == {"universe", "codes"}
+        assert not hasattr(cnf, "__dict__")
+        assert str(cnf) == "x & (y | z)" and cnf.codes == ((3, 5), (1,))
 
 
 class TestStructuralHashing:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from qlit.core import Universe, negate
+from qlit.errors import UniverseMismatchError
 from qlit.generators import random_formula, random_term
 from qlit.io import parse_formula
 from qlit import oracle
@@ -84,6 +85,12 @@ class TestVariableQuantification:
         f = xy.lit("y")
         assert equivalent(forall_variable(f, xy.variable("x")), f)
         assert equivalent(exists_variable(f, xy.variable("x")), f)
+
+    @pytest.mark.parametrize("operator", [forall_variable, exists_variable])
+    def test_a_name_is_refused_with_a_typed_error(self, operator):
+        f = parse_formula("a & b")
+        with pytest.raises(UniverseMismatchError, match="expected a variable or literal"):
+            operator(f, "a")
 
 
 class TestQuantifySet:
