@@ -37,7 +37,6 @@ from .tractable import (
     sdd_exists,
     sdd_forall,
     sdd_shift,
-    _sharing_node,
     _var_bitmasks,
 )
 from .xai import Classifier, Decision, decide, is_decision_biased, sufficient_reasons
@@ -436,8 +435,7 @@ def _tractable(suite: _Suite) -> SuiteResult:
 
 
 def _disjoint_disjunctions(circuit) -> bool:
-    order, masks = _var_bitmasks(circuit)
-    return _sharing_node(circuit, order, masks, "or") < 0
+    return "or" not in _var_bitmasks(circuit)[2]
 
 
 def _reasons(suite: _Suite) -> SuiteResult:

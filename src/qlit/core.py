@@ -141,9 +141,8 @@ class _Folding:
     """The folding rule of every rebuild, shared by the two builders: a
     universe builds formulas, a :class:`CircuitBuilder` builds circuits.
 
-    A builder keeps the refs of its two constants in ``true`` and ``false``
-    (``None`` until a circuit builder has made one), makes a constant with
-    ``const`` and an unfolded gate over a tuple of parts with ``gate``.
+    A builder keeps the refs that stand for its two constants in ``true``
+    and ``false`` and makes an unfolded gate with ``gate``.
     """
 
     __slots__ = ()
@@ -155,12 +154,12 @@ class _Folding:
             unit, zero = self.true, self.false
         else:
             unit, zero = self.false, self.true
-        if zero is not None and zero in parts:
+        if zero in parts:
             return zero
-        if unit is not None and unit in parts:
+        if unit in parts:
             parts = [part for part in parts if part != unit]
         if not parts:
-            return self.const(kind == "and")
+            return unit
         if len(parts) == 1:
             return parts[0]
         return self.gate(kind, tuple(parts))
@@ -350,11 +349,6 @@ class Universe(_Folding):
         integer code."""
         code = spec if isinstance(spec, int) else self.literal(spec).code
         return self._intern(("lit", code))
-
-    def constant(self, value: bool) -> "Formula":
-        return self.true if value else self.false
-
-    const = constant
 
     def gate(self, kind: str, parts: tuple["Formula", ...]) -> "Formula":
         return self._intern((kind, parts))
@@ -749,6 +743,21 @@ def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
     return memo[root]
 
 
+def _var_patterns(n: int) -> list[int]:
+    """Bit ``w`` of pattern ``i`` is set iff bit ``i`` of ``w`` is, over
+    ``2**n`` rows: a period of ``2**i`` zeros then ``2**i`` ones, repeated."""
+    full = (1 << (1 << n)) - 1
+    return [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(n)]
+
+
+def _iter_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 _POS, _NEG = 1, 2
 _SIDES = {_POS: (0,), _NEG: (1,), _POS | _NEG: (0, 1)}  # 1 builds the complement
 _DUAL = {"and": "or", "or": "and"}
@@ -763,12 +772,19 @@ def rebuild(value, builder: _Folding, replace: Mapping[int, bool] | None = None,
     With ``dual`` the images are of the complements, built by De Morgan:
     ``and`` and ``or`` swap, literals and constants flip, and a ``not`` node
     passes on the opposite image of its child.  Only the polarities that the
-    roots need are built, and the result has no ``not`` node.  ``shift``, when
-    given, makes the image of each ``or`` node instead, as
-    ``shift(ref, images)`` with the images built so far.
+    roots need are built, and the result has no ``not`` node.  ``shift``, for
+    a circuit, is a pair ``(reads, make)``: each ``or`` node's image is
+    ``make(ref, images)``, made from the images of the children ``reads``
+    maps it to, and only the nodes the roots reach through those are built.
     """
     if roots is None:
         roots = (value if isinstance(value, Formula) else value.root,)
+    if shift is not None:
+        reads, shift = shift
+        args = value.args.copy()
+        for ref, children in reads.items():
+            args[ref] = children
+        value = Circuit(value.universe, value.kinds, args, value.decisions, value.root)
     entries = walk(value, roots)
     need = None
     if dual and any(kind == "not" for _, kind, _ in entries):
@@ -788,7 +804,7 @@ def rebuild(value, builder: _Folding, replace: Mapping[int, bool] | None = None,
             own = images[negated]
             if kind == "lit":
                 if replace and arg in replace:
-                    out = builder.const(replace[arg] != negated)
+                    out = builder.true if replace[arg] != negated else builder.false
                 else:
                     out = builder.lit(arg ^ negated)
             elif kind == "and" or kind == "or":
@@ -800,7 +816,7 @@ def rebuild(value, builder: _Folding, replace: Mapping[int, bool] | None = None,
             elif kind == "not":
                 out = images[1 - negated][arg] if dual else builder.negation(own[arg])
             else:
-                out = builder.const((kind == "true") != negated)
+                out = builder.true if (kind == "true") != negated else builder.false
             own[ref] = out
     return images[dual]
 
@@ -873,12 +889,15 @@ class Circuit:
     none).  An SDD or-node's (prime, sub) pairs are its children's two
     children.  ``annotation`` records the strongest structural class the
     circuit is known to be in; ``verified`` says whether that class has
-    actually been checked.  Nothing changes after construction: parsers and
+    actually been checked.  ``decision_parts`` holds the split of each
+    or-node that :func:`~qlit.tractable.verify_decision_dnnf` found (else
+    ``None``).  Nothing changes after construction: parsers and
     verifiers return a new circuit sharing the lists, and transformation
     passes build new circuits carrying what they can prove.
     """
 
-    __slots__ = ("universe", "kinds", "args", "decisions", "root", "annotation", "verified")
+    __slots__ = ("universe", "kinds", "args", "decisions", "root", "annotation",
+                 "verified", "decision_parts")
 
     def __init__(
         self,
@@ -889,6 +908,7 @@ class Circuit:
         root: int,
         annotation: str = Annotation.NNF,
         verified: bool = False,
+        decision_parts: dict[int, tuple] | None = None,
     ):
         self.universe = universe
         self.kinds = kinds
@@ -897,6 +917,7 @@ class Circuit:
         self.root = root
         self.annotation = annotation
         self.verified = verified
+        self.decision_parts = decision_parts
 
     @property
     def nodes(self) -> "_NodeView":
@@ -947,12 +968,10 @@ class Circuit:
         """Ids of the nodes under ``roots`` (default: the root), roots included."""
         return set(self.order(roots))
 
-    def with_annotation(self, annotation: str) -> "Circuit":
+    def with_annotation(self, annotation: str, decision_parts: dict | None = None) -> "Circuit":
         """The same lists under ``annotation``, marked verified."""
-        return Circuit(
-            self.universe, self.kinds, self.args, self.decisions, self.root,
-            annotation, verified=True,
-        )
+        return Circuit(self.universe, self.kinds, self.args, self.decisions, self.root,
+                       annotation, True, decision_parts)
 
     def to_formula(self) -> Formula:
         return rebuild(self, self.universe)[self.root]
@@ -1005,10 +1024,14 @@ class _NodeView:
 class CircuitBuilder(_Folding):
     """Incremental construction of circuits with node interning.
 
-    ``add_*`` methods are structure-preserving (used by parsers and
-    generators); :meth:`fold` absorbs constants and collapses single-child
-    gates (used by transformation passes).
+    ``add_*`` methods and :meth:`const` are structure-preserving (used by
+    parsers and generators); :meth:`fold` absorbs constants and collapses
+    single-child gates (used by transformation passes).  Folding reads the
+    constants as ``true`` and ``false``, no node ids: a pass makes a constant
+    node only for a constant result, in :meth:`finish`.
     """
+
+    true, false = -1, -2
 
     def __init__(self, universe: Universe):
         self.universe = universe
@@ -1016,8 +1039,6 @@ class CircuitBuilder(_Folding):
         self.args: list = []
         self.decisions: list[int] = []
         self._cache: dict[tuple, int] = {}
-        self.true: int | None = None
-        self.false: int | None = None
 
     def _add(self, kind: str, arg, decision: int = -1) -> int:
         count = len(self.kinds)
@@ -1029,11 +1050,7 @@ class CircuitBuilder(_Folding):
         return index
 
     def const(self, value: bool) -> int:
-        if value:
-            self.true = self._add("true", None)
-            return self.true
-        self.false = self._add("false", None)
-        return self.false
+        return self._add("true" if value else "false", None)
 
     def lit(self, lit: Literal | int) -> int:
         return self._add("lit", lit if isinstance(lit, int) else lit.code)
@@ -1056,6 +1073,8 @@ class CircuitBuilder(_Folding):
         """Wrap the lists into a circuit; ``prune`` drops nodes unreachable
         from the root (transformation passes leave such orphans behind) and
         renumbers the rest, keeping their order."""
+        if root < 0:
+            root = self.const(root == self.true)
         kinds, args, decisions = self.kinds, self.args, self.decisions
         if prune:
             kept = Circuit(self.universe, kinds, args, decisions, root).order()

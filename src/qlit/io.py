@@ -267,11 +267,12 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
         fields = line.split()
         if not fields:
             continue
-        if fields[0][0] == "c":
+        kind = fields[0]
+        if kind[0] == "c":
             _note_name(line, names, number)
             continue
         if header is None:
-            if fields[0] != "nnf" or len(fields) != 4:
+            if kind != "nnf" or len(fields) != 4:
                 raise ParseError("expected header 'nnf <nodes> <edges> <vars>'", number)
             try:
                 header = (int(fields[1]), int(fields[2]), int(fields[3]))
@@ -287,10 +288,10 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
                 )
             declared_edges = header[1]
             builder = CircuitBuilder(universe)
+            add, push, at = builder._add, ids.append, ids.__getitem__
             code_of = dimacs_codes(nvars)
             continue
 
-        kind = fields[0]
         try:
             numbers = list(map(int, fields[1:]))
         except ValueError:
@@ -301,28 +302,32 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
                 raise ParseError("literal node needs one nonzero integer", number)
             if numbers[0] not in code_of:
                 raise ParseError(f"literal {numbers[0]} out of range", number)
-            ids.append(builder.lit(code_of[numbers[0]]))
-        elif kind == "A":
+            push(add("lit", code_of[numbers[0]]))
+            continue
+        if kind == "A":
             if not numbers or numbers[0] != len(numbers) - 1:
                 raise ParseError("and-node child count mismatch", number)
-            children = _children(numbers, 1, ids, number)
-            edges += len(children)
-            ids.append(builder.gate("and", children) if children else builder.const(True))
+            gate, decision_var = "and", 0
         elif kind == "O":
             if len(numbers) < 2 or numbers[1] != len(numbers) - 2:
                 raise ParseError("or-node child count mismatch", number)
-            decision_var = numbers[0]
+            gate, decision_var = "or", numbers[0]
             if decision_var < 0 or decision_var > len(universe):
                 raise ParseError(f"decision variable {decision_var} out of range", number)
-            children = _children(numbers, 2, ids, number)
-            edges += len(children)
-            if not children:
-                ids.append(builder.const(False))
-            else:
-                ids.append(builder.add_or(children, decision=decision_var - 1))
-                decisions_declared = decisions_declared and decision_var != 0
+            del numbers[0]
         else:
             raise ParseError(f"unknown node kind {kind!r}", number)
+        # the children are the builder ids of the earlier lines named
+        del numbers[0]
+        if not numbers:
+            push(builder.const(gate == "and"))
+            continue
+        if min(numbers) < 0 or max(numbers) >= len(ids):
+            bad = next(ref for ref in numbers if not 0 <= ref < len(ids))
+            raise ParseError(f"forward or invalid reference {bad}", number)
+        edges += len(numbers)
+        push(add(gate, tuple(map(at, numbers)), decision_var - 1))
+        decisions_declared = decisions_declared and (decision_var != 0 or gate == "and")
 
     if header is None:
         raise ParseError("missing 'nnf' header", max(len(lines), 1))
@@ -347,16 +352,6 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
         return verify_dnnf(circuit)
     except StructureError:
         return circuit.with_annotation(Annotation.NNF)
-
-
-def _children(numbers: list[int], start: int, ids: list[int], number: int) -> tuple[int, ...]:
-    """The builder ids of the line positions ``numbers[start:]``, which must
-    name earlier lines."""
-    refs = numbers[start:]
-    if refs and (min(refs) < 0 or max(refs) >= len(ids)):
-        bad = next(ref for ref in refs if not 0 <= ref < len(ids))
-        raise ParseError(f"forward or invalid reference {bad}", number)
-    return tuple(map(ids.__getitem__, refs))
 
 
 def emit_nnf(circuit: Circuit) -> str:

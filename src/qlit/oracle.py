@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import (
     Circuit,
@@ -32,6 +32,8 @@ from .core import (
     Universe,
     Variable,
     World,
+    _iter_bits,
+    _var_patterns,
     truth_table,
 )
 from .errors import CapacityError, PreconditionError, UniverseMismatchError
@@ -74,19 +76,6 @@ def _check_cap(universe: Universe) -> None:
 
 
 # -- truth tables as big integers ---------------------------------------------
-
-
-def _var_patterns(n: int) -> list[int]:
-    """Bit ``w`` of pattern ``i`` is set iff bit ``i`` of ``w`` is, over
-    ``2**n`` rows."""
-    masks = []
-    for i in range(n):
-        p = 1 << i
-        unit = ((1 << p) - 1) << p  # one period: p zeros then p ones
-        reps = 1 << (n - i - 1)
-        rep_pattern = ((1 << (2 * p * reps)) - 1) // ((1 << (2 * p)) - 1)
-        masks.append(unit * rep_pattern)
-    return masks
 
 
 def _var_masks(universe: Universe) -> list[int]:
@@ -186,13 +175,6 @@ def valid(a) -> bool:
     return models_mask(a) == _full_mask(a.universe)
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # -- rule and model containers -------------------------------------------------
 
 
@@ -279,28 +261,27 @@ class ModelSet(_SortedSet):
 
 
 class RuleSet(_SortedSet):
-    """Boundary rules in canonical order, plus the generating universe."""
+    """Boundary rules in canonical order, plus the generating universe.
+
+    The rules are also kept as one crossing mask per consequent variable,
+    computed at construction unless the caller already has them."""
 
     __slots__ = ("_crossings",)
 
-    def __init__(self, universe: Universe, rules: Iterable[BRule]):
+    def __init__(self, universe: Universe, rules: Iterable[BRule],
+                 crossings: list[int] | None = None):
         super().__init__(universe, sorted(rules, key=BRule.sort_key))
-        self._crossings: list[int] | None = None
-
-    def _crossing_masks(self) -> list[int]:
-        """The rules as one crossing mask per consequent variable."""
-        if self._crossings is None:
-            masks = [0] * len(self.universe)
+        if crossings is None:
+            crossings = [0] * len(universe)
             for r in self.items:
-                masks[r.consequent.variable.index] |= 1 << r.world().bits
-            self._crossings = masks
-        return self._crossings
+                crossings[r.consequent.variable.index] |= 1 << r.world().bits
+        self._crossings = crossings
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         """Rules as (world bits, consequent variable index) pairs."""
         return frozenset(
             (bits, i)
-            for i, crossing in enumerate(self._crossing_masks())
+            for i, crossing in enumerate(self._crossings)
             for bits in _iter_bits(crossing)
         )
 
@@ -323,12 +304,6 @@ def _rules(universe: Universe, crossings: list[int]) -> list[BRule]:
             codes = tuple(2 * k + (bits >> k & 1) for k in range(n) if k != i)
             out.append(BRule(Term(universe, codes), literals[2 * i + (bits >> i & 1)]))
     return sorted(out, key=BRule.sort_key)
-
-
-def _rule_set(universe: Universe, rules: list[BRule], crossings: list[int]) -> RuleSet:
-    out = RuleSet(universe, rules)
-    out._crossings = crossings
-    return out
 
 
 # -- oracle operations ----------------------------------------------------------
@@ -357,7 +332,7 @@ def b_rules(value) -> RuleSet:
     """The boundary rules of ``value``: one per boundary (model, literal) pair."""
     u = value.universe
     crossings = _crossings(u, models_mask(value))
-    return _rule_set(u, _rules(u, crossings), crossings)
+    return RuleSet(u, _rules(u, crossings), crossings)
 
 
 def is_independent_model(value, world: World, term: Term) -> bool:
@@ -387,7 +362,7 @@ def reconstruct_models(rules: RuleSet, bmodels: ModelSet) -> ModelSet:
         )
     if rules.universe is not u:
         raise UniverseMismatchError("rules and boundary models differ in universe")
-    rule_masks = rules._crossing_masks()
+    rule_masks = rules._crossings
     current = sum(1 << bits for bits in bmodels.bits())
     while True:
         grown = current
@@ -512,8 +487,8 @@ def brule_transition_report(value, lit: Literal) -> TransitionReport:
 
     return TransitionReport(
         quantified=lit,
-        rules_before=_rule_set(u, preserved + deleted, before),
-        rules_after=_rule_set(u, preserved + introduced, after),
+        rules_before=RuleSet(u, preserved + deleted, before),
+        rules_after=RuleSet(u, preserved + introduced, after),
         preserved=tuple(preserved),
         deleted=tuple(deleted),
         introduced=tuple(introduced),

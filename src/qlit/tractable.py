@@ -16,8 +16,8 @@ generator.  Prime implicants and implicates are likewise one construction,
 seeded from models or counter-models.
 
 The circuit routines are single traversals that replace literals by
-constants, after an equivalence-preserving reshaping pass for the universal
-case.  Every routine here is oracle-checked against its definitional
+constants; for the universal case the same traversal also makes the
+equivalence-preserving reshaping (the shift).  Every routine here is oracle-checked against its definitional
 counterpart by the test suite.
 
 Closure preconditions are never assumed silently: callers either ask for the
@@ -40,6 +40,8 @@ from .core import (
     Term,
     Universe,
     Variable,
+    _iter_bits,
+    _var_patterns,
     rebuild,
     truth_table,
 )
@@ -384,7 +386,7 @@ def prime_forms(value, mode: str) -> Dnf | Cnf:
             mask ^= (1 << (1 << len(u))) - 1
         seeds = {
             tuple(2 * i + ((bits >> i & 1) ^ flip) for i in range(len(u)))
-            for bits in oracle._iter_bits(mask)
+            for bits in _iter_bits(mask)
         }
     return form._of(u, _closure_primes(seeds))
 
@@ -392,45 +394,34 @@ def prime_forms(value, mode: str) -> Dnf | Cnf:
 # -- circuit structure verification -----------------------------------------------
 
 
-def _var_bitmasks(circuit: Circuit) -> tuple[list[int], list[int]]:
-    """The reachable node ids in order, and the variables under each node as
-    a bitmask, by node id."""
+def _var_bitmasks(circuit: Circuit) -> tuple[list[int], list[int], dict[str, int]]:
+    """The reachable node ids in order, the variables under each node as a
+    bitmask, by node id, and by kind the first gate whose children share a
+    variable."""
     kinds, args = circuit.kinds, circuit.args
     order = circuit.order()
     masks = [0] * len(kinds)
+    shared: dict[str, int] = {}
     for i in order:
         arg = args[i]
         if type(arg) is tuple:
             acc = 0
             for child in arg:
+                if acc & masks[child]:
+                    shared.setdefault(kinds[i], i)
                 acc |= masks[child]
             masks[i] = acc
         elif kinds[i] == "lit":
             masks[i] = 1 << (arg >> 1)
-    return order, masks
-
-
-def _sharing_node(circuit: Circuit, order, masks, kind: str) -> int:
-    """The first node of ``kind`` whose children share a variable, or -1."""
-    kinds, args = circuit.kinds, circuit.args
-    for i in order:
-        if kinds[i] != kind:
-            continue
-        acc = 0
-        for child in args[i]:
-            if acc & masks[child]:
-                return i
-            acc |= masks[child]
-    return -1
+    return order, masks, shared
 
 
 def _decomposable(circuit: Circuit) -> tuple[list[int], list[int]]:
     """:func:`_var_bitmasks`, after checking that no and-node's children
     share a variable."""
-    order, masks = _var_bitmasks(circuit)
-    shared = _sharing_node(circuit, order, masks, "and")
-    if shared >= 0:
-        raise StructureError("and-node children share variables", shared)
+    order, masks, shared = _var_bitmasks(circuit)
+    if "and" in shared:
+        raise StructureError("and-node children share variables", shared["and"])
     return order, masks
 
 
@@ -440,62 +431,59 @@ def verify_dnnf(circuit: Circuit) -> Circuit:
     Returns a verified circuit sharing the nodes; the argument is unchanged.
     """
     _decomposable(circuit)
-    if circuit.annotation == Annotation.NNF:
-        return circuit.with_annotation(Annotation.DNNF)
-    return circuit.with_annotation(circuit.annotation)
+    nnf = circuit.annotation == Annotation.NNF
+    return circuit.with_annotation(Annotation.DNNF if nnf else circuit.annotation)
 
 
-def _decision_parts(circuit: Circuit, or_id: int) -> tuple[int, int, list[int], list[int]]:
-    """Split a decision or-node into (literal code, complement child index,
-    remainder node ids of the literal side, remainder ids of the other side).
-
-    Returns the decision literal code ``l`` such that the node reads
-    ``(l & alpha) | (~l & beta)``, plus the non-literal remainders of the two
-    branches.  Raises when the node does not have the decision shape.
-    """
-    kinds, args = circuit.kinds, circuit.args
-    children = args[or_id]
-    if len(children) != 2:
-        raise StructureError("decision node needs exactly two branches", or_id)
-    branches = []
-    for child in children:
-        while kinds[child] == "and" and len(args[child]) == 1:
-            child = args[child][0]
-        kind = kinds[child]
-        if kind == "lit":
-            branches.append(({args[child]: child}, []))
+def _decision_table(circuit: Circuit, order) -> dict[int, tuple]:
+    """Map each or-node among ``order`` to the ids of ``l``, ``~l``,
+    ``alpha`` and ``beta`` in its ``(l & alpha) | (~l & beta)``; a
+    remainder lists a branch's other children, literals last in code
+    order.  Raises at the first node without the decision shape."""
+    kinds, args, decisions = circuit.kinds, circuit.args, circuit.decisions
+    table = {}
+    for i in order:
+        if kinds[i] != "or":
             continue
-        if kind != "and":
-            raise StructureError("decision branch is not a literal conjunction", or_id)
-        lits: dict[int, int] = {}
-        rest: list[int] = []
-        for sub in args[child]:
-            if kinds[sub] == "lit":
-                lits[args[sub]] = sub
+        children = args[i]
+        if len(children) != 2:
+            raise StructureError("decision node needs exactly two branches", i)
+        branches = []
+        for child in children:
+            while kinds[child] == "and" and len(args[child]) == 1:
+                child = args[child][0]
+            if kinds[child] == "and":
+                branches.append(args[child])
+            elif kinds[child] == "lit":
+                branches.append((child,))
             else:
-                rest.append(sub)
-        branches.append((lits, rest))
-    (first_lits, first_rest), (second_lits, second_rest) = branches
-    split = sorted(code for code in first_lits if code ^ 1 in second_lits)
-    if not split:
-        raise StructureError("branches do not decide a common variable", or_id)
-    code = split[0]
-    declared = circuit.decisions[or_id]
-    if declared >= 0 and declared != code >> 1:
-        raise StructureError("declared decision variable does not match shape", or_id)
-    alpha = first_rest + [i for c, i in sorted(first_lits.items()) if c != code]
-    beta = second_rest + [i for c, i in sorted(second_lits.items()) if c != code ^ 1]
-    return code, children[1], alpha, beta
+                raise StructureError("decision branch is not a literal conjunction", i)
+        first, second = branches
+        flipped = {args[n] ^ 1: n for n in second if kinds[n] == "lit"}
+        decided = sorted([(args[n], n) for n in first if kinds[n] == "lit" and args[n] in flipped])
+        if not decided:
+            raise StructureError("branches do not decide a common variable", i)
+        code, lit = decided[0]
+        if decisions[i] >= 0 and decisions[i] != code >> 1:
+            raise StructureError("declared decision variable does not match shape", i)
+        negation = flipped[code]
+        alpha = [n for n in first if kinds[n] != "lit"]
+        beta = [n for n in second if kinds[n] != "lit"]
+        if len(alpha) + 1 < len(first):
+            alpha += [n for _, n in sorted(
+                (args[n], n) for n in first if kinds[n] == "lit" and n != lit)]
+        if len(beta) + 1 < len(second):
+            beta += [n for _, n in sorted(
+                (args[n], n) for n in second if kinds[n] == "lit" and n != negation)]
+        table[i] = (lit, negation, tuple(alpha), tuple(beta))
+    return table
 
 
 def verify_decision_dnnf(circuit: Circuit) -> Circuit:
-    """Check decomposability plus the decision shape of every or-node."""
+    """Check decomposability plus the decision shape of every or-node; the
+    verified circuit keeps each split, for universal quantification."""
     order, _ = _decomposable(circuit)
-    kinds = circuit.kinds
-    for i in order:
-        if kinds[i] == "or":
-            _decision_parts(circuit, i)
-    return circuit.with_annotation(Annotation.DECISION_DNNF)
+    return circuit.with_annotation(Annotation.DECISION_DNNF, _decision_table(circuit, order))
 
 
 SDD_SEMANTIC_CHECK_CAP = 10  # prime variables; syntactic rules used above this
@@ -558,8 +546,6 @@ def verify_sdd(circuit: Circuit) -> Circuit:
 def _check_partition_semantic(circuit: Circuit, or_id: int, elements, prime_vars: int) -> None:
     """Truth tables of the primes over their variables (the bitmask
     ``prime_vars``) must partition all rows."""
-    from .oracle import _iter_bits, _var_patterns
-
     var_list = list(_iter_bits(prime_vars))
     masks = dict(zip(var_list, _var_patterns(len(var_list))))
     full = (1 << (1 << len(var_list))) - 1
@@ -596,36 +582,58 @@ def _check_partition_syntactic(circuit: Circuit, or_id: int, elements) -> None:
 # -- circuit quantification --------------------------------------------------------
 
 
-def _require(circuit: Circuit, annotation: str, verifier) -> Circuit:
-    """The circuit, verified as ``annotation`` (a verified copy when the
-    argument was not verified)."""
+def _require(circuit: Circuit, annotation: str) -> Circuit:
+    """The circuit, verified as ``annotation`` (a verified copy if it was not)."""
     if circuit.annotation != annotation:
-        raise TypeError(
-            f"operation needs a {annotation} circuit, got {circuit.annotation}"
-        )
-    return circuit if circuit.verified else verifier(circuit)
-
-
-def _substitute(
-    circuit: Circuit, replaced: dict[int, bool], annotation: str
-) -> Circuit:
-    """Replace literal codes by constants, folding along the way."""
-    builder = CircuitBuilder(circuit.universe)
-    root = rebuild(circuit, builder, replaced)[circuit.root]
-    return builder.finish(root, annotation, verified=True, prune=True)
+        raise TypeError(f"operation needs a {annotation} circuit, got {circuit.annotation}")
+    verify = verify_sdd if annotation == Annotation.SDD else verify_decision_dnnf
+    return circuit if circuit.verified else verify(circuit)
 
 
 def _quantify_circuit(circuit: Circuit, lits: Iterable, annotation: str, forall: bool) -> Circuit:
     """Both routines on a Decision-DNNF or SDD: existential replaces each
-    quantified literal by ``true`` (a DNNF results); universal shifts, then
-    replaces each negation by ``false``."""
-    decision = annotation == Annotation.DECISION_DNNF
-    circuit = _require(circuit, annotation, verify_decision_dnnf if decision else verify_sdd)
+    quantified literal by ``true`` (a DNNF results); universal replaces the
+    negation of each by ``false`` within the shift."""
+    circuit = _require(circuit, annotation)
     codes = set(_codes(circuit.universe, lits))
-    if not forall:
-        return _substitute(circuit, dict.fromkeys(codes, True), Annotation.DNNF)
-    shifted = ddnnf_shift(circuit) if decision else sdd_shift(circuit)
-    return _substitute(shifted, {code ^ 1: False for code in codes}, Annotation.NNF)
+    if forall:
+        return _shift(circuit, {code ^ 1: False for code in codes})
+    builder = CircuitBuilder(circuit.universe)
+    root = rebuild(circuit, builder, dict.fromkeys(codes, True))[circuit.root]
+    return builder.finish(root, Annotation.DNNF, verified=True, prune=True)
+
+
+def _shift(circuit: Circuit, replace: dict[int, bool]) -> Circuit:
+    """The shift of a verified Decision-DNNF or SDD, with the literal codes
+    of ``replace`` replaced by constants, in one rebuild that makes no node
+    the shifted or-nodes do not read."""
+    builder = CircuitBuilder(circuit.universe)
+    fold = builder.fold
+    if circuit.annotation == Annotation.DECISION_DNNF:
+        # l, ~l, alpha and beta of each (l & alpha) | (~l & beta), from the verifier
+        parts = circuit.decision_parts or _decision_table(circuit, circuit.order())
+        reads = {i: (l, nl, *alpha, *beta) for i, (l, nl, alpha, beta) in parts.items()}
+
+        def make(i: int, image: dict) -> int:
+            lit, negation, alpha, beta = parts[i]
+            left = fold("or", [image[lit], fold("and", [image[c] for c in beta])])
+            right = fold("or", [image[negation], fold("and", [image[c] for c in alpha])])
+            return fold("and", [left, right])
+    else:
+        kinds, args = circuit.kinds, circuit.args
+        pairs = {i: [args[c] for c in args[i]] for i in circuit.order() if kinds[i] == "or"}
+        reads = {i: tuple(sub for _, sub in elements) for i, elements in pairs.items()}
+        # the prime complements, with the replacement read through the dual
+        negated = rebuild(
+            circuit, builder, {code ^ 1: not value for code, value in replace.items()},
+            dual=True, roots=[prime for elements in pairs.values() for prime, _ in elements],
+        )
+
+        def make(i: int, image: dict) -> int:
+            return fold("and", [fold("or", [negated[p], image[s]]) for p, s in pairs[i]])
+
+    root = rebuild(circuit, builder, replace, shift=(reads, make))[circuit.root]
+    return builder.finish(root, Annotation.NNF, verified=True, prune=True)
 
 
 def ddnnf_exists(circuit: Circuit, lits: Iterable) -> Circuit:
@@ -637,25 +645,15 @@ def ddnnf_exists(circuit: Circuit, lits: Iterable) -> Circuit:
 def ddnnf_shift(circuit: Circuit) -> Circuit:
     """Rewrite every decision ``(l & a) | (~l & b)`` into the equivalent
     ``(l | b) & (~l | a)``, after which no disjunction shares variables
-    across its disjuncts.  Linear time and size."""
-    circuit = _require(circuit, Annotation.DECISION_DNNF, verify_decision_dnnf)
-    builder = CircuitBuilder(circuit.universe)
-
-    def decision(i: int, image: dict) -> int:
-        code, _, alpha_ids, beta_ids = _decision_parts(circuit, i)
-        alpha = builder.fold("and", [image[c] for c in alpha_ids])
-        beta = builder.fold("and", [image[c] for c in beta_ids])
-        left = builder.fold("or", [builder.lit(code), beta])
-        right = builder.fold("or", [builder.lit(code ^ 1), alpha])
-        return builder.fold("and", [left, right])
-
-    root = rebuild(circuit, builder, shift=decision)[circuit.root]
-    return builder.finish(root, Annotation.NNF, verified=True, prune=True)
+    across its disjuncts.  One linear pass, which never makes the branch
+    conjunctions."""
+    return _shift(_require(circuit, Annotation.DECISION_DNNF), {})
 
 
 def ddnnf_forall(circuit: Circuit, lits: Iterable) -> Circuit:
-    """Universal quantification on a Decision-DNNF: shift, then replace the
-    negation of each quantified literal by ``false``.  Linear time."""
+    """Universal quantification on a Decision-DNNF: the shift, with the
+    negation of each quantified literal replaced by ``false``.  One linear
+    pass, which builds only the nodes the shift reads."""
     return _quantify_circuit(circuit, lits, Annotation.DECISION_DNNF, forall=True)
 
 
@@ -671,30 +669,13 @@ def sdd_shift(circuit: Circuit) -> Circuit:
 
     Prime negations come from one dual rebuild of all primes, so the output
     has at most twice the nodes of the input; disjuncts never share
-    variables.
+    variables.  One pass, which never makes the element conjunctions.
     """
-    circuit = _require(circuit, Annotation.SDD, verify_sdd)
-    builder = CircuitBuilder(circuit.universe)
-    kinds = circuit.kinds
-    primes = [
-        prime
-        for i in circuit.order()
-        if kinds[i] == "or"
-        for prime, _ in _sdd_elements(circuit, i)
-    ]
-    negated = rebuild(circuit, builder, dual=True, roots=primes)
-
-    def partition(i: int, image: dict) -> int:
-        return builder.fold(
-            "and",
-            [builder.fold("or", [negated[p], image[s]]) for p, s in _sdd_elements(circuit, i)],
-        )
-
-    root = rebuild(circuit, builder, shift=partition)[circuit.root]
-    return builder.finish(root, Annotation.NNF, verified=True, prune=True)
+    return _shift(_require(circuit, Annotation.SDD), {})
 
 
 def sdd_forall(circuit: Circuit, lits: Iterable) -> Circuit:
-    """Universal quantification on an SDD: shift, then replace the negation
-    of each quantified literal by ``false``.  Linear time."""
+    """Universal quantification on an SDD: the shift, with the negation of
+    each quantified literal replaced by ``false``.  One linear pass, which
+    builds only the nodes the shift reads."""
     return _quantify_circuit(circuit, lits, Annotation.SDD, forall=True)

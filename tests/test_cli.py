@@ -374,6 +374,38 @@ class TestImports:
         modules = ["cli", "core", "errors", "io", "quantify", "tractable"]
         assert out == f"{['qlit'] + ['qlit.' + m for m in modules]}\n[]\n"
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("tiny.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n"),
+            ("tiny.nnf", "nnf 5 4 1\nL 1\nL -1\nA 0\nO 1 2 0 1\nA 2 3 2\n"),
+            ("tiny.sdd", "L 1 1\nL 2 -1\nL 3 2\nL 4 -2\nD 5 2 1 3 2 4\n"),
+        ],
+        ids=["dimacs", "nnf", "sdd"],
+    )
+    def test_a_quantify_run_loads_no_oracle(self, tmp_path, name, text):
+        import os
+        import subprocess
+        import sys
+
+        import qlit
+
+        path = tmp_path / name
+        path.write_text(text)
+        src = os.path.dirname(os.path.dirname(qlit.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        script = (
+            "import sys\n"
+            "from qlit.cli import main\n"
+            f"code = main(['quantify', '--op', 'forall', '--items', 'x1', '--in', {str(path)!r}])\n"
+            "print(code, [m for m in ('qlit.oracle', 'dataclasses', 'inspect') if m in sys.modules])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.splitlines()[-1] == "0 []"
+
     def test_unknown_suite_keeps_the_argparse_refusal(self, capsys):
         from qlit import SUITE_NAMES
         from qlit.checks import _SUITES

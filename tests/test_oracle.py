@@ -88,6 +88,17 @@ class TestBRules:
                 f = f.iff(~u.lit(v.name))  # xor as negated equivalence
             assert len(oracle.b_rules(f)) == n * 2 ** (n - 1)
 
+    def test_a_rule_set_is_complete_at_construction(self, xyz):
+        # built through the public constructor, a rule set holds its crossing
+        # masks from the start, and no query fills anything in later
+        rules = oracle.RuleSet(xyz, oracle.b_rules(parse_formula("(x | y) & z", xyz)))
+        slots = ("universe", "items", "_set", "_crossings")
+        before = [getattr(rules, name) for name in slots]
+        pairs = rules.pairs()
+        oracle.reconstruct_models(rules, oracle.ModelSet(xyz, [World(xyz, 0b101)]))
+        assert [getattr(rules, name) for name in slots] == before
+        assert before[3] is not None and len(pairs) == 5
+
     def test_empty_universe_has_no_rules(self):
         u = Universe([])
         assert len(oracle.b_rules(u.true)) == 0
