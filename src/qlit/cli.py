@@ -67,29 +67,30 @@ def _all_ints(fields: Sequence[str]) -> bool:
         return False
 
 
-def _operands(formula: Formula, kind: str) -> list[Formula]:
-    """The operands of a nested chain of ``kind`` gates, left to right."""
+def _operands(store, root: int, kind: str) -> list[int]:
+    """The ids of the operands of a nested chain of ``kind`` gates, left to right."""
     out = []
-    stack = [formula]
+    stack = [root]
     while stack:
-        node = stack.pop()
-        if node.kind == kind:
-            stack.extend(reversed(node.key[1]))
+        ref = stack.pop()
+        if store.kinds[ref] == kind:
+            stack.extend(reversed(store.args[ref]))
         else:
-            out.append(node)
+            out.append(ref)
     return out
 
 
 def _formula_to_dnf(formula: Formula) -> Dnf:
     u = formula.universe
+    kinds, args = u._store.kinds, u._store.args
     terms = []
-    for part in _operands(formula, "or"):
+    for part in _operands(u._store, formula.id, "or"):
         codes = []
-        for lit in _operands(part, "and"):
-            if lit.kind == "not" and lit.key[1].kind == "lit":
-                codes.append(lit.key[1].key[1] ^ 1)
-            elif lit.kind == "lit":
-                codes.append(lit.key[1])
+        for ref in _operands(u._store, part, "and"):
+            if kinds[ref] == "not" and kinds[args[ref][0]] == "lit":
+                codes.append(args[args[ref][0]] ^ 1)
+            elif kinds[ref] == "lit":
+                codes.append(args[ref])
             else:
                 raise ParseError("input is not a disjunction of terms", 1)
         terms.append(u.term([u.literal_by_code(c) for c in codes]))

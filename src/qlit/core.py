@@ -12,34 +12,34 @@ positive) is plain integer order.  A term or clause is a sorted tuple of
 codes; CNFs and DNFs store only such tuples and make :class:`Clause` and
 :class:`Term` objects when their elements are read.
 
-Formulas and circuits are both DAGs, and every pass over them is written
-once, on one walk.  :func:`walk` lists the nodes under a root children first
-as ``(ref, kind, arg)`` triples.  For a formula these are the nodes an
-iterative search finds, sorted by creation serial: interning makes every
-child older than its parents, so that order is topological.  For a circuit
-they are the reachable node ids in list order, which is topological too.
-Two loops run on the walk.  :func:`truth_table` evaluates a DAG on
-bit-parallel variable masks, one world per bit.  :func:`rebuild` copies a
-DAG into a builder (a universe for formulas, a :class:`CircuitBuilder` for
-circuits): it replaces literals by constants, builds the De Morgan dual on
-request and folds every gate by the one rule of :meth:`_Folding.fold`.
-Neither recurses, so only memory bounds the depth of a DAG.
+Formulas and circuits are DAGs in one layout: parallel per-node lists of
+kinds (``true``, ``false``, ``lit``, ``not``, ``and``, ``or``), arguments (a
+literal code, a tuple of child ids, or ``None``) and declared decision
+variables (-1 if none), which a :class:`CircuitBuilder` makes, interning
+each node on ``(kind, argument, decision)``.  Ids index the lists and every
+child is older than its parents.  Each universe owns one such builder, its
+store, which only grows and holds every formula node of the universe; a
+:class:`Formula` is a handle ``(universe, id)``, made once per id, and only
+formulas use ``not``, whose argument is the one-child tuple.  A
+:class:`Circuit` owns its lists, numbered from 0.
 
-A circuit is stored as three parallel per-node lists, the kinds, the
-arguments (literal code, tuple of child ids, or ``None``) and the declared
-decision variables, so no pass makes an object per node.
-:attr:`Circuit.nodes` is a read-only view over the lists, built on each
-access.  An SDD or-node's (prime, sub) pairs are its children's two
-children.
+Every pass is written once, on the ids of the store and root that a value
+gives.  :func:`walk` lists the ids under some roots, children first.
+:func:`truth_table` evaluates a DAG on bit-parallel variable masks, one
+world per bit.  :func:`rebuild` copies a DAG into a builder: it replaces
+literals by constants, builds the De Morgan dual on request and folds every
+gate by :meth:`CircuitBuilder.fold`.  None recurses, so only memory bounds
+the depth of a DAG.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import reduce
-from itertools import chain, compress, count
-from operator import and_, attrgetter, or_
+from itertools import chain
+from operator import and_, or_
 
 from .errors import (
     ArityError,
@@ -137,41 +137,14 @@ LiteralLike = Literal | str
 ItemLike = Literal | Variable | str
 
 
-class _Folding:
-    """The folding rule of every rebuild, shared by the two builders: a
-    universe builds formulas, a :class:`CircuitBuilder` builds circuits.
-
-    A builder keeps the refs that stand for its two constants in ``true``
-    and ``false`` and makes an unfolded gate with ``gate``.
-    """
-
-    __slots__ = ()
-
-    def fold(self, kind: str, parts: Sequence):
-        """An ``and``/``or`` gate over ``parts`` with constants absorbed; a
-        single remaining part stands for the whole gate."""
-        if kind == "and":
-            unit, zero = self.true, self.false
-        else:
-            unit, zero = self.false, self.true
-        if zero in parts:
-            return zero
-        if unit in parts:
-            parts = [part for part in parts if part != unit]
-        if not parts:
-            return unit
-        if len(parts) == 1:
-            return parts[0]
-        return self.gate(kind, tuple(parts))
-
-
-class Universe(_Folding):
+class Universe:
     """An ordered, fixed set of Boolean variables.
 
     All worlds, terms, clauses, formulas and circuits reference exactly one
-    universe.  The universe also interns formula nodes, so constructing the
-    same expression twice yields the identical node object; it is the builder
-    that :func:`rebuild` makes formulas with.
+    universe.  The universe also owns the store of its formula nodes:
+    :meth:`lit`, :meth:`gate`, :meth:`fold` and the :class:`Formula`
+    operators intern their node there, so constructing the same expression
+    twice yields the identical formula.
     """
 
     def __init__(self, names: Iterable[str] | int):
@@ -196,14 +169,13 @@ class Universe(_Folding):
         numbers = [str(i) for i in range(1, len(variables) + 1)]
         self._texts = _by_code(["~" + name for name in names], names)
         self._dimacs = _by_code(["-" + number for number in numbers], numbers)
-        self._node_cache: dict[tuple, Formula] = {}
-        self._serials = count()
+        self._store = _Store(self)
+        self._node_cache: dict[tuple, int] = self._store._cache
         self._var_masks: list[int] | None = None
-        # the oracle's truth tables of formula nodes, by node (small universes)
-        self._oracle_mask_cache: dict[Formula, int] = {}
-        self._last_walk: tuple = (None, [])
-        self.true = self._intern(("true",))
-        self.false = self._intern(("false",))
+        # the oracle's truth tables of formula nodes, by id (small universes)
+        self._oracle_mask_cache: dict[int, int] = {}
+        self.true = self._store.finish(self._store.true)
+        self.false = self._store.finish(self._store.false)
 
     # -- basic access ------------------------------------------------------
 
@@ -336,30 +308,20 @@ class Universe(_Folding):
 
     # -- formula constructors ----------------------------------------------
 
-    def _intern(self, key: tuple) -> "Formula":
-        node = self._node_cache.get(key)
-        if node is None:
-            # one atomic store: a thread that loses a race for the key adopts
-            # the winner's node, and its own serial is left unused
-            node = self._node_cache.setdefault(key, Formula(self, key, next(self._serials)))
-        return node
-
     def lit(self, spec: LiteralLike | int) -> "Formula":
         """The literal node of ``spec``: a literal, its string form or its
         integer code."""
-        code = spec if isinstance(spec, int) else self.literal(spec).code
-        return self._intern(("lit", code))
+        store = self._store
+        return store.finish(store.lit(spec if isinstance(spec, int) else self.literal(spec)))
 
-    def gate(self, kind: str, parts: tuple["Formula", ...]) -> "Formula":
-        return self._intern((kind, parts))
+    def gate(self, kind: str, parts: Iterable["Formula"]) -> "Formula":
+        store = self._store
+        return store.finish(store._add(kind, tuple([part.id for part in parts])))
 
-    def negation(self, part: "Formula") -> "Formula":
-        """``~part``, folded on constants."""
-        if part is self.true:
-            return self.false
-        if part is self.false:
-            return self.true
-        return self._intern(("not", part))
+    def fold(self, kind: str, parts: Iterable["Formula"]) -> "Formula":
+        """The ``kind`` gate over ``parts``, folded by :meth:`CircuitBuilder.fold`."""
+        store = self._store
+        return store.finish(store.fold(kind, [part.id for part in parts]))
 
     def all_conj(self, parts: Iterable["Formula"]) -> "Formula":
         parts = tuple(parts)
@@ -544,38 +506,54 @@ class Clause(_LiteralSet):
 
 
 class Formula:
-    """A node of an expression tree over ``true/false/lit/not/and/or``.
+    """Node ``id`` of its universe's store, over ``true/false/lit/not/and/or``.
 
-    Nodes are interned per universe: building the same expression twice gives
-    the same object, so identity comparison doubles as structural equality and
-    shared subtrees form a DAG for free.
+    Nodes are interned per universe, with one handle per id: building the
+    same expression twice gives the same object, so identity comparison
+    doubles as structural equality and shared subtrees form a DAG for free.
     """
 
-    __slots__ = ("universe", "key", "serial")
+    __slots__ = ("universe", "id")
 
-    def __init__(self, universe: Universe, key: tuple, serial: int):
+    def __init__(self, universe: Universe, id: int):
         self.universe = universe
-        self.key = key
-        self.serial = serial  # creation rank in the universe
+        self.id = id
+
+    def _dag(self) -> tuple:
+        return self.universe._store, self.id
+
+    def _builder(self) -> "_Store":
+        return self.universe._store
+
+    def to_formula(self) -> "Formula":
+        return self
 
     # -- structure ----------------------------------------------------------
 
     @property
     def kind(self) -> str:
-        return self.key[0]
+        return self.universe._store.kinds[self.id]
 
     @property
     def children(self) -> tuple["Formula", ...]:
-        if self.kind in ("and", "or"):
-            return self.key[1]
-        if self.kind == "not":
-            return (self.key[1],)
-        return ()
+        store = self.universe._store
+        arg = store.args[self.id]
+        return tuple(map(store.finish, arg)) if type(arg) is tuple else ()
 
     @property
     def literal(self) -> Literal:
         assert self.kind == "lit"
-        return self.universe.literal_by_code(self.key[1])
+        return self.universe.literal_by_code(self.universe._store.args[self.id])
+
+    @property
+    def key(self) -> tuple:
+        """``(kind,)``, ``("lit", code)``, ``("not", child)`` or ``(kind, children)``."""
+        store = self.universe._store
+        kind, arg = store.kinds[self.id], store.args[self.id]
+        if type(arg) is not tuple:
+            return (kind,) if arg is None else (kind, arg)
+        children = tuple(map(store.finish, arg))
+        return kind, children[0] if kind == "not" else children
 
     def _same(self, other: "Formula") -> None:
         if not isinstance(other, Formula):
@@ -587,14 +565,14 @@ class Formula:
 
     def __and__(self, other: "Formula") -> "Formula":
         self._same(other)
-        return self.universe._intern(("and", (self, other)))
+        return self.universe.gate("and", (self, other))
 
     def __or__(self, other: "Formula") -> "Formula":
         self._same(other)
-        return self.universe._intern(("or", (self, other)))
+        return self.universe.gate("or", (self, other))
 
     def __invert__(self) -> "Formula":
-        return self.universe._intern(("not", self))
+        return self.universe.gate("not", (self,))
 
     def implies(self, other: "Formula") -> "Formula":
         return ~self | other
@@ -604,27 +582,30 @@ class Formula:
 
     # -- queries -------------------------------------------------------------
 
+    def literal_codes(self) -> set[int]:
+        """Codes of literal nodes reachable from the root."""
+        store, root = self._dag()
+        kinds, args = store.kinds, store.args
+        return {args[ref] for ref in walk(args, (root,)) if kinds[ref] == "lit"}
+
     def mentioned_variables(self) -> frozenset[Variable]:
         variables = self.universe.variables
-        return frozenset(
-            variables[arg >> 1] for _, kind, arg in walk(self) if kind == "lit"
-        )
+        return frozenset(variables[code >> 1] for code in self.literal_codes())
 
     def __str__(self) -> str:
-        return _format(self)
+        return _format(*self._dag())
 
     def __repr__(self) -> str:
         return f"Formula({self})"
 
 
-_serial = attrgetter("serial")
-
 _PRECEDENCE = {"iff": 1, "implies": 2, "or": 3, "and": 4, "not": 5, "atom": 6}
 
 
-def _format(root: Formula) -> str:
-    """Infix text, parenthesized by precedence; an explicit stack of pending
-    nodes and text pieces replaces recursion."""
+def _format(store: "_Store", root: int) -> str:
+    """Infix text of node ``root``, parenthesized by precedence; an explicit
+    stack of pending nodes and text pieces replaces recursion."""
+    kinds, args, texts = store.kinds, store.args, store.universe._texts
     pieces: list[str] = []
     stack: list = [(root, 0)]
     while stack:
@@ -632,15 +613,15 @@ def _format(root: Formula) -> str:
         if isinstance(item, str):
             pieces.append(item)
             continue
-        node, parent_level = item
-        kind = node.kind
+        ref, parent_level = item
+        kind = kinds[ref]
         if kind in ("true", "false"):
             pieces.append(kind)
         elif kind == "lit":
-            pieces.append(str(node.literal))
+            pieces.append(texts[args[ref]])
         elif kind == "not":
             pieces.append("~")
-            stack.append((node.key[1], _PRECEDENCE["not"]))
+            stack.append((args[ref][0], _PRECEDENCE["not"]))
         else:
             level = _PRECEDENCE[kind]
             wrap = level < parent_level or parent_level == _PRECEDENCE["not"]
@@ -648,7 +629,7 @@ def _format(root: Formula) -> str:
                 pieces.append("(")
                 stack.append(")")
             sep = " & " if kind == "and" else " | "
-            children = node.key[1]
+            children = args[ref]
             for k in range(len(children) - 1, -1, -1):
                 stack.append((children[k], level))
                 if k:
@@ -659,72 +640,46 @@ def _format(root: Formula) -> str:
 # -- the shared DAG walk and its two loops ---------------------------------------
 
 
-def walk(value, roots: Sequence | None = None, done=()) -> list[tuple]:
-    """``(ref, kind, arg)`` for every node under ``roots``, children first,
-    each node once.
+def walk(args: Sequence, roots: Iterable[int], done=()) -> list[int]:
+    """The ids of the nodes under ``roots``, roots included, children first.
 
-    ``value`` is a formula or a circuit; ``roots`` defaults to its root.  A
-    formula's ref is the node and ``arg`` the last field of its key (the
-    literal code, the negated child or the tuple of children); a circuit's
-    ref is the node id and ``arg`` the literal code or the child ids.  Both
-    constant kinds read ``true`` and ``false``.  Children are interned before
-    their parents, so creation order is a topological order: the formula
-    walk collects the nodes under the roots, without entering those in the
-    mapping ``done``, and sorts them by serial.  Circuit node lists are in
-    topological order already.  The list returned may be shared with other
-    passes and is never changed.
+    A node's children are its tuple argument in ``args``.  A search collects
+    the nodes under the roots without entering those in ``done``, and sorts
+    their ids: every child is older than its parents, so that order is
+    topological.  The cost follows the nodes reached, never the store's size.
     """
-    if isinstance(value, Circuit):
-        kinds, args = value.kinds, value.args
-        return [(i, kinds[i], args[i]) for i in value.order(roots)]
-    if roots is None:
-        roots = (value,)
-    # passes often run twice over one formula (both conditionings of a
-    # quantifier), so the universe keeps the last single-root walk
-    universe = value.universe
-    repeat = not done and len(roots) == 1
-    last_root, last = universe._last_walk
-    if repeat and roots[0] is last_root:
-        return last
-    stack = [r for r in roots if r not in done]
+    stack = [root for root in roots if root not in done]
     seen = set(stack)
     while stack:
-        key = stack.pop().key
-        kind = key[0]
-        if kind == "and" or kind == "or":
-            children = key[1]
-        elif kind == "not":
-            children = (key[1],)
-        else:
-            continue
-        for child in children:
-            if child not in seen and child not in done:
-                seen.add(child)
-                stack.append(child)
-    out = [(node, node.key[0], node.key[-1]) for node in sorted(seen, key=_serial)]
-    if repeat:
-        universe._last_walk = (roots[0], out)
-    return out
+        arg = args[stack.pop()]
+        if type(arg) is tuple:
+            for child in arg:
+                if child not in seen and child not in done:
+                    seen.add(child)
+                    stack.append(child)
+    return sorted(seen)
 
 
 def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
-                root=None, memo: dict | None = None) -> int:
+                root: int | None = None, memo: dict | None = None) -> int:
     """Bit-parallel evaluation of a formula or circuit: bit ``w`` of the
     result is the value in world ``w``.
 
     ``masks[i]`` holds the bits of the worlds where variable ``i`` is true
-    and ``full`` the bits of all worlds.  ``root`` picks a circuit node other
-    than the root.  ``memo`` maps refs to their tables; formula nodes are
-    interned and immutable, so a memo may be kept across calls, and the walk
-    stops at the nodes it already holds.
+    and ``full`` the bits of all worlds.  ``root`` picks a node other than
+    the value's root.  ``memo`` maps ids to their tables; the nodes of a
+    universe's store never change, so a memo on its ids may be kept across
+    calls, and the walk stops at the nodes it already holds.
     """
-    if root is None:
-        root = value if isinstance(value, Formula) else value.root
+    store, top = value._dag()
+    root = top if root is None else root
     if memo is None:
         memo = {}
     elif root in memo:
         return memo[root]
-    for ref, kind, arg in walk(value, (root,), memo):
+    kinds, args = store.kinds, store.args
+    for ref in walk(args, (root,), memo):
+        kind, arg = kinds[ref], args[ref]
         if kind == "lit":
             out = masks[arg >> 1] if arg & 1 else full ^ masks[arg >> 1]
         elif kind == "and":
@@ -736,7 +691,7 @@ def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
             for child in arg:
                 out |= memo[child]
         elif kind == "not":
-            out = full ^ memo[arg]
+            out = full ^ memo[arg[0]]
         else:
             out = full if kind == "true" else 0
         memo[ref] = out
@@ -750,12 +705,17 @@ def _var_patterns(n: int) -> list[int]:
     return [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(n)]
 
 
+_BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
+
+
 def _iter_bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The positions of the set bits of ``mask``, lowest first: one pass
+    over the mask's bytes, each nonzero byte expanded from a table."""
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    for base, byte in zip(range(0, len(data) << 3, 8), data):
+        if byte:
+            for bit in _BYTE_BITS[byte]:
+                yield base + bit
 
 
 _POS, _NEG = 1, 2
@@ -763,10 +723,10 @@ _SIDES = {_POS: (0,), _NEG: (1,), _POS | _NEG: (0, 1)}  # 1 builds the complemen
 _DUAL = {"and": "or", "or": "and"}
 
 
-def rebuild(value, builder: _Folding, replace: Mapping[int, bool] | None = None,
-            dual: bool = False, roots: Sequence | None = None, shift=None) -> dict:
+def rebuild(value, builder, replace: Mapping[int, bool] | None = None, dual: bool = False,
+            roots: Sequence[int] | None = None, shift=None, order: list[int] | None = None) -> dict:
     """Copy the DAG under ``roots`` (default: the root of ``value``) into
-    ``builder`` bottom-up, folding every gate; returns the images by ref.
+    ``builder`` bottom-up, folding every gate; returns the images by id.
 
     ``replace`` maps literal codes to the constants that take their place.
     With ``dual`` the images are of the complements, built by De Morgan:
@@ -776,30 +736,34 @@ def rebuild(value, builder: _Folding, replace: Mapping[int, bool] | None = None,
     a circuit, is a pair ``(reads, make)``: each ``or`` node's image is
     ``make(ref, images)``, made from the images of the children ``reads``
     maps it to, and only the nodes the roots reach through those are built.
+    ``order`` is the :func:`walk` under the roots, when the caller has it.
     """
+    store, root = value._dag()
+    kinds, args = store.kinds, store.args
     if roots is None:
-        roots = (value if isinstance(value, Formula) else value.root,)
+        roots = (root,)
     if shift is not None:
         reads, shift = shift
-        args = value.args.copy()
+        args = args.copy()
         for ref, children in reads.items():
             args[ref] = children
-        value = Circuit(value.universe, value.kinds, args, value.decisions, value.root)
-    entries = walk(value, roots)
+    order = walk(args, roots) if order is None else order
     need = None
-    if dual and any(kind == "not" for _, kind, _ in entries):
+    if dual and any(kinds[ref] == "not" for ref in order):
         # a not node flips the polarity its child is needed in
         need = dict.fromkeys(roots, _NEG)
-        for ref, kind, arg in reversed(entries):
+        for ref in reversed(order):
             bits = need[ref]
+            kind, arg = kinds[ref], args[ref]
             if kind == "not":
-                need[arg] = need.get(arg, 0) | (bits & _POS) << 1 | (bits & _NEG) >> 1
+                need[arg[0]] = need.get(arg[0], 0) | (bits & _POS) << 1 | (bits & _NEG) >> 1
             elif kind == "and" or kind == "or":
                 for child in arg:
                     need[child] = need.get(child, 0) | bits
     images: tuple[dict, dict] = ({}, {})  # of the nodes, of their complements
     sides = (int(dual),)
-    for ref, kind, arg in entries:
+    for ref in order:
+        kind, arg = kinds[ref], args[ref]
         for negated in _SIDES[need[ref]] if need else sides:
             own = images[negated]
             if kind == "lit":
@@ -814,7 +778,7 @@ def rebuild(value, builder: _Folding, replace: Mapping[int, bool] | None = None,
                     gate = _DUAL[kind] if negated else kind
                     out = builder.fold(gate, [own[child] for child in arg])
             elif kind == "not":
-                out = images[1 - negated][arg] if dual else builder.negation(own[arg])
+                out = images[1 - negated][arg[0]] if dual else builder.negation(own[arg[0]])
             else:
                 out = builder.true if (kind == "true") != negated else builder.false
             own[ref] = out
@@ -827,16 +791,17 @@ def rebuild(value, builder: _Folding, replace: Mapping[int, bool] | None = None,
 flip = World.flip  # ``flip(world, lit)``
 
 
-def condition(formula: Formula, lit: LiteralLike) -> Formula:
+def condition(formula: Formula, lit: LiteralLike, order: list[int] | None = None) -> Formula:
     """Substitute ``lit``'s variable by the matching constant and fold.
 
     The result never mentions the variable again; folding is deterministic
     (constant absorption plus single-child collapse) and nothing else is
-    simplified — equivalence, not syntax, is the contract.
+    simplified — equivalence, not syntax, is the contract.  ``order`` is the
+    :func:`walk` under ``formula``, when the caller has it.
     """
-    u = formula.universe
-    code = u.literal(lit).code
-    return rebuild(formula, u, {code: True, code ^ 1: False})[formula]
+    store = formula.universe._store
+    code = formula.universe.literal(lit).code
+    return store.finish(rebuild(formula, store, {code: True, code ^ 1: False}, order=order)[formula.id])
 
 
 def evaluate(formula: Formula, world: World) -> bool:
@@ -853,12 +818,8 @@ def negate(value):
     Works bottom-up through the De Morgan dual, so the result is an NNF and,
     for circuits, at most doubles the node count.
     """
-    if isinstance(value, Formula):
-        return rebuild(value, value.universe, dual=True)[value]
-    if isinstance(value, Circuit):
-        builder = CircuitBuilder(value.universe)
-        return builder.finish(rebuild(value, builder, dual=True)[value.root], prune=True)
-    raise TypeError(f"cannot negate {value!r}")
+    builder = value._builder()
+    return builder.finish(rebuild(value, builder, dual=True)[value._dag()[1]], prune=True)
 
 
 def to_nnf(formula: Formula) -> Formula:
@@ -932,37 +893,12 @@ class Circuit:
         """Node count plus edge count — the usual circuit size measure."""
         return len(self.kinds) + sum(len(arg) for arg in self.args if type(arg) is tuple)
 
-    def literal_codes(self) -> set[int]:
-        """Codes of literal nodes reachable from the root."""
-        return {arg for _, kind, arg in walk(self) if kind == "lit"}
+    literal_codes = Formula.literal_codes
 
     def order(self, roots: Iterable[int] | None = None) -> list[int]:
         """Ids of the nodes under ``roots`` (default: the root), roots
-        included, in list order.
-
-        One mark pass runs down the ids from the highest root: children come
-        before their parents, so a node is marked before the pass reaches
-        it, and the pass stops below the lowest mark.
-        """
-        roots = [self.root] if roots is None else list(roots)
-        if not roots:
-            return []
-        args = self.args
-        top, low = max(roots), min(roots)
-        marks = bytearray(top + 1)
-        for root in roots:
-            marks[root] = 1
-        for i in range(top, -1, -1):
-            if marks[i]:
-                arg = args[i]
-                if type(arg) is tuple:
-                    for child in arg:
-                        marks[child] = 1
-                        if child < low:
-                            low = child
-            elif i < low:
-                break
-        return list(compress(range(low, top + 1), memoryview(marks)[low:]))
+        included, in list order: :func:`walk` on the lists."""
+        return walk(self.args, (self.root,) if roots is None else roots)
 
     def reachable(self, roots: Iterable[int] | None = None) -> set[int]:
         """Ids of the nodes under ``roots`` (default: the root), roots included."""
@@ -974,7 +910,14 @@ class Circuit:
                        annotation, True, decision_parts)
 
     def to_formula(self) -> Formula:
-        return rebuild(self, self.universe)[self.root]
+        store = self.universe._store
+        return store.finish(rebuild(self, store)[self.root])
+
+    def _dag(self) -> tuple["Circuit", int]:
+        return self, self.root
+
+    def _builder(self) -> "CircuitBuilder":
+        return CircuitBuilder(self.universe)
 
     def __repr__(self) -> str:
         return (
@@ -1021,14 +964,16 @@ class _NodeView:
         return map(Node, c.kinds, c.args, c.decisions)
 
 
-class CircuitBuilder(_Folding):
-    """Incremental construction of circuits with node interning.
+class CircuitBuilder:
+    """Incremental construction of DAGs in the circuit layout, with node
+    interning on ``(kind, arg, decision)``.
 
     ``add_*`` methods and :meth:`const` are structure-preserving (used by
     parsers and generators); :meth:`fold` absorbs constants and collapses
-    single-child gates (used by transformation passes).  Folding reads the
-    constants as ``true`` and ``false``, no node ids: a pass makes a constant
-    node only for a constant result, in :meth:`finish`.
+    single-child gates (used by transformation passes).  A circuit builder
+    reads the constants as ``true`` and ``false``, no node ids: a pass makes
+    a constant node only for a constant result, in :meth:`finish`.  A
+    builder belongs to the one call that makes it and takes no lock.
     """
 
     true, false = -1, -2
@@ -1041,12 +986,15 @@ class CircuitBuilder(_Folding):
         self._cache: dict[tuple, int] = {}
 
     def _add(self, kind: str, arg, decision: int = -1) -> int:
-        count = len(self.kinds)
-        index = self._cache.setdefault((kind, arg, decision), count)
-        if index == count:
+        key = (kind, arg, decision)
+        index = self._cache.get(key)
+        if index is None:
+            # the node is in the lists before its id is in the cache
+            index = len(self.kinds)
             self.kinds.append(kind)
             self.args.append(arg)
             self.decisions.append(decision)
+            self._cache[key] = index
         return index
 
     def const(self, value: bool) -> int:
@@ -1061,7 +1009,22 @@ class CircuitBuilder(_Folding):
     def add_or(self, children: Sequence[int], decision: int = -1) -> int:
         return self._add("or", tuple(children), decision)
 
-    gate = _add  # ``gate(kind, children)`` with a tuple of children
+    def fold(self, kind: str, parts: Sequence[int]) -> int:
+        """An ``and``/``or`` gate over ``parts`` with constants absorbed; a
+        single remaining part stands for the whole gate."""
+        if kind == "and":
+            unit, zero = self.true, self.false
+        else:
+            unit, zero = self.false, self.true
+        if zero in parts:
+            return zero
+        if unit in parts:
+            parts = [part for part in parts if part != unit]
+        if not parts:
+            return unit
+        if len(parts) == 1:
+            return parts[0]
+        return self._add(kind, tuple(parts))
 
     def finish(
         self,
@@ -1077,7 +1040,7 @@ class CircuitBuilder(_Folding):
             root = self.const(root == self.true)
         kinds, args, decisions = self.kinds, self.args, self.decisions
         if prune:
-            kept = Circuit(self.universe, kinds, args, decisions, root).order()
+            kept = walk(args, (root,))
             if len(kept) < len(kinds):
                 remap = dict(zip(kept, range(len(kept))))
                 new_id = remap.__getitem__
@@ -1089,3 +1052,39 @@ class CircuitBuilder(_Folding):
                 ]
                 root = remap[root]
         return Circuit(self.universe, kinds, args, decisions, root, annotation, verified)
+
+
+class _Store(CircuitBuilder):
+    """A universe's formula nodes, with its constants at ids 0 and 1.  Threads
+    share a store: a miss takes the lock, so that two keys never get one id,
+    and a hit reads without it.  Each id gets one :class:`Formula`, kept by
+    one atomic ``dict.setdefault``."""
+
+    def __init__(self, universe: Universe):
+        super().__init__(universe)
+        self._lock = threading.Lock()
+        self._handles: dict[int, Formula] = {}
+        self.true, self.false = self.const(True), self.const(False)
+
+    def _add(self, kind: str, arg, decision: int = -1) -> int:
+        index = self._cache.get((kind, arg, decision))
+        if index is None:
+            with self._lock:
+                index = super()._add(kind, arg, decision)
+        return index
+
+    def negation(self, part: int) -> int:
+        """``~part``, folded on constants."""
+        if part == self.true:
+            return self.false
+        if part == self.false:
+            return self.true
+        return self._add("not", (part,))
+
+    def finish(self, root: int, prune: bool = False) -> Formula:
+        """The formula of node ``root``; a store keeps every node, so nothing is pruned."""
+        node = self._handles.get(root)
+        if node is None:
+            node = self._handles.setdefault(root, Formula(self.universe, root))
+        return node
+

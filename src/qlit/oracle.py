@@ -24,9 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .core import (
-    Circuit,
     Clause,
-    Formula,
     Literal,
     Term,
     Universe,
@@ -116,8 +114,6 @@ def models_mask(value) -> int:
     worlds of its universe."""
     u = value.universe
     _check_cap(u)
-    if isinstance(value, (Formula, Circuit)):
-        return _dag_mask(u, value)
     if isinstance(value, World):
         return 1 << value.bits
     if isinstance(value, Term):
@@ -131,21 +127,15 @@ def models_mask(value) -> int:
             out |= _literal_mask(u, code)
         return out
     to_formula = getattr(value, "to_formula", None)
-    if to_formula is not None:
-        return _dag_mask(u, to_formula())
-    raise TypeError(f"cannot compute a truth table for {value!r}")
+    if to_formula is None:
+        raise TypeError(f"cannot compute a truth table for {value!r}")
+    # the nodes of a universe's store never change, so their truth tables
+    # can be remembered across calls, by id (bounded to small universes)
+    memo = u._oracle_mask_cache if len(u) <= _MASK_CACHE_VAR_LIMIT else None
+    return truth_table(to_formula(), _var_masks(u), _full_mask(u), memo=memo)
 
 
 _MASK_CACHE_VAR_LIMIT = 16  # above this, per-node tables get too large to keep
-
-
-def _dag_mask(universe: Universe, value: Formula | Circuit) -> int:
-    memo = None
-    # formula nodes are interned per universe and immutable, so their truth
-    # tables can be remembered across calls (bounded to small universes)
-    if isinstance(value, Formula) and len(universe) <= _MASK_CACHE_VAR_LIMIT:
-        memo = universe._oracle_mask_cache
-    return truth_table(value, _var_masks(universe), _full_mask(universe), memo=memo)
 
 
 def _same_universe(value, universe: Universe) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from . import tractable
-from .core import Annotation, Circuit, Formula, Literal, Term, Variable, condition
+from .core import Annotation, Formula, Literal, Term, Variable, condition, walk
 from .tractable import Cnf, Dnf
 
 __all__ = [
@@ -37,13 +37,14 @@ def _expand(formula: Formula, forall: bool, item) -> Formula:
     formula|~l``; a variable needs no guard."""
     u = formula.universe
     outer, inner = ("and", "or") if forall else ("or", "and")
+    order = walk(u._store.args, (formula.id,))  # one walk serves both conditionings
     if not isinstance(item, Literal):
         pos = u.literal_by_code(2 * item.index + 1)
-        parts = [condition(formula, pos), condition(formula, ~pos)]
+        parts = [condition(formula, pos, order), condition(formula, ~pos, order)]
     elif forall:
-        parts = [u.fold(inner, [u.lit(item), condition(formula, ~item)]), condition(formula, item)]
+        parts = [u.fold(inner, [u.lit(item), condition(formula, ~item, order)]), condition(formula, item, order)]
     else:
-        parts = [condition(formula, item), u.fold(inner, [u.lit(~item), condition(formula, ~item)])]
+        parts = [condition(formula, item, order), u.fold(inner, [u.lit(~item), condition(formula, ~item, order)])]
     return u.fold(outer, parts)
 
 
@@ -112,10 +113,9 @@ def quantify(value, quantifier: str, items: Iterable):
         raise ValueError(f"unknown quantifier {quantifier!r}")
     u = value.universe
     resolved = [u.item(spec) for spec in items]
-    names = _ROUTINES.get(value.annotation if isinstance(value, Circuit) else type(value))
+    names = _ROUTINES.get(getattr(value, "annotation", type(value)))
     if names is None:
-        formula = value if isinstance(value, Formula) else value.to_formula()
-        return quantify_set(formula, quantifier, resolved)
+        return quantify_set(value.to_formula(), quantifier, resolved)
     lits = []
     for item in resolved:
         if isinstance(item, Variable):

@@ -98,7 +98,7 @@ class Classifier:
         self.features: Universe = positive.universe
         self.positive = positive
         if negative is None:
-            negative = negate(_as_formula(positive))
+            negative = negate(positive.to_formula())
         elif check:
             self._check_mutual_negation(positive, negative)
         self.negative = negative
@@ -112,7 +112,7 @@ class Classifier:
         if negative.universe is not self.features:
             raise UniverseMismatchError("classifier sides use different universes")
         if len(self.features) <= NEGATION_CHECK_CAP:
-            if not oracle.equivalent(_as_formula(negative), negate(_as_formula(positive))):
+            if not oracle.equivalent(negative, negate(positive.to_formula())):
                 raise UniverseMismatchError(
                     "negative side is not the negation of the positive side"
                 )
@@ -127,8 +127,8 @@ class Classifier:
             for i in range(size)
         ]
         full = (1 << NEGATION_SAMPLES) - 1
-        pos_table = truth_table(_as_formula(positive), masks, full)
-        neg_table = truth_table(_as_formula(negative), masks, full)
+        pos_table = truth_table(positive.to_formula(), masks, full)
+        neg_table = truth_table(negative.to_formula(), masks, full)
         if pos_table ^ neg_table != full:
             raise UniverseMismatchError(
                 "negative side disagrees with the negation of the positive side"
@@ -160,16 +160,12 @@ class Classifier:
         )
 
 
-def _as_formula(value) -> Formula:
-    return value if isinstance(value, Formula) else value.to_formula()
-
-
 def _term_entails(term: Term, value) -> bool:
     """Every completion of ``term`` satisfies ``value``."""
     if isinstance(value, Cnf):
         codes = set(term.codes)
         return not any(codes.isdisjoint(clause) for clause in value.codes)
-    return oracle.entails(term, _as_formula(value))
+    return oracle.entails(term, value)
 
 
 def decide(classifier: Classifier, population: Term | str) -> Decision:
@@ -304,13 +300,13 @@ def biased_instances(classifier: Classifier, side) -> Formula:
     reassignment of the protected features alone."""
     if not classifier.protected:
         raise ConfigurationError("classifier has no protected features")
-    deciding = _as_formula(classifier.side(side))
+    deciding = classifier.side(side).to_formula()
     invariant = quantify(
         classifier.side(side),
         "forall",
         sorted(classifier.protected, key=lambda v: v.index),
     )
-    return deciding & negate(_as_formula(invariant))
+    return deciding & negate(invariant.to_formula())
 
 
 def is_decision_biased(classifier: Classifier, instance: Term | str) -> bool:

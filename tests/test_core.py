@@ -262,7 +262,54 @@ class TestStructuralHashing:
                 first, second = results
                 assert len(first) == len(second) == 600
                 assert all(a is b for a, b in zip(first, second))
-                assert all(u._node_cache[node.key] is node for node in first)
+                assert all(
+                    u._node_cache[("and", tuple(c.id for c in node.children), -1)] == node.id
+                    for node in first
+                )
+        finally:
+            sys.setswitchinterval(old)
+        assert sys.getswitchinterval() == old
+
+    def test_two_threads_add_disjoint_nodes_at_distinct_ids(self):
+        # one thread builds conjunctions, the other disjunctions, all new to
+        # the store, switching as often as the interpreter allows; a lost
+        # race on the store's miss path would give two keys one id.  The
+        # store's kind list appends through a Python call, where a switch
+        # can fall between taking an id and recording it
+        class SwitchingList(list):
+            def append(self, item):
+                super().append(item)
+
+        rng = random.Random(4111)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(60):
+                u = Universe(24)
+                u._store.kinds = SwitchingList(u._store.kinds)
+                lits = [u.lit(code) for code in range(48)]
+                pairs = list({(rng.randrange(48), rng.randrange(48)) for _ in range(600)})
+                barrier = threading.Barrier(2, timeout=60)
+                results = {}
+
+                def build(kind):
+                    barrier.wait()
+                    results[kind] = [u.gate(kind, (lits[a], lits[b])) for a, b in pairs]
+
+                threads = [threading.Thread(target=build, args=(kind,)) for kind in ("and", "or")]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                store = u._store
+                assert len(store.kinds) == len(store.args) == len(u._node_cache) == 50 + 2 * len(pairs)
+                for kind, nodes in results.items():
+                    for node, (a, b) in zip(nodes, pairs):
+                        arg = (lits[a].id, lits[b].id)
+                        assert (store.kinds[node.id], store.args[node.id]) == (kind, arg)
+                        assert node.kind == kind and node.children == (lits[a], lits[b])
+                        assert u._node_cache[(kind, arg, -1)] == node.id
         finally:
             sys.setswitchinterval(old)
         assert sys.getswitchinterval() == old

@@ -398,16 +398,16 @@ class _RecursiveFormulaParser:
 
 
 def _outcome(parse, text, universe):
-    """The parsed node's serial, or the error with its position, plus the
-    nodes the parse created, by serial: comparable across universes."""
+    """The parsed node's id, or the error with its position, plus the
+    nodes the parse created, by id: comparable across universes."""
     seen = len(universe._node_cache)
     try:
-        result = parse(text, universe).serial
+        result = parse(text, universe).id
     except ParseError as error:
         result = (str(error), error.line, error.column)
     created = [
-        (n.serial, n.kind, [c.serial for c in n.children] if n.children else n.key[1:])
-        for n in sorted(universe._node_cache.values(), key=lambda n: n.serial)[seen:]
+        (n.id, n.kind, [c.id for c in n.children] if n.children else n.key[1:])
+        for n in map(universe._store.finish, range(seen, len(universe._node_cache)))
     ]
     return result, created
 

@@ -6,7 +6,7 @@ time through them, the four definitional operators written out one by one,
 and ``complete_reason`` with its own CNF drop loop.  On seeded CNFs, DNFs,
 formulas, Decision-DNNF and SDD circuits and classifiers over 1-6 variables,
 both must give the same type, text, element codes in order and emitted bytes
-(for formulas, the node serials in walk order), or the same error type and
+(for formulas, the node ids in walk order), or the same error type and
 message.  Each side builds its inputs in a universe of its own from the same
 seed, so node creation order is compared too.
 """
@@ -205,11 +205,12 @@ def ref_complete_reason(classifier, population):
 
 
 def fingerprint(value):
-    """Type, text, element codes or node serials in order, and emitted bytes."""
+    """Type, text, element codes or node ids in order, and emitted bytes."""
     if isinstance(value, Circuit):
         return ("Circuit", value.annotation, value.verified, emit_nnf(value))
     if isinstance(value, Formula):
-        nodes = tuple((node.serial, kind) for node, kind, _ in walk(value))
+        store = value.universe._store
+        nodes = tuple((ref, store.kinds[ref]) for ref in walk(store.args, (value.id,)))
         return ("Formula", str(value), nodes)
     codes = tuple(e.codes for e in value.elements)
     emitted = emit_dimacs(value) if isinstance(value, Cnf) else None
