@@ -26,7 +26,9 @@ formulas use ``not``, whose argument is the one-child tuple.  A
 Every pass is written once, on the ids of the store and root that a value
 gives.  :func:`walk` lists the ids under some roots, children first.
 :func:`truth_table` evaluates a DAG on bit-parallel variable masks, one
-world per bit.  :func:`rebuild` copies a DAG into a builder: it replaces
+world per bit; past 16 variables it frees each node's table after the last
+reader, and ``_var_patterns`` builds the masks by doubling, once per number
+of variables.  :func:`rebuild` copies a DAG into a builder: it replaces
 literals by constants, builds the De Morgan dual on request and folds every
 gate by :meth:`CircuitBuilder.fold`.  None recurses, so only memory bounds
 the depth of a DAG.
@@ -35,9 +37,9 @@ the depth of a DAG.
 from __future__ import annotations
 
 import threading
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import and_, or_
 
@@ -171,7 +173,6 @@ class Universe:
         self._dimacs = _by_code(["-" + number for number in numbers], numbers)
         self._store = _Store(self)
         self._node_cache: dict[tuple, int] = self._store._cache
-        self._var_masks: list[int] | None = None
         # the oracle's truth tables of formula nodes, by id (small universes)
         self._oracle_mask_cache: dict[int, int] = {}
         self.true = self._store.finish(self._store.true)
@@ -660,6 +661,12 @@ def walk(args: Sequence, roots: Iterable[int], done=()) -> list[int]:
     return sorted(seen)
 
 
+# up to this many variables (tables of 2**16 bits) the oracle keeps each
+# node's table across calls; past it, truth_table frees each table after its
+# last reader (below it, counting the readers costs more than it frees)
+_MASK_CACHE_VAR_LIMIT = 16
+
+
 def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
                 root: int | None = None, memo: dict | None = None) -> int:
     """Bit-parallel evaluation of a formula or circuit: bit ``w`` of the
@@ -669,40 +676,64 @@ def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
     and ``full`` the bits of all worlds.  ``root`` picks a node other than
     the value's root.  ``memo`` maps ids to their tables; the nodes of a
     universe's store never change, so a memo on its ids may be kept across
-    calls, and the walk stops at the nodes it already holds.
+    calls, and the walk stops at the nodes it already holds.  Without one,
+    tables wider than ``2**16`` bits (past 16 variables) live only until
+    their last reader in the walk has used them, so memory follows the
+    walk's frontier, not its size.
     """
     store, top = value._dag()
     root = top if root is None else root
+    release = memo is None and full.bit_length() > 1 << _MASK_CACHE_VAR_LIMIT
     if memo is None:
         memo = {}
     elif root in memo:
         return memo[root]
     kinds, args = store.kinds, store.args
-    for ref in walk(args, (root,), memo):
+    order = walk(args, (root,), memo)
+    if release:
+        readers = Counter(chain.from_iterable(
+            args[ref] for ref in order if type(args[ref]) is tuple
+        ))
+    for ref in order:
         kind, arg = kinds[ref], args[ref]
         if kind == "lit":
             out = masks[arg >> 1] if arg & 1 else full ^ masks[arg >> 1]
         elif kind == "and":
-            out = full
-            for child in arg:
+            out = memo[arg[0]] if arg else full
+            for child in arg[1:]:
                 out &= memo[child]
         elif kind == "or":
-            out = 0
-            for child in arg:
+            out = memo[arg[0]] if arg else 0
+            for child in arg[1:]:
                 out |= memo[child]
         elif kind == "not":
             out = full ^ memo[arg[0]]
         else:
             out = full if kind == "true" else 0
         memo[ref] = out
+        if release and type(arg) is tuple:
+            for child in arg:
+                readers[child] -= 1
+                if not readers[child]:
+                    del memo[child]
     return memo[root]
 
 
-def _var_patterns(n: int) -> list[int]:
+@lru_cache(maxsize=16)
+def _var_patterns(n: int) -> tuple[int, ...]:
     """Bit ``w`` of pattern ``i`` is set iff bit ``i`` of ``w`` is, over
-    ``2**n`` rows: a period of ``2**i`` zeros then ``2**i`` ones, repeated."""
-    full = (1 << (1 << n)) - 1
-    return [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(n)]
+    ``2**n`` rows: a period of ``2**i`` zeros then ``2**i`` ones, repeated.
+
+    Knuth's magic masks (TAOCP 4A, 7.1.3), built by doubling: the patterns
+    over ``2**(k+1)`` rows are those over ``2**k`` rows written twice, plus
+    a new top pattern, so the whole build is linear in ``n * 2**n``.  The
+    patterns of the last 16 sizes are kept.
+    """
+    masks: tuple[int, ...] = ()
+    for k in range(n):
+        rows = 1 << k
+        masks = tuple(mask | mask << rows for mask in masks) + (((1 << rows) - 1) << rows,)
+    return masks
 
 
 _BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))

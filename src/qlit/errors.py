@@ -44,7 +44,8 @@ class NoDecisionError(QlitError):
 
 
 class ConfigurationError(QlitError):
-    """A query needs configuration (e.g. protected features) that is missing."""
+    """A query needs configuration (e.g. protected features, or the
+    enumeration cap) that is missing or invalid."""
 
 
 class ParseError(QlitError):

@@ -30,11 +30,12 @@ from .core import (
     Universe,
     Variable,
     World,
+    _MASK_CACHE_VAR_LIMIT,
     _iter_bits,
     _var_patterns,
     truth_table,
 )
-from .errors import CapacityError, PreconditionError, UniverseMismatchError
+from .errors import CapacityError, ConfigurationError, PreconditionError, UniverseMismatchError
 
 __all__ = [
     "BRule",
@@ -61,8 +62,17 @@ _DEFAULT_CAP = 24
 
 
 def default_cap() -> int:
-    """Enumeration cap: ``QLIT_ENUM_CAP`` when set, else 24 variables."""
-    return int(os.environ.get("QLIT_ENUM_CAP", _DEFAULT_CAP))
+    """Enumeration cap: ``QLIT_ENUM_CAP`` when set, else 24 variables.
+
+    Any other value than a non-negative decimal integer is refused."""
+    text = os.environ.get("QLIT_ENUM_CAP")
+    if text is None:
+        return _DEFAULT_CAP
+    if not (text.isascii() and text.isdigit()):
+        raise ConfigurationError(
+            f"QLIT_ENUM_CAP must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
 
 
 def _check_cap(universe: Universe) -> None:
@@ -76,13 +86,6 @@ def _check_cap(universe: Universe) -> None:
 # -- truth tables as big integers ---------------------------------------------
 
 
-def _var_masks(universe: Universe) -> list[int]:
-    """Bit ``w`` of mask ``i`` is set iff variable ``i`` is true in world ``w``."""
-    if universe._var_masks is None:
-        universe._var_masks = _var_patterns(len(universe))
-    return universe._var_masks
-
-
 def _full_mask(universe: Universe) -> int:
     return (1 << (1 << len(universe))) - 1
 
@@ -90,14 +93,14 @@ def _full_mask(universe: Universe) -> int:
 def _flip_mask(universe: Universe, mask: int, var_index: int) -> int:
     """Permuted table: bit ``w`` becomes the bit of ``w`` with variable flipped."""
     p = 1 << var_index
-    ones = _var_masks(universe)[var_index]
+    ones = _var_patterns(len(universe))[var_index]
     zeros = _full_mask(universe) & ~ones
     return ((mask & zeros) << p) | ((mask & ones) >> p)
 
 
 def _condition_mask(universe: Universe, mask: int, lit: Literal) -> int:
     """Table of ``f | lit``: every world looks up its ``lit``-side twin."""
-    ones = _var_masks(universe)[lit.variable.index]
+    ones = _var_patterns(len(universe))[lit.variable.index]
     side = ones if lit.positive else _full_mask(universe) & ~ones
     kept = mask & side
     p = 1 << lit.variable.index
@@ -105,7 +108,7 @@ def _condition_mask(universe: Universe, mask: int, lit: Literal) -> int:
 
 
 def _literal_mask(universe: Universe, code: int) -> int:
-    ones = _var_masks(universe)[code >> 1]
+    ones = _var_patterns(len(universe))[code >> 1]
     return ones if code & 1 else _full_mask(universe) & ~ones
 
 
@@ -130,12 +133,10 @@ def models_mask(value) -> int:
     if to_formula is None:
         raise TypeError(f"cannot compute a truth table for {value!r}")
     # the nodes of a universe's store never change, so their truth tables
-    # can be remembered across calls, by id (bounded to small universes)
+    # can be remembered across calls, by id, up to 16 variables; past that,
+    # each table lives only until its last reader has used it
     memo = u._oracle_mask_cache if len(u) <= _MASK_CACHE_VAR_LIMIT else None
-    return truth_table(to_formula(), _var_masks(u), _full_mask(u), memo=memo)
-
-
-_MASK_CACHE_VAR_LIMIT = 16  # above this, per-node tables get too large to keep
+    return truth_table(to_formula(), _var_patterns(len(u)), _full_mask(u), memo=memo)
 
 
 def _same_universe(value, universe: Universe) -> None:

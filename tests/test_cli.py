@@ -486,6 +486,18 @@ class TestExitCodes:
         code = main(["brules", "--in", str(path)])
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["abc", "-3"])
+    def test_invalid_cap_is_1_with_one_line(self, tmp_path, capsys, monkeypatch, text):
+        monkeypatch.setenv("QLIT_ENUM_CAP", text)
+        path = tmp_path / "three.txt"
+        path.write_text("x & y & z\n")
+        assert main(["brules", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: QLIT_ENUM_CAP must be a non-negative integer, got {text!r}\n"
+        )
+        assert captured.out == ""
+
     def test_internal_error_is_3_with_one_line(self, tmp_path, capsys, monkeypatch):
         def broken(args, session):
             raise RuntimeError("handler broke\nsecond line")

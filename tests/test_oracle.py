@@ -2,11 +2,17 @@
 reconstruction and the rule-transition report."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from qlit.core import Universe, World, evaluate, negate
-from qlit.errors import CapacityError, PreconditionError, UniverseMismatchError
+from qlit.core import Universe, World, evaluate, negate, walk
+from qlit.errors import (
+    CapacityError,
+    ConfigurationError,
+    PreconditionError,
+    UniverseMismatchError,
+)
 from qlit.generators import (
     random_consistent_formula,
     random_formula,
@@ -349,6 +355,78 @@ class TestCaps:
             oracle.enumerate_models(xyz.true)
         monkeypatch.setenv("QLIT_ENUM_CAP", "8")
         assert len(oracle.enumerate_models(xyz.true)) == 8
+
+    @pytest.mark.parametrize("text", ["abc", "-3", "", "2.5", " 8", "\u00b2"])
+    def test_an_invalid_override_is_refused(self, xyz, monkeypatch, text):
+        monkeypatch.setenv("QLIT_ENUM_CAP", text)
+        with pytest.raises(ConfigurationError) as caught:
+            oracle.default_cap()
+        assert "QLIT_ENUM_CAP" in str(caught.value) and repr(text) in str(caught.value)
+        with pytest.raises(ConfigurationError):
+            oracle.enumerate_models(xyz.true)
+
+    def test_zero_is_a_cap(self, monkeypatch):
+        monkeypatch.setenv("QLIT_ENUM_CAP", "0")
+        assert oracle.default_cap() == 0
+        assert len(oracle.enumerate_models(Universe([]).true)) == 1
+        with pytest.raises(CapacityError, match="cap is 0"):
+            oracle.enumerate_models(Universe(1).true)
+
+
+def _formula_of_at_least(u, rng, nodes):
+    while True:
+        f = random_formula(u, rng, depth=9)
+        if len(walk(u._store.args, (f.id,))) >= nodes:
+            return f
+
+
+class TestTableMemory:
+    def test_tables_past_16_variables_live_until_their_last_reader(self):
+        u = Universe(18)
+        f = _formula_of_at_least(u, random.Random(9100), 100)
+        nodes = len(walk(u._store.args, (f.id,)))
+        table_bytes = (1 << 18) // 8
+        expected = oracle.models_mask(f)  # builds the variable masks first
+        tracemalloc.start()
+        try:
+            assert oracle.models_mask(f) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # keeping every node's table would take about nodes * table_bytes
+        assert peak < nodes * table_bytes / 3
+
+
+def _state(obj) -> dict:
+    """The attributes of ``obj``, with containers copied."""
+    return {
+        name: value.copy() if isinstance(value, (list, dict, set)) else value
+        for name, value in vars(obj).items()
+    }
+
+
+class TestUniverseUnchanged:
+    @pytest.mark.parametrize("n", [10, 18])
+    def test_oracle_queries_leave_the_universe_as_it_was(self, n):
+        # a random formula, conjoined with one total term so that the
+        # formula has at most one model and few rules at any size
+        u = Universe(n)
+        rng = random.Random(9200 + n)
+        f = random_formula(u, rng, depth=6) & u.all_conj(
+            u.lit(2 * i + rng.randrange(2)) for i in range(n)
+        )
+        g = negate(negate(f))
+        cache = u._oracle_mask_cache
+        before, store_before = _state(u), _state(u._store)
+        oracle.models_mask(f)
+        assert oracle.equivalent(f, g)
+        oracle.b_rules(f)
+        oracle.boundary_models(g)
+        after = _state(u)
+        assert u._oracle_mask_cache is cache
+        del before["_oracle_mask_cache"], after["_oracle_mask_cache"]
+        assert after == before
+        assert _state(u._store) == store_before
 
 
 class TestModelSetSemantics:

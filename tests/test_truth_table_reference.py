@@ -1,0 +1,153 @@
+"""Truth tables and variable masks against the code they replaced.
+
+The references are the earlier implementations: ``_var_patterns`` built
+each mask by one big-integer floor division, ``full // (2**(2**(i+1)) - 1)``
+times one period, which is quadratic in the table's width; and
+``truth_table`` kept every node's table until the call returned and folded
+each gate from ``full`` or ``0``.  :func:`qlit.core._var_patterns` must
+return the same masks, and :func:`qlit.core.truth_table` the same tables,
+whether it frees tables after their last reader (past 16 variables, without
+a memo) or fills a memo.
+"""
+
+import random
+
+import pytest
+
+from qlit.core import Universe, World, _var_patterns, evaluate, truth_table, walk
+from qlit.generators import random_decision_dnnf, random_formula, random_sdd
+
+
+def ref_var_patterns(n):
+    full = (1 << (1 << n)) - 1
+    return [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(n)]
+
+
+def ref_truth_table(value, masks, full, root=None, memo=None):
+    store, top = value._dag()
+    root = top if root is None else root
+    if memo is None:
+        memo = {}
+    elif root in memo:
+        return memo[root]
+    kinds, args = store.kinds, store.args
+    for ref in walk(args, (root,), memo):
+        kind, arg = kinds[ref], args[ref]
+        if kind == "lit":
+            out = masks[arg >> 1] if arg & 1 else full ^ masks[arg >> 1]
+        elif kind == "and":
+            out = full
+            for child in arg:
+                out &= memo[child]
+        elif kind == "or":
+            out = 0
+            for child in arg:
+                out |= memo[child]
+        elif kind == "not":
+            out = full ^ memo[arg[0]]
+        else:
+            out = full if kind == "true" else 0
+        memo[ref] = out
+    return memo[root]
+
+
+def _full(n):
+    return (1 << (1 << n)) - 1
+
+
+class TestMasks:
+    def test_equal_to_the_division_masks(self):
+        for n in range(19):
+            assert list(_var_patterns(n)) == ref_var_patterns(n), n
+
+    @pytest.mark.parametrize("n", [19, 20, 21])
+    def test_spot_bits_past_the_reference(self, n):
+        masks = _var_patterns(n)
+        assert len(masks) == n
+        rng = random.Random(8000 + n)
+        for w in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(200)]:
+            for i, mask in enumerate(masks):
+                assert mask >> w & 1 == w >> i & 1
+        assert all(mask.bit_length() <= 1 << n for mask in masks)
+
+    def test_one_tuple_per_size(self):
+        assert _var_patterns(12) is _var_patterns(12)
+        assert isinstance(_var_patterns(12), tuple)
+
+
+class TestFormulaTables:
+    @pytest.mark.parametrize("n", [17, 18, 19])
+    def test_release_path(self, n):
+        rng = random.Random(8100 + n)
+        u = Universe(n)
+        masks, full = _var_patterns(n), _full(n)
+        for _ in range(4):
+            f = random_formula(u, rng, depth=7)
+            assert truth_table(f, masks, full) == ref_truth_table(f, masks, full)
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 16])
+    def test_memo_path(self, n):
+        rng = random.Random(8200 + n)
+        u = Universe(n)
+        masks, full = _var_patterns(n), _full(n)
+        memo, ref_memo = {}, {}
+        for _ in range(20):
+            f = random_formula(u, rng, depth=6)
+            assert truth_table(f, masks, full, memo=memo) == ref_truth_table(f, masks, full, memo=ref_memo)
+            assert truth_table(f, masks, full) == ref_truth_table(f, masks, full)
+        assert memo == ref_memo
+
+    @pytest.mark.parametrize("n", [8, 18])
+    def test_a_callers_memo_holds_every_node_of_the_walk(self, n):
+        rng = random.Random(8300 + n)
+        u = Universe(n)
+        masks, full = _var_patterns(n), _full(n)
+        f = random_formula(u, rng, depth=7)
+        memo = {}
+        truth_table(f, masks, full, memo=memo)
+        order = walk(u._store.args, (f.id,))
+        assert sorted(memo) == order
+        ref_memo = {}
+        ref_truth_table(f, masks, full, memo=ref_memo)
+        assert memo == ref_memo
+
+    def test_evaluate(self):
+        rng = random.Random(8400)
+        u = Universe(7)
+        masks, full = _var_patterns(7), _full(7)
+        for _ in range(30):
+            f = random_formula(u, rng, depth=6)
+            table = ref_truth_table(f, masks, full)
+            for bits in range(1 << 7):
+                assert evaluate(f, World(u, bits)) == bool(table >> bits & 1)
+
+
+class TestCircuitTables:
+    def _check_every_root(self, circuit, masks, full):
+        for ref in range(len(circuit.kinds)):
+            assert truth_table(circuit, masks, full, root=ref) == ref_truth_table(
+                circuit, masks, full, root=ref
+            )
+
+    def test_roots_of_decision_circuits(self):
+        rng = random.Random(8500)
+        for n in (5, 10):
+            circuit = random_decision_dnnf(Universe(n), rng)
+            self._check_every_root(circuit, _var_patterns(n), _full(n))
+
+    def test_roots_of_a_partition_circuit_past_the_line(self):
+        circuit = random_sdd(Universe(18), random.Random(8501))
+        self._check_every_root(circuit, _var_patterns(18), _full(18))
+
+    def test_a_mapping_of_masks(self):
+        # the partition check's call: masks over a subset of the variables,
+        # keyed by variable index
+        rng = random.Random(8502)
+        for n, width in ((12, 5), (19, 17)):
+            circuit = random_sdd(Universe(n), rng)
+            chosen = sorted(rng.sample(range(n), width))
+            masks = dict(zip(chosen, _var_patterns(width)))
+            # variables outside the subset read as constants
+            for i in range(n):
+                masks.setdefault(i, _full(width) if i % 2 else 0)
+            self._check_every_root(circuit, masks, _full(width))
