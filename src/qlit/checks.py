@@ -201,7 +201,7 @@ def _syntax(suite: _Suite) -> SuiteResult:
     def trial(rng: random.Random):
         f = random_formula(u, rng)
         lit = random_literal(u, rng)
-        rules = oracle.b_rules(f)
+        rules = oracle.b_rules(f).items  # read twice below
         neg_antecedents = [
             negate(r.antecedent.to_formula())
             for r in rules

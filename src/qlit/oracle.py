@@ -8,7 +8,8 @@ variable, ``mask & ~flip_i(mask)``: bit ``w`` of mask ``i`` is the rule on
 world ``w`` whose consequent is variable ``i``.  Model enumeration, boundary
 models, rules, their transitions under quantification, independent models and
 the fixed-point reconstruction of models from rules are all computed on these
-integers.  Other modules are validated against this one, never the reverse.
+integers, which are all a :class:`ModelSet` or :class:`RuleSet` keeps.  Other
+modules are validated against this one, never the reverse.
 
 Every query takes values only: the universe is the value's own, and the
 queries that compare two values refuse values of different universes.
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Clause,
@@ -93,18 +95,18 @@ def _full_mask(universe: Universe) -> int:
 def _flip_mask(universe: Universe, mask: int, var_index: int) -> int:
     """Permuted table: bit ``w`` becomes the bit of ``w`` with variable flipped."""
     p = 1 << var_index
-    ones = _var_patterns(len(universe))[var_index]
-    zeros = _full_mask(universe) & ~ones
-    return ((mask & zeros) << p) | ((mask & ones) >> p)
+    high = mask & _var_patterns(len(universe))[var_index]
+    return (mask ^ high) << p | high >> p
 
 
 def _condition_mask(universe: Universe, mask: int, lit: Literal) -> int:
     """Table of ``f | lit``: every world looks up its ``lit``-side twin."""
-    ones = _var_patterns(len(universe))[lit.variable.index]
-    side = ones if lit.positive else _full_mask(universe) & ~ones
-    kept = mask & side
     p = 1 << lit.variable.index
-    return kept | (kept >> p if lit.positive else kept << p)
+    high = mask & _var_patterns(len(universe))[lit.variable.index]
+    if lit.positive:
+        return high | high >> p
+    low = mask ^ high
+    return low | low << p
 
 
 def _literal_mask(universe: Universe, code: int) -> int:
@@ -214,70 +216,81 @@ class BRule:
         return f"BRule({self})"
 
 
-class _SortedSet:
-    __slots__ = ("universe", "items", "_set")
+class _MaskSet:
+    """Shared behaviour of model and rule sets: a set stores ``masks``, a
+    tuple of integers over the worlds of its ``universe``, and nothing else.
+    ``items`` makes the worlds or rules in canonical order on each access."""
 
-    def __init__(self, universe: Universe, items: Iterable):
-        self.universe = universe
-        self.items = tuple(items)
-        self._set = frozenset(self.items)
+    __slots__ = ("universe", "masks")
+
+    @classmethod
+    def _of(cls, universe: Universe, masks: Iterable[int]):
+        out = object.__new__(cls)
+        out.universe, out.masks = universe, tuple(masks)
+        return out
 
     def __len__(self) -> int:
-        return len(self.items)
+        return sum(mask.bit_count() for mask in self.masks)
 
     def __iter__(self):
         return iter(self.items)
 
-    def __contains__(self, item) -> bool:
-        return item in self._set
-
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other._set == self._set
+        mine = type(other) is type(self) and other.universe is self.universe
+        return mine and other.masks == self.masks
 
     def __hash__(self) -> int:
-        return hash(self._set)
-
-
-class ModelSet(_SortedSet):
-    """Worlds in canonical order, plus the generating universe."""
-
-    def __init__(self, universe: Universe, worlds: Iterable[World]):
-        super().__init__(universe, sorted(worlds, key=lambda w: w.bits))
-
-    def bits(self) -> frozenset[int]:
-        return frozenset(w.bits for w in self.items)
+        return hash((id(self.universe), self.masks))
 
     def __repr__(self) -> str:
-        return "ModelSet({" + ", ".join(str(w) for w in self.items) + "})"
+        return "%s({%s})" % (type(self).__name__, ", ".join(map(str, self.items)))
 
 
-class RuleSet(_SortedSet):
-    """Boundary rules in canonical order, plus the generating universe.
+class ModelSet(_MaskSet):
+    """A set of worlds as its truth table, ``masks == (table,)``."""
 
-    The rules are also kept as one crossing mask per consequent variable,
-    computed at construction unless the caller already has them."""
+    __slots__ = ()
 
-    __slots__ = ("_crossings",)
+    def __init__(self, universe: Universe, worlds: Iterable[World]):
+        table = bytearray((1 << len(universe) >> 3) or 1)  # linear, where a sum is not
+        for w in worlds:
+            table[w.bits >> 3] |= 1 << (w.bits & 7)
+        self.universe, self.masks = universe, (int.from_bytes(table, "little"),)
 
-    def __init__(self, universe: Universe, rules: Iterable[BRule],
-                 crossings: list[int] | None = None):
-        super().__init__(universe, sorted(rules, key=BRule.sort_key))
-        if crossings is None:
-            crossings = [0] * len(universe)
-            for r in self.items:
-                crossings[r.consequent.variable.index] |= 1 << r.world().bits
-        self._crossings = crossings
+    @property
+    def items(self) -> tuple[World, ...]:
+        return tuple([World(self.universe, bits) for bits in _iter_bits(self.masks[0])])
+
+    def bits(self) -> frozenset[int]:
+        return frozenset(_iter_bits(self.masks[0]))
+
+    def __contains__(self, world) -> bool:
+        mine = isinstance(world, World) and world.universe is self.universe
+        return mine and bool(self.masks[0] >> world.bits & 1)
+
+
+class RuleSet(_MaskSet):
+    """A set of boundary rules as one crossing mask per consequent variable."""
+
+    __slots__ = ()
+
+    def __init__(self, universe: Universe, rules: Iterable[BRule]):
+        masks = [0] * len(universe)
+        for r in rules:
+            masks[r.consequent.variable.index] |= 1 << r.world().bits
+        self.universe, self.masks = universe, tuple(masks)
+
+    @property
+    def items(self) -> tuple[BRule, ...]:
+        return _rules(self.universe, self.masks)
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         """Rules as (world bits, consequent variable index) pairs."""
-        return frozenset(
-            (bits, i)
-            for i, crossing in enumerate(self._crossings)
-            for bits in _iter_bits(crossing)
-        )
+        return frozenset(_crossing_pairs(self.masks))
 
-    def __repr__(self) -> str:
-        return "RuleSet({" + ", ".join(str(r) for r in self.items) + "})"
+    def __contains__(self, rule) -> bool:
+        mine = isinstance(rule, BRule) and rule.universe is self.universe
+        return mine and bool(self.masks[rule.consequent.variable.index] >> rule.world().bits & 1)
 
 
 def _crossings(universe: Universe, mask: int) -> list[int]:
@@ -285,16 +298,22 @@ def _crossings(universe: Universe, mask: int) -> list[int]:
     return [mask & ~_flip_mask(universe, mask, i) for i in range(len(universe))]
 
 
-def _rules(universe: Universe, crossings: list[int]) -> list[BRule]:
+def _crossing_pairs(crossings: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The (world bits, variable index) pair of each set bit of the masks."""
+    for i, crossing in enumerate(crossings):
+        for bits in _iter_bits(crossing):
+            yield bits, i
+
+
+def _rules(universe: Universe, crossings: Iterable[int]) -> tuple[BRule, ...]:
     """One rule per set bit of the crossing masks, in canonical order."""
     n = len(universe)
     literals = universe._literals
     out = []
-    for i, crossing in enumerate(crossings):
-        for bits in _iter_bits(crossing):
-            codes = tuple(2 * k + (bits >> k & 1) for k in range(n) if k != i)
-            out.append(BRule(Term(universe, codes), literals[2 * i + (bits >> i & 1)]))
-    return sorted(out, key=BRule.sort_key)
+    for bits, i in _crossing_pairs(crossings):
+        codes = tuple(2 * k + (bits >> k & 1) for k in range(n) if k != i)
+        out.append(BRule(Term(universe, codes), literals[2 * i + (bits >> i & 1)]))
+    return tuple(sorted(out, key=BRule.sort_key))
 
 
 # -- oracle operations ----------------------------------------------------------
@@ -302,9 +321,7 @@ def _rules(universe: Universe, crossings: list[int]) -> list[BRule]:
 
 def enumerate_models(value) -> ModelSet:
     """Exactly the worlds satisfying ``value``, in canonical order."""
-    u = value.universe
-    mask = models_mask(value)
-    return ModelSet(u, (World(u, bits) for bits in _iter_bits(mask)))
+    return ModelSet._of(value.universe, (models_mask(value),))
 
 
 def boundary_models(value) -> set[tuple[World, Literal]]:
@@ -314,16 +331,14 @@ def boundary_models(value) -> set[tuple[World, Literal]]:
     literals = u._literals
     return {
         (World(u, bits), literals[2 * i + (bits >> i & 1)])
-        for i, crossing in enumerate(_crossings(u, models_mask(value)))
-        for bits in _iter_bits(crossing)
+        for bits, i in _crossing_pairs(_crossings(u, models_mask(value)))
     }
 
 
 def b_rules(value) -> RuleSet:
     """The boundary rules of ``value``: one per boundary (model, literal) pair."""
     u = value.universe
-    crossings = _crossings(u, models_mask(value))
-    return RuleSet(u, _rules(u, crossings), crossings)
+    return RuleSet._of(u, _crossings(u, models_mask(value)))
 
 
 def is_independent_model(value, world: World, term: Term) -> bool:
@@ -347,22 +362,21 @@ def reconstruct_models(rules: RuleSet, bmodels: ModelSet) -> ModelSet:
     the source formula was valid or inconsistent and is refused.
     """
     u = bmodels.universe
-    if len(bmodels) == 0:
+    current = bmodels.masks[0]
+    if not current:
         raise PreconditionError(
             "valid-or-inconsistent formula: no boundary models to reconstruct from"
         )
     if rules.universe is not u:
         raise UniverseMismatchError("rules and boundary models differ in universe")
-    rule_masks = rules._crossings
-    current = sum(1 << bits for bits in bmodels.bits())
     while True:
         grown = current
-        for i in range(len(u)):
-            grown |= _flip_mask(u, grown & ~rule_masks[i], i)
+        for i, rule_mask in enumerate(rules.masks):
+            grown |= _flip_mask(u, grown & ~rule_mask, i)
         if grown == current:
             break
         current = grown
-    return ModelSet(u, (World(u, bits) for bits in _iter_bits(current)))
+    return ModelSet._of(u, (current,))
 
 
 def literal_independent(value, lit: Literal) -> bool:
@@ -387,40 +401,35 @@ def variable_independent(value, var: Variable) -> bool:
 # -- boundary-rule dynamics under universal literal quantification ---------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionReport:
     """How the rule set changes when one literal is universally quantified.
 
-    ``checks`` holds one flag per clause of the deletion/preservation theorem
-    (a-d), the introduction-shape theorem (add1) and the four-condition
-    introduction criterion (add2).
+    The five rule fields are :class:`RuleSet`s.  ``checks`` maps, read-only,
+    each clause of the deletion/preservation theorem (a-d), the
+    introduction-shape theorem (add1) and the four-condition introduction
+    criterion (add2) to a flag; it follows from the rules, so it is not hashed.
     """
 
     quantified: Literal
     rules_before: RuleSet
     rules_after: RuleSet
-    preserved: tuple[BRule, ...]
-    deleted: tuple[BRule, ...]
-    introduced: tuple[BRule, ...]
-    checks: dict[str, bool] = field(default_factory=dict)
+    preserved: RuleSet
+    deleted: RuleSet
+    introduced: RuleSet
+    checks: Mapping[str, bool] = field(default_factory=dict, hash=False)
 
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
 
     def to_lines(self) -> list[str]:
-        lines = []
-        for rule in self.preserved:
-            lines.append(f"{rule} [kept]")
-        for rule in self.deleted:
-            lines.append(f"{rule} [deleted]")
-        for rule in self.introduced:
-            lines.append(f"{rule} [introduced]")
-        return lines
+        tags = {"kept": self.preserved, "deleted": self.deleted, "introduced": self.introduced}
+        return [f"{rule} [{tag}]" for tag, rules in tags.items() for rule in rules]
 
 
 def _transition_checks(
-    universe: Universe, lit: Literal, before: list[int], after: list[int]
+    universe: Universe, lit: Literal, before: Sequence[int], after: Sequence[int]
 ) -> dict[str, bool]:
     """Every clause of the characterization, as masks over the crossing masks
     before and after quantifying ``lit`` that must be empty.  A rule on variable
@@ -463,25 +472,16 @@ def brule_transition_report(value, lit: Literal) -> TransitionReport:
     u = value.universe
     u.check(lit)
     mask = models_mask(value)
-
-    lit_mask = _literal_mask(u, lit.code)
-    mask_given_lit = _condition_mask(u, mask, lit)
-    mask_given_neg = _condition_mask(u, mask, ~lit)
-    quantified = (lit_mask | mask_given_neg) & mask_given_lit
-
+    # forall lit . f  ==  (lit | f|~lit) & f|lit
+    given_neg, given_lit = _condition_mask(u, mask, ~lit), _condition_mask(u, mask, lit)
     before = _crossings(u, mask)
-    after = _crossings(u, quantified)
-    # each rule is built once: the kept ones serve both rule sets
-    preserved = _rules(u, [b & a for b, a in zip(before, after)])
-    deleted = _rules(u, [b & ~a for b, a in zip(before, after)])
-    introduced = _rules(u, [a & ~b for b, a in zip(before, after)])
-
+    after = _crossings(u, (_literal_mask(u, lit.code) | given_neg) & given_lit)
     return TransitionReport(
         quantified=lit,
-        rules_before=RuleSet(u, preserved + deleted, before),
-        rules_after=RuleSet(u, preserved + introduced, after),
-        preserved=tuple(preserved),
-        deleted=tuple(deleted),
-        introduced=tuple(introduced),
-        checks=_transition_checks(u, lit, before, after),
+        rules_before=RuleSet._of(u, before),
+        rules_after=RuleSet._of(u, after),
+        preserved=RuleSet._of(u, [b & a for b, a in zip(before, after)]),
+        deleted=RuleSet._of(u, [b & ~a for b, a in zip(before, after)]),
+        introduced=RuleSet._of(u, [a & ~b for b, a in zip(before, after)]),
+        checks=MappingProxyType(_transition_checks(u, lit, before, after)),
     )

@@ -236,7 +236,7 @@ def _minimal_hitting_sets(
     clauses: Sequence[frozenset[int]], cap: int
 ) -> list[tuple[int, ...]]:
     """All subset-minimal hitting sets of the clause family, by branch and
-    bound with per-node exclusion sets."""
+    bound with per-node exclusion sets, on a stack of frames, not Python's."""
     family = [c for c in clauses]
     results: set[tuple[int, ...]] = set()
 
@@ -246,7 +246,9 @@ def _minimal_hitting_sets(
                 return False
         return True
 
-    def search(chosen: frozenset[int], banned: frozenset[int]) -> None:
+    stack = [(frozenset(), frozenset())]
+    while stack:
+        chosen, banned = stack.pop()
         unhit = next((c for c in family if not c & chosen), None)
         if unhit is None:
             if minimal(chosen):
@@ -255,15 +257,12 @@ def _minimal_hitting_sets(
                     raise CapacityError(
                         f"more than {cap} sufficient reasons; raise the cap to enumerate"
                     )
-            return
-        blocked = banned
-        for lit in sorted(unhit):
-            if lit in blocked:
-                continue
-            search(chosen | {lit}, blocked)
+            continue
+        children, blocked = [], banned
+        for lit in sorted(unhit - banned):
+            children.append((chosen | {lit}, blocked))
             blocked = blocked | {lit}
-
-    search(frozenset(), frozenset())
+        stack.extend(reversed(children))  # the first child is searched first
     return sorted(results)
 
 

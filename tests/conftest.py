@@ -51,6 +51,16 @@ p cnf 5 4
 -3 -4 -5 0
 """
 
+
+def unit_clause_bundle(n: int) -> str:
+    """A bundle whose positive side is the ``n`` unit clauses ``v1 .. vn``:
+    the population of all ``n`` positive literals has exactly one sufficient
+    reason, the whole population."""
+    names = "".join(f"var {i} v{i}\n" for i in range(1, n + 1))
+    units = "".join(f"{i} 0\n" for i in range(1, n + 1))
+    return f"{names}section delta\np cnf {n} {n}\n{units}"
+
+
 # the loan classifier as a decision circuit: a root decision on d whose low
 # branch decides h (with a constant-true leaf) and whose high branch is i & g
 LOAN_DECISION_NNF = """\

@@ -8,7 +8,7 @@ import pytest
 from qlit import cli
 from qlit.cli import main
 
-from conftest import ADMISSION_BUNDLE, LOAN_BUNDLE, LOAN_DECISION_NNF
+from conftest import ADMISSION_BUNDLE, LOAN_BUNDLE, LOAN_DECISION_NNF, unit_clause_bundle
 
 LOAN_CNF = (
     "c var 1 d\nc var 2 g\nc var 3 h\nc var 4 i\n"
@@ -272,6 +272,115 @@ class TestBrules:
         assert out[0].startswith("rules: 12, boundary models: 7")
 
 
+# ``qlit brules`` output, recorded byte for byte: rules and worlds are made
+# from masks on each read, and must keep their canonical order
+FOUR_VARIABLE_FORMULA = "(a & b) | (~c & d) | (a & ~d)\n"
+BRULES_OUTPUT = {
+    ("loan", ()): (
+        "rules: 12, boundary models: 7\n"
+        "~d ~g ~h -> i\n"
+        "~d ~g ~i -> h\n"
+        "~d g ~h -> i\n"
+        "~d g ~i -> h\n"
+        "d g ~h -> i\n"
+        "d g h -> i\n"
+        "d ~h i -> g\n"
+        "d h i -> g\n"
+        "~g ~h i -> ~d\n"
+        "~g h ~i -> ~d\n"
+        "~g h i -> ~d\n"
+        "g h ~i -> ~d\n"
+        "~d ~g h ~i\n"
+        "~d g h ~i\n"
+        "~d ~g ~h i\n"
+        "~d g ~h i\n"
+        "d g ~h i\n"
+        "~d ~g h i\n"
+        "d g h i\n"
+    ),
+    ("loan", ("--json",)): (
+        '{"items": ["~d ~g ~h -> i", "~d ~g ~i -> h", "~d g ~h -> i", "~d g ~i -> h", "d g ~h -> i", "d g h -> i", "d ~h i -> g", "d h i -> g", "~g ~h i -> ~d", "~g h ~i -> ~d", "~g h i -> ~d", "g h ~i -> ~d", "~d ~g h ~i", "~d g h ~i", "~d ~g ~h i", "~d g ~h i", "d g ~h i", "~d ~g h i", "d g h i"], "kind": "brules", "result": "rules: 12, boundary models: 7"}\n'
+    ),
+    ("loan", ("--report-transition", "d")): (
+        "rules: 12, boundary models: 7, transition on d: pass\n"
+        "~d g ~h -> i [kept]\n"
+        "d g ~h -> i [kept]\n"
+        "d g h -> i [kept]\n"
+        "d ~h i -> g [kept]\n"
+        "d h i -> g [kept]\n"
+        "~d ~g ~h -> i [deleted]\n"
+        "~d ~g ~i -> h [deleted]\n"
+        "~d g ~i -> h [deleted]\n"
+        "~g ~h i -> ~d [deleted]\n"
+        "~g h ~i -> ~d [deleted]\n"
+        "~g h i -> ~d [deleted]\n"
+        "g h ~i -> ~d [deleted]\n"
+        "~d g h -> i [introduced]\n"
+        "~d ~h i -> g [introduced]\n"
+        "~d h i -> g [introduced]\n"
+    ),
+    ("loan", ("--report-transition", "d", "--json")): (
+        '{"items": ["~d g ~h -> i [kept]", "d g ~h -> i [kept]", "d g h -> i [kept]", "d ~h i -> g [kept]", "d h i -> g [kept]", "~d ~g ~h -> i [deleted]", "~d ~g ~i -> h [deleted]", "~d g ~i -> h [deleted]", "~g ~h i -> ~d [deleted]", "~g h ~i -> ~d [deleted]", "~g h i -> ~d [deleted]", "g h ~i -> ~d [deleted]", "~d g h -> i [introduced]", "~d ~h i -> g [introduced]", "~d h i -> g [introduced]"], "kind": "brules", "result": "rules: 12, boundary models: 7, transition on d: pass"}\n'
+    ),
+    ("four", ()): (
+        "rules: 12, boundary models: 8\n"
+        "~a ~b ~c -> d\n"
+        "~a ~b d -> ~c\n"
+        "~a b ~c -> d\n"
+        "~a b d -> ~c\n"
+        "a ~b c -> ~d\n"
+        "a ~b d -> ~c\n"
+        "a c d -> b\n"
+        "~b ~c ~d -> a\n"
+        "~b c ~d -> a\n"
+        "b ~c ~d -> a\n"
+        "b c ~d -> a\n"
+        "b c d -> a\n"
+        "a ~b ~c ~d\n"
+        "a b ~c ~d\n"
+        "a ~b c ~d\n"
+        "a b c ~d\n"
+        "~a ~b ~c d\n"
+        "a ~b ~c d\n"
+        "~a b ~c d\n"
+        "a b c d\n"
+    ),
+    ("four", ("--json",)): (
+        '{"items": ["~a ~b ~c -> d", "~a ~b d -> ~c", "~a b ~c -> d", "~a b d -> ~c", "a ~b c -> ~d", "a ~b d -> ~c", "a c d -> b", "~b ~c ~d -> a", "~b c ~d -> a", "b ~c ~d -> a", "b c ~d -> a", "b c d -> a", "a ~b ~c ~d", "a b ~c ~d", "a ~b c ~d", "a b c ~d", "~a ~b ~c d", "a ~b ~c d", "~a b ~c d", "a b c d"], "kind": "brules", "result": "rules: 12, boundary models: 8"}\n'
+    ),
+    ("four", ("--report-transition", "~a")): (
+        "rules: 12, boundary models: 8, transition on ~a: pass\n"
+        "~a ~b ~c -> d [kept]\n"
+        "~a ~b d -> ~c [kept]\n"
+        "~a b ~c -> d [kept]\n"
+        "~a b d -> ~c [kept]\n"
+        "a ~b d -> ~c [kept]\n"
+        "a ~b c -> ~d [deleted]\n"
+        "a c d -> b [deleted]\n"
+        "~b ~c ~d -> a [deleted]\n"
+        "~b c ~d -> a [deleted]\n"
+        "b ~c ~d -> a [deleted]\n"
+        "b c ~d -> a [deleted]\n"
+        "b c d -> a [deleted]\n"
+        "a ~b ~c -> d [introduced]\n"
+        "a b ~c -> d [introduced]\n"
+        "a b d -> ~c [introduced]\n"
+    ),
+    ("four", ("--report-transition", "~a", "--json")): (
+        '{"items": ["~a ~b ~c -> d [kept]", "~a ~b d -> ~c [kept]", "~a b ~c -> d [kept]", "~a b d -> ~c [kept]", "a ~b d -> ~c [kept]", "a ~b c -> ~d [deleted]", "a c d -> b [deleted]", "~b ~c ~d -> a [deleted]", "~b c ~d -> a [deleted]", "b ~c ~d -> a [deleted]", "b c ~d -> a [deleted]", "b c d -> a [deleted]", "a ~b ~c -> d [introduced]", "a b ~c -> d [introduced]", "a b d -> ~c [introduced]"], "kind": "brules", "result": "rules: 12, boundary models: 8, transition on ~a: pass"}\n'
+    ),
+}
+
+
+class TestBrulesOutput:
+    @pytest.mark.parametrize("name, args", list(BRULES_OUTPUT))
+    def test_output_is_unchanged(self, capsys, tmp_path, name, args):
+        path = tmp_path / ("loan.cnf" if name == "loan" else "four.txt")
+        path.write_text(LOAN_CNF if name == "loan" else FOUR_VARIABLE_FORMULA)
+        assert main(["brules", "--in", str(path), *args]) == 0
+        assert capsys.readouterr().out == BRULES_OUTPUT[name, args]
+
+
 class TestClassifierCommands:
     def test_reasons_for_not_rich_applicant(self, capsys, admission_file):
         code = main(
@@ -325,6 +434,13 @@ class TestClassifierCommands:
     def test_reasons_on_undecided_population_refused(self, capsys, loan_bundle_file):
         code = main(["reasons", "--classifier", loan_bundle_file, "--term", "d,~h"])
         assert code == 1
+
+    def test_a_reason_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "units.bundle"
+        path.write_text(unit_clause_bundle(1200))
+        term = ",".join(f"v{i}" for i in range(1, 1201))
+        assert main(["reasons", "--classifier", str(path), "--term", term]) == 0
+        assert capsys.readouterr().out == f"positive\n{term}\n"
 
 
 class TestSniffing:

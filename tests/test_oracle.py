@@ -1,6 +1,7 @@
 """The enumeration oracle: models, boundary models, rules, independence,
 reconstruction and the rule-transition report."""
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -98,12 +99,12 @@ class TestBRules:
         # built through the public constructor, a rule set holds its crossing
         # masks from the start, and no query fills anything in later
         rules = oracle.RuleSet(xyz, oracle.b_rules(parse_formula("(x | y) & z", xyz)))
-        slots = ("universe", "items", "_set", "_crossings")
+        slots = ("universe", "masks")
         before = [getattr(rules, name) for name in slots]
         pairs = rules.pairs()
         oracle.reconstruct_models(rules, oracle.ModelSet(xyz, [World(xyz, 0b101)]))
         assert [getattr(rules, name) for name in slots] == before
-        assert before[3] is not None and len(pairs) == 5
+        assert before[1] is not None and len(pairs) == 5
 
     def test_empty_universe_has_no_rules(self):
         u = Universe([])
@@ -444,6 +445,98 @@ class TestModelSetSemantics:
                 assert (w in models) == evaluate(f, w)
 
 
+class TestSetsAreTheirMasks:
+    def test_results_build_no_rule(self, xyz, monkeypatch):
+        f = parse_formula("(x | y) & z", xyz)
+        rule = next(iter(oracle.b_rules(f)))
+        bmodels = oracle.ModelSet(xyz, {w for w, _ in oracle.boundary_models(f)})
+
+        def refuse(*args):
+            raise AssertionError("a rule object was built")
+
+        monkeypatch.setattr(oracle, "_rules", refuse)
+        rules = oracle.b_rules(f)
+        assert len(rules) == 5 and rule in rules
+        assert len(oracle.reconstruct_models(rules, bmodels)) == 3
+        report = oracle.brule_transition_report(f, xyz.literal("~x"))
+        counts = [len(getattr(report, name)) for name in (
+            "rules_before", "rules_after", "preserved", "deleted", "introduced"
+        )]
+        assert counts == [5, 4, 3, 2, 1] and report.passed
+        with pytest.raises(AssertionError, match="rule object"):
+            list(rules)
+
+    def test_membership_needs_the_same_universe(self, xyz):
+        f = parse_formula("(x | y) & z", xyz)
+        other = Universe(["x", "y", "z"])
+        g = parse_formula("(x | y) & z", other)
+        models, rules = oracle.enumerate_models(f), oracle.b_rules(f)
+        assert World(xyz, 0b101) in models and World(other, 0b101) not in models
+        assert all(r in rules for r in oracle.b_rules(f))
+        assert not any(r in rules for r in oracle.b_rules(g))
+        assert "x" not in models and World(xyz, 0b101) not in rules
+        assert models != oracle.enumerate_models(g) and rules != oracle.b_rules(g)
+        empty = oracle.ModelSet(xyz, [])
+        assert empty != oracle.ModelSet(other, []) and len(empty) == 0
+
+
+def _fields(value) -> dict:
+    """Every slot and attribute of ``value``."""
+    names = [n for cls in type(value).__mro__ for n in getattr(cls, "__slots__", ())]
+    return {n: getattr(value, n) for n in names + list(getattr(value, "__dict__", ()))}
+
+
+class TestValueTypesStayAsBuilt:
+    def test_every_query_leaves_every_field_and_frozen_fields_refuse_writes(self, xyz):
+        f = parse_formula("(x | y) & z", xyz)
+        bmodels = oracle.ModelSet(xyz, {w for w, _ in oracle.boundary_models(f)})
+        report = oracle.brule_transition_report(f, xyz.literal("~x"))
+        model_sets = [
+            oracle.enumerate_models(f),
+            oracle.ModelSet(xyz, oracle.enumerate_models(f)),
+            oracle.reconstruct_models(oracle.b_rules(f), bmodels),
+        ]
+        rule_sets = [
+            oracle.b_rules(f),
+            oracle.RuleSet(xyz, oracle.b_rules(f)),
+            report.rules_before,
+            report.preserved,
+            report.introduced,
+        ]
+        rule = next(iter(rule_sets[0]))
+        values = [*model_sets, *rule_sets, bmodels, rule, report]
+        before = [_fields(v) for v in values]
+        checks = dict(report.checks)
+
+        for sets in (model_sets, rule_sets[:3]):
+            assert all(s == sets[0] and hash(s) == hash(sets[0]) for s in sets)
+        for s in model_sets + rule_sets:
+            items = list(s)
+            assert len(s) == len(items) and all(item in s for item in items)
+            assert repr(s) == f"{type(s).__name__}({{{', '.join(map(str, items))}}})"
+        for models in model_sets:
+            assert models.bits() == frozenset(w.bits for w in models)
+        for rules in rule_sets:
+            assert rules.pairs() == frozenset(
+                (r.world().bits, r.consequent.variable.index) for r in rules
+            )
+            oracle.reconstruct_models(rules, bmodels)
+        assert rule in rule_sets[0] and hash(rule) == hash(rule) and repr(rule)
+        assert report == oracle.brule_transition_report(f, xyz.literal("~x"))
+        assert hash(report) == hash(oracle.brule_transition_report(f, xyz.literal("~x")))
+        assert report.to_lines() and report.passed and repr(report)
+
+        for value, fields in zip(values, before):
+            assert _fields(value).keys() == fields.keys()
+            assert all(getattr(value, n) is old for n, old in fields.items())
+        assert dict(report.checks) == checks
+        for frozen, name in ((rule, "consequent"), (report, "preserved")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(frozen, name, None)
+        with pytest.raises(TypeError):
+            report.checks["a"] = False
+
+
 # -- per-pair references for the mask algebra ---------------------------------------
 #
 # A rule is a (world bits, consequent variable index) pair.  These are the
@@ -566,9 +659,9 @@ class TestMasksAgainstPairReferences:
                     got = {
                         "rules_before": report.rules_before.items,
                         "rules_after": report.rules_after.items,
-                        "preserved": report.preserved,
-                        "deleted": report.deleted,
-                        "introduced": report.introduced,
+                        "preserved": report.preserved.items,
+                        "deleted": report.deleted.items,
+                        "introduced": report.introduced.items,
                         "checks": list(report.checks.items()),
                     }
                     assert got == ref_report(f, lit)

@@ -13,7 +13,7 @@ from qlit.errors import (
     UniverseMismatchError,
 )
 from qlit.generators import random_consistent_formula
-from qlit.io import parse_formula
+from qlit.io import parse_classifier_bundle, parse_formula
 from qlit import oracle
 from qlit.tractable import Cnf
 from qlit.xai import (
@@ -28,6 +28,8 @@ from qlit.xai import (
     relevance_report,
     sufficient_reasons,
 )
+
+from conftest import unit_clause_bundle
 
 
 def equiv(a, b) -> bool:
@@ -198,6 +200,15 @@ class TestSufficientReasons:
 
         with pytest.raises(CapacityError, match="raise the cap"):
             sufficient_reasons(admission, "e,f,g,w,r", cap=2)
+
+    def test_a_reason_longer_than_the_recursion_limit(self):
+        # the hitting-set search chooses one literal per level, 1,200 deep
+        bundle = parse_classifier_bundle(unit_clause_bundle(1200))
+        classifier = Classifier(bundle.positive, bundle.negative)
+        term = ",".join(f"v{i}" for i in range(1, 1201))
+        got = sufficient_reasons(classifier, term)
+        assert got.decision is Decision.POSITIVE
+        assert [str(t) for t in got.sufficient] == [term]
 
 
 class TestBias:
