@@ -91,9 +91,12 @@ def _formula_to_dnf(formula: Formula) -> Dnf:
                 codes.append(args[args[ref][0]] ^ 1)
             elif kinds[ref] == "lit":
                 codes.append(args[ref])
-            else:
+            elif kinds[ref] == "false":  # the term is false: the DNF drops it
+                break
+            elif kinds[ref] != "true":
                 raise ParseError("input is not a disjunction of terms", 1)
-        terms.append(u.term([u.literal_by_code(c) for c in codes]))
+        else:
+            terms.append(u.term([u.literal_by_code(c) for c in codes]))
     return Dnf(u, terms)
 
 
@@ -303,6 +306,17 @@ def _repl_load(fields: list[str], session) -> None:
 # -- argument parsing -------------------------------------------------------------
 
 
+def _positive(text: str) -> int:
+    """An ``argparse`` type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlit",
@@ -354,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a seeded property suite")
     check.add_argument("--property", choices=SUITE_NAMES, required=True)
-    check.add_argument("--vars", type=int, default=6)
+    check.add_argument("--vars", type=_positive, default=6)
     check.add_argument("--trials", type=int, default=1000)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--json", action="store_true")

@@ -20,7 +20,10 @@ Four formats, all ASCII with LF line endings:
 
 * A formula mini-language: identifiers, ``~`` negation, ``&``, ``|``, ``=>``
   and ``<=>`` with precedence ``~ > & > | > => > <=>`` (the arrows associate
-  to the right), parentheses and the constants ``true`` / ``false``.
+  to the right), parentheses and the constants ``true`` / ``false``.  An
+  identifier is a letter or ``_``, then letters, digits and ``_``, as
+  ``str.isalpha`` and ``str.isalnum`` decide.  Any white space separates
+  tokens; only ``\n`` starts a new line in error positions.
 
 A classifier bundle is a small header (``var <index> <name>`` lines and an
 optional ``protected <name>...`` line) followed by one or two DIMACS
@@ -40,6 +43,7 @@ partial results escape.
 
 from __future__ import annotations
 
+import re
 from itertools import chain, repeat
 from operator import itemgetter
 from collections import namedtuple
@@ -510,134 +514,33 @@ def emit_sdd(circuit: Circuit) -> str:
 
 _Token = namedtuple("_Token", "kind text line column")  # kind: ident, punct or end
 
-
-_PUNCT = ("<=>", "=>", "~", "&", "|", "(", ")")
+# a line break, other white space, a connective (longest first), an identifier
+# or any other character; ``re.finditer`` compiles it on first use, not at import
+_LEXEME = r"(?P<newline>\n)|[^\S\n]+|(?P<punct><=>|=>|[~&|()])|(?P<ident>\w+)|(?P<other>.)"
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
     line = 1
-    column = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    line_start = 0  # offset of the current line's first character
+    for match in re.finditer(_LEXEME, text):
+        kind = match.lastgroup
+        if kind == "newline":
             line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        matched = None
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                matched = punct
-                break
-        if matched:
-            yield _Token("punct", matched, line, column)
-            column += len(matched)
-            i += len(matched)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            yield _Token("ident", text[start:i], line, column)
-            column += i - start
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    yield _Token("end", "", line, column)
+            line_start = match.end()
+        elif kind is not None:  # not white space
+            lexeme = match.group()
+            column = match.start() - line_start + 1
+            # ``\w`` also admits digits and numerics such as ``²``, which may
+            # follow an identifier's first character but not be it
+            if kind == "other" or kind == "ident" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                raise ParseError(f"unexpected character {lexeme[0]!r}", line, column)
+            yield _Token(kind, lexeme, line, column)
+    yield _Token("end", "", line, len(text) - line_start + 1)
 
 
-# binary connectives by binding strength; ``=>`` and ``<=>`` group to the right
+# binary connectives by binding strength; the arrows, 1 and 2, group to the right
 _BINARY = {"<=>": 1, "=>": 2, "|": 3, "&": 4}
-_RIGHT = ("<=>", "=>")
-_APPLY = {
-    "<=>": Formula.iff,
-    "=>": Formula.implies,
-    "|": Formula.__or__,
-    "&": Formula.__and__,
-}
-
-
-class _FormulaParser:
-    """Precedence climbing with explicit operand and operator stacks, so
-    nesting depth is limited by memory alone.  Nodes are built in the order a
-    recursive descent would build them."""
-
-    def __init__(self, tokens: list[_Token], universe: Universe):
-        self.tokens = tokens
-        self.universe = universe
-
-    def parse(self) -> Formula:
-        tokens = iter(self.tokens)
-        operands: list[Formula] = []
-        pending: list[str] = []  # binary operators, "~" and "("
-        token = next(tokens)
-        while True:
-            # operand position: prefix "~" and "(", then an atom
-            if token.text in ("~", "("):
-                pending.append(token.text)
-                token = next(tokens)
-                continue
-            operand = self.atom(token)
-            token = next(tokens)
-            while True:
-                while pending and pending[-1] == "~":
-                    pending.pop()
-                    operand = ~operand
-                operands.append(operand)
-                # operator position
-                if token.text in _BINARY:
-                    strength = _BINARY[token.text]
-                    while pending and pending[-1] in _BINARY and (
-                        _BINARY[pending[-1]] > strength
-                        or (_BINARY[pending[-1]] == strength and token.text not in _RIGHT)
-                    ):
-                        self.reduce(operands, pending.pop())
-                    pending.append(token.text)
-                    token = next(tokens)
-                    break
-                while pending and pending[-1] != "(":
-                    self.reduce(operands, pending.pop())
-                if not pending:
-                    if token.kind != "end":
-                        raise ParseError(
-                            f"unexpected {token.text!r}", token.line, token.column
-                        )
-                    return operands[0]
-                if token.text != ")":
-                    raise ParseError(
-                        f"expected ')', got {token.text or 'end of input'!r}",
-                        token.line,
-                        token.column,
-                    )
-                pending.pop()
-                operand = operands.pop()
-                token = next(tokens)
-
-    @staticmethod
-    def reduce(operands: list[Formula], op: str) -> None:
-        right = operands.pop()
-        operands.append(_APPLY[op](operands.pop(), right))
-
-    def atom(self, token: _Token) -> Formula:
-        if token.kind == "ident":
-            if token.text == "true":
-                return self.universe.true
-            if token.text == "false":
-                return self.universe.false
-            if token.text not in self.universe:
-                raise ParseError(
-                    f"unknown identifier {token.text!r}", token.line, token.column
-                )
-            return self.universe.lit(token.text)
-        raise ParseError(
-            f"expected a formula, got {token.text or 'end of input'!r}",
-            token.line,
-            token.column,
-        )
+_APPLY = {"<=>": Formula.iff, "=>": Formula.implies, "|": Formula.__or__, "&": Formula.__and__}
 
 
 def parse_formula(text: str, universe: Universe | None = None) -> Formula:
@@ -645,14 +548,61 @@ def parse_formula(text: str, universe: Universe | None = None) -> Formula:
 
     Without a declared universe, the universe is the set of mentioned
     identifiers in lexicographic order.
+
+    Precedence climbing with explicit operand and operator stacks, so nesting
+    depth is limited by memory alone.  Nodes are built in the order a
+    recursive descent would build them.
     """
-    tokens = list(_tokenize(text))
+    tokens = list(_tokenize(text))  # a bad character outranks a syntax error
     if universe is None:
-        names = sorted(
-            {t.text for t in tokens if t.kind == "ident" and t.text not in ("true", "false")}
+        names = {t.text for t in tokens if t.kind == "ident"} - {"true", "false"}
+        universe = Universe(sorted(names))
+    operands: list[Formula] = []
+    pending: list[str] = []  # binary operators, "~" and "("
+    want_operand = True
+    for token in tokens:
+        if want_operand:  # prefix "~" and "(", then an atom
+            if token.text in ("~", "("):
+                pending.append(token.text)
+            else:
+                operands.append(_atom(token, universe))
+                want_operand = False
+            continue
+        # apply the pending operators that bind more tightly, or as tightly and
+        # group to the left; any other token applies all back to the open "("
+        strength = _BINARY.get(token.text, 0)
+        while pending and pending[-1] != "(":
+            top = _BINARY.get(pending[-1], 5)  # "~" binds tightest
+            if top < strength or top == strength <= 2:
+                break
+            op = pending.pop()
+            right = operands.pop()
+            operands.append(~right if op == "~" else _APPLY[op](operands.pop(), right))
+        if strength:
+            pending.append(token.text)
+            want_operand = True
+        elif not pending:
+            if token.kind != "end":
+                raise ParseError(f"unexpected {token.text!r}", token.line, token.column)
+            return operands[0]
+        elif token.text == ")":
+            pending.pop()
+        else:
+            raise ParseError(
+                f"expected ')', got {token.text or 'end of input'!r}", token.line, token.column
+            )
+
+
+def _atom(token: _Token, universe: Universe) -> Formula:
+    if token.kind != "ident":
+        raise ParseError(
+            f"expected a formula, got {token.text or 'end of input'!r}", token.line, token.column
         )
-        universe = Universe(names)
-    return _FormulaParser(tokens, universe).parse()
+    if token.text in ("true", "false"):
+        return universe.true if token.text == "true" else universe.false
+    if token.text not in universe:
+        raise ParseError(f"unknown identifier {token.text!r}", token.line, token.column)
+    return universe.lit(token.text)
 
 
 def emit_formula(formula: Formula) -> str:

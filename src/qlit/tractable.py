@@ -429,10 +429,12 @@ def verify_dnnf(circuit: Circuit) -> Circuit:
     """Check decomposability: no and-node's children share a variable.
 
     Returns a verified circuit sharing the nodes; the argument is unchanged.
+    A stronger annotation, such as SDD, is kept only when it was verified:
+    decomposability alone does not show it.
     """
     _decomposable(circuit)
-    nnf = circuit.annotation == Annotation.NNF
-    return circuit.with_annotation(Annotation.DNNF if nnf else circuit.annotation)
+    keep = circuit.verified and circuit.annotation != Annotation.NNF
+    return circuit.with_annotation(circuit.annotation if keep else Annotation.DNNF)
 
 
 def _decision_table(circuit: Circuit, order) -> dict[int, tuple]:

@@ -184,6 +184,26 @@ class TestQuantifyRoutes:
         as_formula = _quantify_out(capsys, *args, "--repr", "formula")
         assert oracle.equivalent(parse_formula(as_dnf, u), parse_formula(as_formula, u))
 
+    def test_dnf_constants_read_back(self, capsys, tmp_path):
+        from qlit.core import Universe
+        from qlit.tractable import Dnf
+
+        path, out = tmp_path / "e.txt", tmp_path / "o.txt"
+        path.write_text("a | b\n")
+        args = ["--in", str(path), "--repr", "dnf", "--out", str(out)]
+        assert _quantify_out(capsys, "--op", "exists", "--items", "a", *args) == "true\n"
+        assert out.read_text() == "true\n"
+        u = Universe(["a"])
+        with_empty_term = str(Dnf(u, [u.term(), u.term("a")]))
+        for text, printed in [
+            ("true", "true"),
+            ("false", "false"),
+            (with_empty_term, "true | a"),
+            ("a & false | true & a", "a"),  # false drops a term, true adds nothing
+        ]:
+            path.write_text(text + "\n")
+            assert _quantify_out(capsys, "--op", "forall", "--items", ",", *args) == printed + "\n"
+
     @pytest.mark.parametrize(
         "text, annotation",
         [
@@ -544,6 +564,16 @@ class TestCheck:
         )
         assert code == 0
         assert capsys.readouterr().out == "40/40 pass\n"
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_fewer_than_one_variable_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as stop:
+            main(["check", "--property", "duality", "--vars", value, "--trials", "1"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "qlit check: error: argument --vars: "
+            f"expected an integer of at least 1, got '{value}'\n"
+        )
 
     def test_deterministic_for_fixed_seed(self, capsys):
         outs = []

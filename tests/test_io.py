@@ -460,6 +460,94 @@ class TestDeepFormula:
         assert parse_formula(" & ".join(names), u) is conj
 
 
+def _reference_tokenize(text):
+    """The character loop that the one-pattern tokenizer replaced: the
+    reference it must match token for token and error for error."""
+    line = 1
+    column = 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch.isspace():
+            column += 1
+            i += 1
+            continue
+        matched = None
+        for punct in ("<=>", "=>", "~", "&", "|", "(", ")"):
+            if text.startswith(punct, i):
+                matched = punct
+                break
+        if matched:
+            yield io_module._Token("punct", matched, line, column)
+            column += len(matched)
+            i += len(matched)
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            yield io_module._Token("ident", text[start:i], line, column)
+            column += i - start
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, column)
+    yield io_module._Token("end", "", line, column)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return list(tokenize(text))
+    except ParseError as error:
+        return str(error), error.line, error.column
+
+
+class TestTokenizerAgainstCharacterLoop:
+    def test_seeded_strings_give_the_same_tokens_or_error(self):
+        pieces = [
+            "a", "x1", "_b", "<=>", "=>", "<", "=", ">", "~", "&", "|", "(", ")", "!", "-",
+            "é", "ß", "Ω", "中", "ǅ",  # letters, one of them titlecase
+            "0", "7", "٣",  # decimal digits
+            "²", "½", "Ⅻ", "〇",  # other numerics: digit, fraction, letter numerals
+            "\u0301", "\u200b",  # a combining mark and a zero-width space
+            " ", "\t", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u2028",
+        ]
+        rng = random.Random(97)
+        for _ in range(20_000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 10)))
+            assert _tokens_or_error(io_module._tokenize, text) == _tokens_or_error(
+                _reference_tokenize, text
+            ), repr(text)
+
+    def test_every_code_point_alone_and_beside_a(self):
+        """Every assigned code point, and a seeded sample of the unassigned,
+        private-use and surrogate ones, which share a single character class.
+        Texts the reference accepts are compared all at once, one per line."""
+        import unicodedata
+
+        chars, rest = [], []
+        for code in range(0x110000):
+            ch = chr(code)
+            (rest if unicodedata.category(ch) in ("Cn", "Co", "Cs") else chars).append(ch)
+        chars += random.Random(5).sample(rest, 5_000)
+        for context in ("{}", "a{}a"):
+            accepted = []
+            for ch in chars:
+                text = context.format(ch)
+                want = _tokens_or_error(_reference_tokenize, text)
+                if isinstance(want, list) and "\n" not in text:
+                    accepted.append(text)
+                else:
+                    assert _tokens_or_error(io_module._tokenize, text) == want, repr(text)
+            assert len(accepted) > 100_000
+            joined = "\n".join(accepted)
+            want = list(_reference_tokenize(joined))
+            assert _tokens_or_error(io_module._tokenize, joined) == want
+
+
 def _reference_parse_dimacs(text, universe=None, first_line=1):
     """The token-list DIMACS parser that the one-pass parser replaced: the
     reference it must match result for result and error for error."""

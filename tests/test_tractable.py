@@ -433,3 +433,23 @@ class TestVerifiersLeaveArgumentsAlone:
         assert not claimed.verified
         plain = Circuit(u, parsed.kinds, parsed.args, parsed.decisions, parsed.root)
         assert verify_dnnf(plain).annotation == Annotation.DNNF
+
+    @pytest.mark.parametrize("claim", [Annotation.SDD, Annotation.DECISION_DNNF])
+    def test_an_unchecked_claim_verifies_as_dnnf_only(self, claim):
+        from qlit.core import CircuitBuilder
+        from qlit.quantify import quantify
+
+        # (a & b) | (a & c) is decomposable, but its primes overlap and it
+        # decides no variable
+        u = Universe(["a", "b", "c"])
+        b = CircuitBuilder(u)
+        a, bb, c = b.lit(1), b.lit(3), b.lit(5)
+        claimed = b.finish(b.add_or([b.add_and([a, bb]), b.add_and([a, c])]), claim)
+        verified = verify_dnnf(claimed)
+        assert verified.annotation == Annotation.DNNF and verified.verified
+        with pytest.raises(TypeError):
+            (sdd_forall if claim == Annotation.SDD else ddnnf_forall)(verified, [u.neg("b")])
+        want = quantify_set(claimed.to_formula(), "forall", [u.neg("b")])
+        assert oracle.equivalent(quantify(verified, "forall", ["~b"]), want)
+        sdd = parse_sdd("L 1 1\nL 2 -1\nL 3 2\nL 4 -2\nD 5 2 1 3 2 4\n", Universe(["x", "y"]))
+        assert verify_dnnf(sdd).annotation == Annotation.SDD
