@@ -23,9 +23,10 @@ import sys
 from collections.abc import Sequence
 
 from . import SUITE_NAMES
-from .core import Circuit, Formula
+from .core import Circuit
 from .errors import ParseError, QlitError
 from .io import (
+    _tokenize,
     emit_dimacs,
     emit_nnf,
     parse_classifier_bundle,
@@ -80,11 +81,55 @@ def _operands(store, root: int, kind: str) -> list[int]:
     return out
 
 
-def _formula_to_dnf(formula: Formula) -> Dnf:
+def _disjunct_starts(text: str) -> list[tuple[int, int]]:
+    """The line and column of each operand of the top-level disjunction of
+    formula ``text``, which parses, in the order ``_operands`` lists them.
+
+    Mirrors how the parser builds or-nodes: the lowest connective outside
+    parentheses splits a span.  ``<=>`` builds an and-node, so the span is
+    one operand; the first ``=>`` builds ``~left | right``, whose operands
+    are ``~left`` and those of ``right``; ``|`` splits it into disjuncts.  A
+    group around a whole span is looked through."""
+    tokens = list(_tokenize(text))[:-1]  # without the end token
+    closing, opened = {}, []
+    for k, token in enumerate(tokens):
+        if token.text == "(":
+            opened.append(k)
+        elif token.text == ")":
+            closing[opened.pop()] = k
+    out = []
+    spans = [(0, len(tokens))]
+    while spans:
+        start, end = spans.pop()
+        first = tokens[start]
+        while tokens[start].text == "(" and closing[start] == end - 1:
+            start, end = start + 1, end - 1
+        outside: dict[str, list[int]] = {"<=>": [], "=>": [], "|": []}
+        k = start
+        while k < end:
+            if tokens[k].text == "(":
+                k = closing[k]
+            elif tokens[k].text in outside:
+                outside[tokens[k].text].append(k)
+            k += 1
+        if outside["=>"] and not outside["<=>"]:
+            cut = outside["=>"][0]
+            out.append((first.line, first.column))
+            spans.append((cut + 1, end))
+        elif outside["|"] and not outside["<=>"]:
+            bounds = [start - 1, *outside["|"], end]
+            spans.extend((bounds[j] + 1, bounds[j + 1]) for j in reversed(range(len(bounds) - 1)))
+        else:
+            out.append((first.line, first.column))
+    return out
+
+
+def _formula_to_dnf(text: str) -> Dnf:
+    formula = parse_formula(text)
     u = formula.universe
     kinds, args = u._store.kinds, u._store.args
     terms = []
-    for part in _operands(u._store, formula.id, "or"):
+    for k, part in enumerate(_operands(u._store, formula.id, "or")):
         codes = []
         for ref in _operands(u._store, part, "and"):
             if kinds[ref] == "not" and kinds[args[ref][0]] == "lit":
@@ -94,7 +139,8 @@ def _formula_to_dnf(formula: Formula) -> Dnf:
             elif kinds[ref] == "false":  # the term is false: the DNF drops it
                 break
             elif kinds[ref] != "true":
-                raise ParseError("input is not a disjunction of terms", 1)
+                line, column = _disjunct_starts(text)[k]
+                raise ParseError("input is not a disjunction of terms", line, column)
         else:
             terms.append(u.term([u.literal_by_code(c) for c in codes]))
     return Dnf(u, terms)
@@ -111,7 +157,7 @@ def _load_input(path: str, repr_: str):
     if kind == "sdd":
         return parse_sdd(text)
     if kind == "dnf":
-        return _formula_to_dnf(parse_formula(text))
+        return _formula_to_dnf(text)
     return parse_formula(text)
 
 
@@ -369,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run a seeded property suite")
     check.add_argument("--property", choices=SUITE_NAMES, required=True)
     check.add_argument("--vars", type=_positive, default=6)
-    check.add_argument("--trials", type=int, default=1000)
+    check.add_argument("--trials", type=_positive, default=1000)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--json", action="store_true")
     check.set_defaults(handler=_cmd_check)

@@ -27,11 +27,12 @@ Every pass is written once, on the ids of the store and root that a value
 gives.  :func:`walk` lists the ids under some roots, children first.
 :func:`truth_table` evaluates a DAG on bit-parallel variable masks, one
 world per bit; past 16 variables it frees each node's table after the last
-reader, and ``_var_patterns`` builds the masks by doubling, once per number
-of variables.  :func:`rebuild` copies a DAG into a builder: it replaces
-literals by constants, builds the De Morgan dual on request and folds every
-gate by :meth:`CircuitBuilder.fold`.  None recurses, so only memory bounds
-the depth of a DAG.
+reader and makes a literal's table at each reader, and ``_var_patterns``
+builds the masks by doubling, once per number of variables.
+:func:`rebuild` copies a DAG into a builder: it replaces literals by
+constants, builds the De Morgan dual on request and folds every gate by
+:meth:`CircuitBuilder.fold`.  None recurses, so only memory bounds the depth
+of a DAG.
 """
 
 from __future__ import annotations
@@ -173,7 +174,8 @@ class Universe:
         self._dimacs = _by_code(["-" + number for number in numbers], numbers)
         self._store = _Store(self)
         self._node_cache: dict[tuple, int] = self._store._cache
-        # the oracle's truth tables of formula nodes, by id (small universes)
+        # the oracle's truth tables of formula nodes, by id (small universes);
+        # the oracle replaces it with an empty one when it is full
         self._oracle_mask_cache: dict[int, int] = {}
         self.true = self._store.finish(self._store.true)
         self.false = self._store.finish(self._store.false)
@@ -678,19 +680,23 @@ def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
     universe's store never change, so a memo on its ids may be kept across
     calls, and the walk stops at the nodes it already holds.  Without one,
     tables wider than ``2**16`` bits (past 16 variables) live only until
-    their last reader in the walk has used them, so memory follows the
-    walk's frontier, not its size.
+    their last reader in the walk has used them, and a literal's table is
+    made at each reader and never kept, so memory follows the walk's
+    frontier, not its size.
     """
     store, top = value._dag()
     root = top if root is None else root
     release = memo is None and full.bit_length() > 1 << _MASK_CACHE_VAR_LIMIT
-    if memo is None:
+    kinds, args = store.kinds, store.args
+    if release:
+        memo = _LiteralsOnRead(masks, full, args)
+    elif memo is None:
         memo = {}
     elif root in memo:
         return memo[root]
-    kinds, args = store.kinds, store.args
     order = walk(args, (root,), memo)
     if release:
+        order = [ref for ref in order if kinds[ref] != "lit"]
         readers = Counter(chain.from_iterable(
             args[ref] for ref in order if type(args[ref]) is tuple
         ))
@@ -715,8 +721,24 @@ def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
             for child in arg:
                 readers[child] -= 1
                 if not readers[child]:
-                    del memo[child]
+                    memo.pop(child, None)  # a literal was never stored
     return memo[root]
+
+
+class _LiteralsOnRead(dict):
+    """Tables by id that make a literal's table at each read and never
+    store it: a positive literal's is its variable's mask, held anyway, and
+    a negative literal's is made for its one reader."""
+
+    __slots__ = ("masks", "full", "args")
+
+    def __init__(self, masks: Sequence[int] | Mapping[int, int], full: int, args: Sequence):
+        self.masks, self.full, self.args = masks, full, args
+
+    def __missing__(self, ref: int) -> int:
+        code = self.args[ref]
+        mask = self.masks[code >> 1]
+        return mask if code & 1 else self.full ^ mask
 
 
 @lru_cache(maxsize=16)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -61,6 +62,11 @@ __all__ = [
 ]
 
 _DEFAULT_CAP = 24
+
+# a universe's cache of truth tables holds at most this many table bits
+# (8 MiB); a table counts as at least 2**10 bits, about what its entry costs
+_MASK_CACHE_BITS = 1 << 26
+_MASK_CACHE_MIN_VARS = 10
 
 
 def default_cap() -> int:
@@ -134,11 +140,18 @@ def models_mask(value) -> int:
     to_formula = getattr(value, "to_formula", None)
     if to_formula is None:
         raise TypeError(f"cannot compute a truth table for {value!r}")
+    masks, full = _var_patterns(len(u)), _full_mask(u)
+    if len(u) > _MASK_CACHE_VAR_LIMIT:  # each table lives until its last reader
+        return truth_table(to_formula(), masks, full)
     # the nodes of a universe's store never change, so their truth tables
-    # can be remembered across calls, by id, up to 16 variables; past that,
-    # each table lives only until its last reader has used it
-    memo = u._oracle_mask_cache if len(u) <= _MASK_CACHE_VAR_LIMIT else None
-    return truth_table(to_formula(), _var_patterns(len(u)), _full_mask(u), memo=memo)
+    # can be remembered across calls, by id, up to 16 variables
+    memo = u._oracle_mask_cache
+    table = truth_table(to_formula(), masks, full, memo=memo)
+    if len(memo) << max(len(u), _MASK_CACHE_MIN_VARS) > _MASK_CACHE_BITS:
+        # full: dropped whole, as a new dict, so a walk in another thread
+        # keeps the one it reads
+        u._oracle_mask_cache = {}
+    return table
 
 
 def _same_universe(value, universe: Universe) -> None:
@@ -305,15 +318,75 @@ def _crossing_pairs(crossings: Iterable[int]) -> Iterator[tuple[int, int]]:
             yield bits, i
 
 
+@lru_cache(maxsize=16)
+def _byte_codes(n: int) -> tuple:
+    """Per byte of a world's bits, lowest first, and per value of that byte:
+    the literal codes of the byte's variables, and their bits as base-4
+    digits, variable 0 the most significant of ``n``."""
+    out = []
+    for low in range(0, n, 8):
+        width = min(8, n - low)
+        out.append(tuple(
+            (
+                tuple([2 * (low + t) + (byte >> t & 1) for t in range(width)]),
+                sum((byte >> t & 1) << 2 * (n - 1 - low - t) for t in range(width)),
+            )
+            for byte in range(1 << width)
+        ))
+    return tuple(out)
+
+
+def _world_codes(chunks: tuple, bits: int) -> tuple[tuple[int, ...], int]:
+    """The literal codes of world ``bits`` and its base-4 digits."""
+    codes, digits = (), 0
+    for k, chunk in enumerate(chunks):
+        part, value = chunk[bits >> 8 * k & 255]
+        codes += part
+        digits += value
+    return codes, digits
+
+
 def _rules(universe: Universe, crossings: Iterable[int]) -> tuple[BRule, ...]:
-    """One rule per set bit of the crossing masks, in canonical order."""
+    """One rule per set bit of the crossing masks, in canonical order.
+
+    The codes are made here, so nothing is checked again: a world's literal
+    codes are one tuple that each of its rules slices, and a rule gets its
+    two fields as the frozen dataclass's ``__init__`` sets them, without
+    ``__post_init__``.  Canonical order, antecedent codes then consequent
+    code, is the integer order of one key per rule: the world's base-4
+    digits with a 2 at the consequent's variable, then the consequent's
+    polarity as a last bit.  Two antecedents first differ at a variable
+    both hold, which their bits order, or at the first consequent: there
+    the other rule holds that variable's code and this one the next
+    variable's, so the digit 2 sorts it after.  Equal antecedents leave
+    the order to the last bit.
+    """
     n = len(universe)
     literals = universe._literals
+    chunks = _byte_codes(n)
+    worlds: dict[int, tuple[tuple[int, ...], int]] = {}
+    keys: list[int] = []
+    antecedents: list[tuple[int, ...]] = []
+    consequents: list[Literal] = []
+    for i, crossing in enumerate(crossings):
+        step = 1 << 2 * (n - 1 - i)
+        for bits in _iter_bits(crossing):
+            world = worlds.get(bits)
+            if world is None:
+                world = worlds[bits] = _world_codes(chunks, bits)
+            codes, digits = world
+            bit = bits >> i & 1
+            keys.append((digits + (2 - bit) * step) << 1 | bit)
+            antecedents.append(codes[:i] + codes[i + 1:])
+            consequents.append(literals[codes[i]])
+    view, new, set_field = Term._view, object.__new__, object.__setattr__
     out = []
-    for bits, i in _crossing_pairs(crossings):
-        codes = tuple(2 * k + (bits >> k & 1) for k in range(n) if k != i)
-        out.append(BRule(Term(universe, codes), literals[2 * i + (bits >> i & 1)]))
-    return tuple(sorted(out, key=BRule.sort_key))
+    for r in sorted(range(len(keys)), key=keys.__getitem__):
+        rule = new(BRule)
+        set_field(rule, "antecedent", view(universe, antecedents[r]))
+        set_field(rule, "consequent", consequents[r])
+        out.append(rule)
+    return tuple(out)
 
 
 # -- oracle operations ----------------------------------------------------------
@@ -329,10 +402,16 @@ def boundary_models(value) -> set[tuple[World, Literal]]:
     literal and flipping that literal produces a counter-model."""
     u = value.universe
     literals = u._literals
-    return {
-        (World(u, bits), literals[2 * i + (bits >> i & 1)])
-        for bits, i in _crossing_pairs(_crossings(u, models_mask(value)))
-    }
+    worlds: dict[int, World] = {}  # one world per boundary model, shared by its pairs
+    pairs = []
+    for i, crossing in enumerate(_crossings(u, models_mask(value))):
+        inferred = literals[2 * i], literals[2 * i + 1]
+        for bits in _iter_bits(crossing):
+            world = worlds.get(bits)
+            if world is None:
+                world = worlds[bits] = World(u, bits)
+            pairs.append((world, inferred[bits >> i & 1]))
+    return set(pairs)
 
 
 def b_rules(value) -> RuleSet:

@@ -7,7 +7,8 @@ import tracemalloc
 
 import pytest
 
-from qlit.core import Universe, World, evaluate, negate, walk
+from qlit import core
+from qlit.core import Universe, World, evaluate, negate, truth_table, walk
 from qlit.errors import (
     CapacityError,
     ConfigurationError,
@@ -15,12 +16,15 @@ from qlit.errors import (
     UniverseMismatchError,
 )
 from qlit.generators import (
+    parity_decision_dnnf,
     random_consistent_formula,
+    random_decision_dnnf,
     random_formula,
     random_term,
 )
 from qlit.io import parse_formula
 from qlit.quantify import forall_literal
+from qlit.tractable import Cnf, Dnf, cnf_forall_literal, ddnnf_forall, dnf_exists_literal
 from qlit import oracle
 
 from conftest import tt_models
@@ -397,6 +401,39 @@ class TestTableMemory:
         # keeping every node's table would take about nodes * table_bytes
         assert peak < nodes * table_bytes / 3
 
+    def test_literal_tables_are_made_at_their_readers(self):
+        # the seeded 232-node formula whose traced peak was 70.4 MiB while
+        # every literal's table was made first and held to its last reader
+        u = Universe(24)
+        f = _formula_of_at_least(u, random.Random(2400), 200)
+        assert len(walk(u._store.args, (f.id,))) == 232
+        expected = oracle.models_mask(f)  # builds the variable masks first
+        tracemalloc.start()
+        try:
+            assert oracle.models_mask(f) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 70 * 2**20
+        rng = random.Random(2401)
+        for bits in (rng.getrandbits(24) for _ in range(200)):
+            assert bool(expected >> bits & 1) == evaluate(f, World(u, bits))
+
+
+class TestMaskCacheBound:
+    def test_many_formulas_on_one_universe_keep_the_cache_under_its_bound(self):
+        u = Universe(12)
+        rng = random.Random(9300)
+        masks, full = core._var_patterns(12), (1 << (1 << 12)) - 1
+        caches = [u._oracle_mask_cache]
+        for _ in range(1000):
+            f = random_formula(u, rng, depth=8)
+            assert oracle.models_mask(f) == truth_table(f, masks, full, memo={})
+            assert len(u._oracle_mask_cache) << 12 <= oracle._MASK_CACHE_BITS
+            if u._oracle_mask_cache is not caches[-1]:
+                caches.append(u._oracle_mask_cache)
+        assert len(caches) >= 3  # full and dropped at least twice
+
 
 def _state(obj) -> dict:
     """The attributes of ``obj``, with containers copied."""
@@ -465,6 +502,27 @@ class TestSetsAreTheirMasks:
         assert counts == [5, 4, 3, 2, 1] and report.passed
         with pytest.raises(AssertionError, match="rule object"):
             list(rules)
+
+    def test_reading_rules_runs_no_checking_constructor(self, monkeypatch):
+        u = Universe(7)
+        f = random_formula(u, random.Random(9500), depth=6)
+        rules = oracle.b_rules(f)
+        want = [(r.antecedent.codes, r.consequent.code) for r in rules]
+        text = repr(rules)
+
+        def refuse(*args):
+            raise AssertionError("a checking constructor ran")
+
+        monkeypatch.setattr(oracle.BRule, "__post_init__", refuse)
+        monkeypatch.setattr(core._LiteralSet, "__init__", refuse)
+        assert [(r.antecedent.codes, r.consequent.code) for r in rules.items] == want
+        assert repr(rules) == text and len(list(rules)) == len(rules) > 0
+        # both patches are live: a rule or term made from outside runs them
+        rule = rules.items[0]
+        for build in (lambda: oracle.BRule(rule.antecedent, rule.consequent),
+                      lambda: core.Term(u, rule.antecedent.codes)):
+            with pytest.raises(AssertionError, match="checking constructor"):
+                build()
 
     def test_membership_needs_the_same_universe(self, xyz):
         f = parse_formula("(x | y) & z", xyz)
@@ -535,6 +593,50 @@ class TestValueTypesStayAsBuilt:
                 setattr(frozen, name, None)
         with pytest.raises(TypeError):
             report.checks["a"] = False
+
+    def test_core_and_flat_values_keep_every_field_through_every_query(self, xyz):
+        from qlit.quantify import quantify_set
+        from qlit.tractable import verify_decision_dnnf
+
+        f = parse_formula("(x | ~y) & (z => x)", xyz)
+        circuit = random_decision_dnnf(xyz, random.Random(9700))
+        cnf = Cnf(xyz, [xyz.clause("x,~y"), xyz.clause("z")])
+        dnf = Dnf(xyz, [xyz.term("x,~y"), xyz.term("~z")])
+        term, clause, world = xyz.term("x,~z"), xyz.clause("~x,y"), World(xyz, 0b101)
+        values = [xyz, f, circuit, cnf, dnf, term, clause, world]
+        before = [_fields(v) for v in values]
+        lists = [{n: list(v) for n, v in old.items() if isinstance(v, list)} for old in before]
+        lit = xyz.literal("~y")
+
+        for value in values[1:]:
+            assert str(value) and repr(value) and value == value
+            mask = oracle.models_mask(value)
+            assert oracle.enumerate_models(value).masks == (mask,)
+            rules = oracle.b_rules(value)
+            assert rules.items == oracle.RuleSet(xyz, rules).items
+            assert {w for w, _ in oracle.boundary_models(value)} <= set(xyz.worlds())
+            assert oracle.equivalent(value, value) and oracle.entails(value, value)
+        for value in (f, circuit, cnf, dnf):
+            assert oracle.brule_transition_report(value, lit).passed
+            assert oracle.literal_independent(value, lit) in (True, False)
+        for routine, value, op in (
+            (cnf_forall_literal, cnf, "forall"),
+            (dnf_exists_literal, dnf, "exists"),
+            (ddnnf_forall, verify_decision_dnnf(circuit), "forall"),
+        ):
+            want = quantify_set(value.to_formula(), op, [lit])
+            assert oracle.equivalent(routine(value, [lit]), want)
+        assert cnf.clauses and dnf.terms and term.literals() and clause.literals()
+        assert term.to_formula() and clause.to_formula() and term.is_total() is False
+        assert world.to_term().to_world() == world and world.flip("y") != world
+        assert evaluate(f, world) == oracle.models_mask(f) >> world.bits & 1
+        assert negate(f) and xyz.term(["x", "~y"]) and list(xyz) and len(xyz) == 3
+        assert oracle.is_independent_model(f, world, term) in (True, False)
+
+        for value, fields, contents in zip(values, before, lists):
+            assert _fields(value).keys() == fields.keys()
+            assert all(getattr(value, n) is old for n, old in fields.items())
+            assert all(getattr(value, n) == old for n, old in contents.items())
 
 
 # -- per-pair references for the mask algebra ---------------------------------------
@@ -725,3 +827,25 @@ class TestMasksAgainstPairReferences:
             got = oracle.reconstruct_models(rules, bmodels)
             want = ref_reconstruct(rules.pairs(), bmodels.bits(), n)
             assert [w.bits for w in got] == sorted(want)
+
+
+class TestRulesAgainstTheCheckedConstructor:
+    def test_items_equal_checked_rules_in_canonical_order(self):
+        # rules of random formulas and of parity (every model boundary on
+        # every variable), and of random masks, which hold rule pairs no
+        # formula has: two rules with one antecedent and opposite consequents
+        rng = random.Random(9600)
+        for n in range(1, 12):
+            u = Universe(n)
+            masks = [oracle.models_mask(random_formula(u, rng, depth=rng.randint(2, 7)))
+                     for _ in range(6 if n <= 8 else 2)]
+            masks.append(oracle.models_mask(parity_decision_dnnf(u)))
+            for mask in masks:
+                pairs = ref_boundary_pairs(u, mask)
+                want = sorted((ref_rule(u, b, i) for b, i in pairs), key=oracle.BRule.sort_key)
+                assert oracle.RuleSet._of(u, oracle._crossings(u, mask)).items == tuple(want)
+            crossings = [rng.getrandbits(1 << n) & rng.getrandbits(1 << n) for _ in range(n)]
+            want = sorted(
+                (ref_rule(u, b, i) for b, i in pairs_of(crossings)), key=oracle.BRule.sort_key
+            )
+            assert oracle.RuleSet._of(u, crossings).items == tuple(want)
