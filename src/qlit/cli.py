@@ -26,6 +26,7 @@ from . import SUITE_NAMES
 from .core import Circuit
 from .errors import ParseError, QlitError
 from .io import (
+    _all_ints,
     _tokenize,
     emit_dimacs,
     emit_nnf,
@@ -58,14 +59,6 @@ def _sniff(text: str) -> str:
             return "sdd"
         return "formula"
     return "formula"
-
-
-def _all_ints(fields: Sequence[str]) -> bool:
-    try:
-        [int(f) for f in fields]
-        return True
-    except ValueError:
-        return False
 
 
 def _operands(store, root: int, kind: str) -> list[int]:

@@ -38,10 +38,10 @@ of a DAG.
 from __future__ import annotations
 
 import threading
-from collections import Counter, namedtuple
+from collections import Counter, deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, count, cycle, repeat
 from operator import and_, or_
 
 from .errors import (
@@ -153,22 +153,25 @@ class Universe:
     def __init__(self, names: Iterable[str] | int):
         if isinstance(names, int):
             names = [f"x{i + 1}" for i in range(names)]
-        variables = []
-        by_name: dict[str, Variable] = {}
-        for index, name in enumerate(names):
-            if name in by_name:
-                raise InvalidLiteralSetError(f"duplicate variable name {name!r}")
-            var = Variable(index, name)
-            variables.append(var)
-            by_name[name] = var
+        names = list(names)
+        # each slot is set through its descriptor: no ``__init__`` runs per object
+        variables = list(map(object.__new__, repeat(Variable, len(names))))
+        self._by_name: dict[str, Variable] = dict(zip(names, variables))
+        if len(self._by_name) < len(names):
+            seen: set[str] = set()
+            for name in names:
+                if name in seen:
+                    raise InvalidLiteralSetError(f"duplicate variable name {name!r}")
+                seen.add(name)
+        deque(map(Variable.index.__set__, variables, count()), 0)
+        deque(map(Variable.name.__set__, variables, names), 0)
+        literals = list(map(object.__new__, repeat(Literal, 2 * len(names))))
+        deque(map(Literal.variable.__set__, literals, _by_code(variables, variables)), 0)
+        deque(map(Literal.positive.__set__, literals, cycle((False, True))), 0)
         self._variables: tuple[Variable, ...] = tuple(variables)
-        self._by_name = by_name
-        self._literals = tuple(
-            Literal(v, bool(polarity)) for v in variables for polarity in (0, 1)
-        )
+        self._literals = tuple(literals)
         # by literal code, like ``_literals``: the display text, and the
         # signed DIMACS integer as a string (variable ``i`` is ``i + 1``)
-        names = [v.name for v in variables]
         numbers = [str(i) for i in range(1, len(variables) + 1)]
         self._texts = _by_code(["~" + name for name in names], names)
         self._dimacs = _by_code(["-" + number for number in numbers], numbers)
@@ -1088,13 +1091,16 @@ class CircuitBuilder:
     ) -> Circuit:
         """Wrap the lists into a circuit; ``prune`` drops nodes unreachable
         from the root (transformation passes leave such orphans behind) and
-        renumbers the rest, keeping their order."""
+        renumbers the rest, keeping their order.  Children precede their
+        parents, so some node is unreachable exactly when a node other than
+        the root has no parent; only then does the walk run."""
         if root < 0:
             root = self.const(root == self.true)
         kinds, args, decisions = self.kinds, self.args, self.decisions
         if prune:
-            kept = walk(args, (root,))
-            if len(kept) < len(kinds):
+            children = set(chain.from_iterable(arg for arg in args if type(arg) is tuple))
+            if len(children | {root}) < len(kinds):
+                kept = walk(args, (root,))
                 remap = dict(zip(kept, range(len(kept))))
                 new_id = remap.__getitem__
                 kinds = [kinds[i] for i in kept]

@@ -30,12 +30,14 @@ optional ``protected <name>...`` line) followed by one or two DIMACS
 sections tagged ``section delta`` and ``section negdelta``.
 
 Outside formulas, a line whose first non-blank character is ``c`` is a
-comment.  Literal codes and signed DIMACS integers (in DIMACS, ``.nnf`` and
-SDD text) are converted in one place: ``Universe._dimacs`` holds each code's
-integer as text, so emitting joins strings from it, and
-:func:`~qlit.core.dimacs_codes` is its inverse.  Clauses, terms, CNFs and
-DNFs print from the display texts the universe holds next to it,
-``Universe._texts``.
+comment, and an integer field is an optional sign and ASCII digits
+(:func:`_ints`; ``int`` alone also reads ``1_0`` and other scripts' digits).
+Literal codes and signed DIMACS integers (in DIMACS, ``.nnf`` and SDD text)
+are converted in one place: ``Universe._dimacs`` holds each code's integer
+as text, so emitting joins strings from it and reading DIMACS looks its
+fields up in bulk there, and :func:`~qlit.core.dimacs_codes` is its inverse.
+Clauses, terms, CNFs and DNFs print from the display texts the universe
+holds next to it, ``Universe._texts``.
 
 Parse errors always carry a 1-based line (and column for formulas); no
 partial results escape.
@@ -44,8 +46,8 @@ partial results escape.
 from __future__ import annotations
 
 import re
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
+from operator import add, is_, itemgetter, rshift
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -84,13 +86,14 @@ __all__ = [
 
 def _note_name(comment: str, names: dict[int, tuple[str, int]], number: int) -> None:
     """Record a ``c var <index> <name>`` comment on line ``number``; an index
-    that is not ASCII digits makes it an ordinary comment."""
+    that is not ASCII digits, or is past ``int``'s digit limit, makes it an
+    ordinary comment."""
     fields = comment.split()
     if (
         len(fields) == 4
         and fields[:2] == ["c", "var"]
-        and fields[2].isascii()
         and fields[2].isdigit()
+        and _all_ints(fields[2:3])
     ):
         names[int(fields[2])] = (fields[3], number)
 
@@ -122,112 +125,139 @@ def parse_dimacs(
     when they cover every variable exactly once the universe uses them (see
     :func:`_named_universe`).
 
-    One pass over the lines turns each clause line into literal codes through
-    :func:`dimacs_codes` and checks a clause when its ``0`` is read.  A line
-    that is not integers outranks an error in the clauses (a literal out of
-    range, a tautology) on an earlier line, so the first clause error waits
-    until the last line is read.
+    One scan finds the lines that start with ``c`` or ``p``; each run of
+    clause lines between two of them is split at once into one list of
+    fields.  One ``map`` looks the fields up among the universe's DIMACS
+    texts (any other spelling, such as ``+2`` or ``01``, goes through
+    :func:`_ints`), and the clauses are cut, sorted and checked over the
+    resulting codes.  A line that is not integers outranks an error in the
+    clauses (a literal out of range, a tautology) on an earlier line, so the
+    first clause error waits until the last line is read.  An error's line is
+    found only when there is one, by counting the fields of its run's lines.
     """
     lines = text.splitlines()
-    header: tuple[int, int] | None = None
+    # a line break before each line, and a last ``c`` line that ends the scan
+    body = "\n".join(["", *lines, "c"])
+    header: list[int] | None = None
     names: dict[int, tuple[str, int]] = {}
-    code_of: dict[int, int | None] = {}
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []  # codes of the open clause, in text order
-    last_line = first_line  # the line of the last integer
-    error: ParseError | None = None  # the first error in the clauses
-    for number, line in enumerate(lines, first_line):
-        fields = line.split()
-        if not fields:
-            continue
-        head = fields[0][0]
-        if head == "c":
-            _note_name(line, names, number)
-            continue
-        if head == "p":
-            if header is not None:
-                raise ParseError("second problem line", number)
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise ParseError("malformed header, expected 'p cnf <vars> <clauses>'", number)
+    fields: list[str] = []  # the fields of the clause lines, in text order
+    runs: list[tuple[int, int, int]] = []  # per run: its first field, first and end line
+    at = line = 0  # the line break before the run, and the run's first line
+
+    def line_of(k: int) -> int:
+        """The line of ``fields[k]``, by counting the fields of its run's lines."""
+        seen, start, stop = next(run for run in reversed(runs) if run[0] <= k)
+        for number in range(start, stop):
+            seen += len(lines[number].split())
+            if seen > k:
+                return first_line + number
+
+    def integers() -> list[int]:
+        """The fields as integers, else the error that names the first that is not one."""
+        try:
+            return _ints(fields)
+        except ValueError:
+            k = next(k for k, field in enumerate(fields) if not _all_ints([field]))
+            raise ParseError(f"expected an integer, got {fields[k]!r}", line_of(k)) from None
+
+    for match in re.finditer(r"\n[^\S\n]*[cp].*", body):
+        stop = line + body.count("\n", at, match.start())  # the matched line
+        run = body[at : match.start()].split()
+        if run:
+            if header is None:
+                number = next(k for k in range(line, stop) if lines[k].split())
+                raise ParseError("clause before the problem line", first_line + number)
+            runs.append((len(fields), line, stop))
+            fields += run
+        if stop == len(lines):
+            break
+        at, line, number = match.end(), stop + 1, first_line + stop
+        words = lines[stop].split()
+        if words[0][0] == "c":
+            _note_name(lines[stop], names, number)
+        elif header is not None:
+            integers()  # raises on an earlier line
+            raise ParseError("second problem line", number)
+        elif len(words) != 4 or words[1] != "cnf":
+            raise ParseError("malformed header, expected 'p cnf <vars> <clauses>'", number)
+        else:
             try:
-                header = (int(fields[2]), int(fields[3]))
+                header = _ints(words[2:])
             except ValueError:
                 raise ParseError("non-numeric header counts", number) from None
-            if header[0] < 0 or header[1] < 0:
+            if min(header) < 0:
                 raise ParseError("negative header counts", number)
-            code_of = dimacs_codes(header[0])
-            continue
-        if header is None:
-            raise ParseError("clause before the problem line", number)
-        out_of_range = None
-        try:
-            codes = list(map(code_of.__getitem__, map(int, fields)))
-        except (ValueError, KeyError):
-            codes, out_of_range = _codes_before_error(fields, code_of, number)
-        last_line = number
-        if error is not None:
-            continue
-        start = 0
-        for _ in range(codes.count(None)):
-            end = codes.index(None, start)
-            current += codes[start:end]
-            start = end + 1
-            clause = sorted(current)
-            previous = -1
-            for code in clause:
-                if code | 1 == previous:
-                    # two literals over one variable: drop the repeats; a
-                    # pair of neighbours left over is a tautology
-                    clause = sorted(set(clause))
-                    if any(a ^ 1 == b for a, b in zip(clause, clause[1:])):
-                        error = _tautology(current, number)
-                    break
-                previous = code | 1
-            if error is not None:
-                break
-            clauses.append(tuple(clause))
-            current = []
-        else:
-            current += codes[start:]
-            error = out_of_range
 
     if header is None:
-        line = first_line + len(lines)
-        raise ParseError("missing 'p cnf' header", max(line - 1, first_line))
+        raise ParseError("missing 'p cnf' header", max(first_line + len(lines) - 1, first_line))
     nvars, nclauses = header
-    if universe is None:
-        universe = _named_universe(names, nvars)
-    elif len(universe) != nvars:
-        raise ParseError(
-            f"header declares {nvars} variables, universe has {len(universe)}",
-            first_line,
-        )
+    try:
+        if universe is None:
+            universe = _named_universe(names, nvars)
+        elif len(universe) != nvars:
+            raise ParseError(
+                f"header declares {nvars} variables, universe has {len(universe)}",
+                first_line,
+            )
+    except ParseError:
+        integers()  # a clause line's error comes first
+        raise
+    error = None  # the first error in the clauses
+    try:
+        text_codes = dict(zip(universe._dimacs, count()), **{"0": None})
+        codes = list(map(text_codes.__getitem__, fields))
+    except KeyError:
+        values = integers()
+        code_of = dimacs_codes(nvars)
+        try:
+            codes = list(map(code_of.__getitem__, values))
+        except KeyError as missing:
+            bad = values.index(missing.args[0])
+            codes = list(map(code_of.__getitem__, values[:bad]))
+            error = ParseError(f"literal {values[bad]} out of range", line_of(bad))
+
+    # a clause ends at the code of each zero; what follows the last is open
+    ends = list(compress(count(), map(is_, codes, repeat(None))))
+    starts = [0, *map(add, ends, repeat(1))]
+    # each clause becomes a tuple at once: ten thousand lists kept alive
+    # would each be walked by several garbage collections
+    clauses = [tuple(sorted(codes[start:end])) for start, end in zip(starts, ends)]
+    variable = list(map(rshift, range(2 * nvars), repeat(1))).__getitem__  # of a code
+    if sum(map(len, map(set, map(map, repeat(variable), clauses)))) < sum(map(len, clauses)):
+        # two literals over one variable: drop the repeats; a pair of
+        # neighbours left over is a tautology
+        for k, clause in enumerate(clauses):
+            clause = tuple(sorted(set(clause)))
+            if any(a ^ 1 == b for a, b in zip(clause, clause[1:])):
+                error = _tautology(codes[starts[k] : ends[k]], line_of(ends[k]))
+                break
+            clauses[k] = clause
     if error is not None:
         raise error
-    if current:
-        raise ParseError("unterminated clause", last_line)
-    if len(clauses) != nclauses:
-        raise ParseError(
-            f"header declares {nclauses} clauses, found {len(clauses)}", last_line
-        )
+    if starts[-1] < len(codes) or len(clauses) != nclauses:
+        last_line = line_of(len(fields) - 1) if fields else first_line
+        if starts[-1] < len(codes):
+            raise ParseError("unterminated clause", last_line)
+        raise ParseError(f"header declares {nclauses} clauses, found {len(clauses)}", last_line)
     return Cnf._of(universe, clauses)
 
 
-def _codes_before_error(
-    fields: list[str], code_of: dict[int, int | None], number: int
-) -> tuple[list, ParseError]:
-    """For a clause line that is not all literals in range: raise on the
-    first field that is not an integer, else return the codes before the
-    first integer out of range and the error that names it."""
-    values = []
-    for field in fields:
-        try:
-            values.append(int(field))
-        except ValueError:
-            raise ParseError(f"expected an integer, got {field!r}", number) from None
-    bad = next(k for k, value in enumerate(values) if value not in code_of)
-    codes = [code_of[value] for value in values[:bad]]
-    return codes, ParseError(f"literal {values[bad]} out of range", number)
+def _ints(fields: list[str]) -> list[int]:
+    """The integers that ``fields`` spell, each an optional sign and ASCII
+    digits; ``ValueError`` on any other field (``int`` alone also reads ``1_0``
+    and the digits of other scripts)."""
+    joined = "".join(fields)
+    if "_" in joined or not joined.isascii():
+        raise ValueError(f"not integers: {fields!r}")
+    return list(map(int, fields))
+
+
+def _all_ints(fields: list[str]) -> bool:
+    try:
+        _ints(fields)
+        return True
+    except ValueError:
+        return False
 
 
 def _tautology(items: list[int], number: int) -> ParseError:
@@ -279,7 +309,7 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
             if kind != "nnf" or len(fields) != 4:
                 raise ParseError("expected header 'nnf <nodes> <edges> <vars>'", number)
             try:
-                header = (int(fields[1]), int(fields[2]), int(fields[3]))
+                header = _ints(fields[1:])
             except ValueError:
                 raise ParseError("non-numeric header counts", number) from None
             nvars = header[2]
@@ -297,7 +327,7 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
             continue
 
         try:
-            numbers = list(map(int, fields[1:]))
+            numbers = _ints(fields[1:])
         except ValueError:
             raise ParseError("non-numeric node fields", number) from None
 
@@ -395,7 +425,7 @@ def parse_sdd(text: str, universe: Universe | None = None) -> Circuit:
         fields = line.split()
         kind = fields[0]
         try:
-            numbers = [int(f) for f in fields[1:]]
+            numbers = _ints(fields[1:])
         except ValueError:
             raise ParseError("non-numeric fields", number) from None
         if kind in ("T", "F"):
@@ -638,7 +668,7 @@ def parse_classifier_bundle(text: str) -> ClassifierBundle:
             if len(fields) != 3:
                 raise ParseError("expected 'var <index> <name>'", number)
             try:
-                index = int(fields[1])
+                [index] = _ints(fields[1:2])
             except ValueError:
                 raise ParseError("non-numeric variable index", number) from None
             if index in names:

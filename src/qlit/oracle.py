@@ -215,8 +215,11 @@ class BRule:
         return self.antecedent.universe
 
     def world(self) -> World:
-        """The boundary model this rule describes."""
-        return self.antecedent.add(self.consequent).to_world()
+        """The boundary model this rule describes: the antecedent's true
+        variables, and the consequent's if it is positive."""
+        bits = sum(1 << (code >> 1) for code in self.antecedent.codes if code & 1)
+        consequent = self.consequent
+        return World(self.universe, bits | consequent.positive << consequent.variable.index)
 
     def sort_key(self) -> tuple:
         return (self.antecedent.codes, self.consequent.code)

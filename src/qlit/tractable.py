@@ -28,7 +28,7 @@ fails.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .core import (
     Annotation,
@@ -150,12 +150,17 @@ class _FlatForm:
 
     def __str__(self) -> str:
         """The elements in canonical order; a CNF parenthesizes its clauses
-        of two literals or more."""
-        text, inner, wrap = self.universe._texts.__getitem__, self._inner, self._wrap
+        of two literals or more.  Each element's literals are joined in bulk,
+        and when every element has two or more, so are the elements."""
+        codes = sorted(self.codes)
+        parts = map(self._inner.join, map(map, repeat(self.universe._texts.__getitem__), codes))
+        left, right = self._wrap
+        if min(map(len, codes), default=0) > 1:
+            return left + (right + self._outer + left).join(parts) + right
+        empty = self._element_type._empty
         return self._outer.join([
-            wrap % inner.join(map(text, codes)) if len(codes) > 1
-            else text(codes[0]) if codes else self._element_type._empty
-            for codes in sorted(self.codes)
+            left + part + right if len(element) > 1 else part or empty
+            for element, part in zip(codes, parts)
         ]) or self._empty
 
     def __repr__(self) -> str:
@@ -169,7 +174,7 @@ class Cnf(_FlatForm):
     __slots__ = ()
     _element_type, _what, _join = Clause, "clause", staticmethod(Universe.all_conj)
     _name, _rule = "CNF", "resolution"
-    _outer, _inner, _wrap, _empty = " & ", " | ", "(%s)", "true"
+    _outer, _inner, _wrap, _empty = " & ", " | ", ("(", ")"), "true"
 
     clauses = _FlatForm.elements
 
@@ -187,7 +192,7 @@ class Dnf(_FlatForm):
     __slots__ = ()
     _element_type, _what, _join = Term, "term", staticmethod(Universe.all_disj)
     _name, _rule = "DNF", "consensus"
-    _outer, _inner, _wrap, _empty = " | ", " & ", "%s", "false"
+    _outer, _inner, _wrap, _empty = " | ", " & ", ("", ""), "false"
 
     terms = _FlatForm.elements
 

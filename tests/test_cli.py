@@ -745,6 +745,55 @@ class TestExitCodes:
         assert captured.out.splitlines()[-1] == "x & y"  # the next line still ran
 
 
+class TestIntegerFields:
+    """An integer field is an optional sign and ASCII digits, as ``+2`` and
+    ``01`` are; ``int`` alone would also read ``1_0`` as 10."""
+
+    @pytest.mark.parametrize(
+        "name, text, argv, error",
+        [
+            ("clause.cnf", "p cnf 10 1\n1_0 -2 0\n", [], "line 2, column 1: expected an integer, got '1_0'"),
+            ("header.cnf", "p cnf 1_0 1\n1 -2 0\n", [], "line 1, column 1: non-numeric header counts"),
+            ("literal.sdd", "L 1 1\nL 2 1_0\n", ["--repr", "sdd"], "line 2, column 1: non-numeric fields"),
+            ("sniffed.sdd", "L 1 1\nL 2 1_0\n", [], "line 2, column 1: non-numeric fields"),
+            ("child.nnf", "nnf 3 2 2\nL 1\nL -2\nA 2 0 1_0\n", [], "line 4, column 1: non-numeric node fields"),
+            ("header.nnf", "nnf 1 0 1_0\nL 1\n", [], "line 1, column 1: non-numeric header counts"),
+        ],
+    )
+    def test_underscored_integers_are_2_on_their_line(self, tmp_path, capsys, name, text, argv, error):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["quantify", "--op", "forall", "--items", "x1", "--in", str(path), *argv])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("var 1_0 a\nsection delta\np cnf 1 1\n1 0\n", "line 1, column 1: non-numeric variable index"),
+            ("var 1 a\nsection delta\np cnf 1 1\n+1_0 0\n", "line 4, column 1: expected an integer, got '+1_0'"),
+        ],
+    )
+    def test_underscored_integers_in_bundles_are_2_on_their_line(self, tmp_path, capsys, text, error):
+        path = tmp_path / "bad.bundle"
+        path.write_text(text)
+        code = main(["decide", "--classifier", str(path), "--term", "a"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_signed_and_zero_padded_integers_still_read(self, tmp_path, capsys):
+        path = tmp_path / "spelled.cnf"
+        path.write_text("p cnf 02 +2\n+1 -02 0\n002 0\n")
+        assert main(["quantify", "--op", "forall", "--items", "~x1", "--in", str(path)]) == 0
+        assert capsys.readouterr().out == "~x2 & x2\n"
+
+    def test_sniffing_reads_only_such_integers(self):
+        assert cli._sniff("L 1 -1\n") == "sdd"
+        assert cli._sniff("L 1 +01\n") == "sdd"
+        assert cli._sniff("L 1 1_0\n") == "formula"
+        assert cli._sniff("L 1 \u0661\n") == "formula"
+
+
 class TestRepl:
     def test_session_flow(self, capsys, monkeypatch, admission_file):
         import io as stdlib_io

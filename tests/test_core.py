@@ -429,3 +429,94 @@ class TestDeepChains:
                 node = builder.add_or([node, builder.lit(4)])
         circuit = builder.finish(node)
         assert oracle.models_mask(circuit.to_formula()) == oracle.models_mask(circuit)
+
+
+def _ref_prune(kinds, args, decisions, root):
+    """The lists of the nodes reachable from ``root``, renumbered in order."""
+    kept = sorted(_reachable(args, root))
+    new_id = {old: new for new, old in enumerate(kept)}.__getitem__
+    return (
+        [kinds[i] for i in kept],
+        [tuple(map(new_id, args[i])) if type(args[i]) is tuple else args[i] for i in kept],
+        [decisions[i] for i in kept],
+        new_id(root),
+    )
+
+
+def _reachable(args, root):
+    """The ids under ``root``, root included."""
+    seen, stack = {root}, [root]
+    while stack:
+        arg = args[stack.pop()]
+        for child in arg if type(arg) is tuple else ():
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
+
+
+def _random_builder(rng, n):
+    """A builder holding literals and random gates over older nodes."""
+    b = CircuitBuilder(Universe(n))
+    ids = [b.lit(code) for code in rng.sample(range(2 * n), min(2 * n, 4))]
+    for _ in range(rng.randrange(1, 30)):
+        kids = tuple(rng.sample(ids, rng.randint(1, min(3, len(ids)))))
+        ids.append(b._add(rng.choice(["and", "or"]), kids, rng.randrange(-1, n)))
+    return b
+
+
+class TestFinishPrunesOnlyOrphans:
+    def test_orphans_are_pruned_and_the_rest_renumbered(self):
+        rng = random.Random(1108)
+        pruned = 0
+        for _ in range(300):
+            b = _random_builder(rng, rng.randint(2, 6))
+            lists = (list(b.kinds), list(b.args), list(b.decisions))
+            root = rng.randrange(len(b.kinds))
+            c = b.finish(root, prune=True)
+            want = _ref_prune(*lists, root)
+            assert (c.kinds, c.args, c.decisions, c.root) == want
+            pruned += len(c.kinds) < len(lists[0])
+        assert pruned > 200
+
+    def test_without_orphans_the_lists_are_kept_and_no_walk_runs(self, monkeypatch):
+        from qlit import core
+
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        rng = random.Random(1109)
+        for _ in range(100):
+            b = _random_builder(rng, rng.randint(2, 6))
+            parents = {child for arg in b.args if type(arg) is tuple for child in arg}
+            orphans = tuple(i for i in range(len(b.kinds)) if i not in parents)
+            root = orphans[0] if len(orphans) == 1 else b._add("or", orphans)
+            lists = (b.kinds, b.args, b.decisions)
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "walk", no_walk)
+                c = b.finish(root, prune=True)
+            assert (c.kinds, c.args, c.decisions) == lists
+            assert c.kinds is b.kinds and c.args is b.args and c.decisions is b.decisions
+            assert c.root == root and len(_reachable(c.args, root)) == len(c.kinds)
+
+
+class TestUniverseValues:
+    def test_built_values_equal_constructed_ones(self):
+        for names in (0, 3, ["a", "b c", "~d", "x1"]):
+            u = Universe(names)
+            n = len(u)
+            assert [v.name for v in u] == (names if isinstance(names, list) else [f"x{i + 1}" for i in range(n)])
+            assert u.variables == tuple(Variable(i, v.name) for i, v in enumerate(u))
+            assert u._literals == tuple(Literal(v, p) for v in u.variables for p in (False, True))
+            assert all(type(lit.positive) is bool and lit.variable is u.variables[lit.code >> 1] for lit in u._literals)
+            assert u._by_name == {v.name: v for v in u.variables}
+            for value in (*u.variables, *u._literals):
+                with pytest.raises(AttributeError):
+                    value.index = 0
+
+    @pytest.mark.parametrize(
+        "names, repeated", [(["a", "b", "a"], "a"), (["a", "b", "b", "a"], "b"), (iter("xyzy"), "y")]
+    )
+    def test_the_first_repeated_name_is_refused(self, names, repeated):
+        with pytest.raises(InvalidLiteralSetError, match=f"duplicate variable name '{repeated}'"):
+            Universe(names)

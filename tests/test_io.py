@@ -2,6 +2,7 @@
 inference and round trips."""
 
 import random
+import re
 
 import pytest
 
@@ -548,6 +549,13 @@ class TestTokenizerAgainstCharacterLoop:
             assert _tokens_or_error(io_module._tokenize, joined) == want
 
 
+def _reference_int(field):
+    """An optional sign and ASCII digits as an integer, else ``ValueError``."""
+    if re.fullmatch(r"[+-]?[0-9]+", field) is None:
+        raise ValueError(f"not an integer: {field!r}")
+    return int(field)
+
+
 def _reference_parse_dimacs(text, universe=None, first_line=1):
     """The token-list DIMACS parser that the one-pass parser replaced: the
     reference it must match result for result and error for error."""
@@ -572,7 +580,7 @@ def _reference_parse_dimacs(text, universe=None, first_line=1):
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError("malformed header, expected 'p cnf <vars> <clauses>'", number)
             try:
-                header = (int(fields[2]), int(fields[3]))
+                header = (_reference_int(fields[2]), _reference_int(fields[3]))
             except ValueError:
                 raise ParseError("non-numeric header counts", number) from None
             if header[0] < 0 or header[1] < 0:
@@ -582,7 +590,7 @@ def _reference_parse_dimacs(text, universe=None, first_line=1):
             raise ParseError("clause before the problem line", number)
         for field in stripped.split():
             try:
-                tokens.append((int(field), number))
+                tokens.append((_reference_int(field), number))
             except ValueError:
                 raise ParseError(f"expected an integer, got {field!r}", number) from None
 
@@ -951,3 +959,150 @@ class TestParserFuzz:
             capsys.readouterr()
         # both outcomes are represented
         assert min(outcomes.values()) > 10, outcomes
+
+
+def _large_dimacs(rng, literals=30_000):
+    """The lines of a valid DIMACS text of at least ``literals`` literals over
+    ``literals // 15`` variables: clauses of 0-5 literals, some with a
+    repeated literal, laid over lines of 1-8 fields so that clauses span
+    lines, and runs of clause lines parted by comment and blank lines."""
+    nvars = literals // 15
+    clauses = []
+    count = 0
+    while count < literals:
+        width = rng.choice([0, 1, 2, 3, 3, 3, 4, 5]) if rng.random() < 0.1 else 3
+        clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), width)]
+        if clause and rng.random() < 0.02:
+            clause.insert(rng.randrange(len(clause) + 1), rng.choice(clause))
+        clauses.append(clause)
+        count += len(clause)
+    tokens = [str(v) for clause in clauses for v in [*clause, 0]]
+    lines = []
+    while tokens:
+        take = rng.randint(1, 8)
+        lines.append(" ".join(tokens[:take]))
+        del tokens[:take]
+        if rng.random() < 0.01:
+            lines.append(rng.choice(["c a comment", "", "c", "  ", "c var 3"]))
+    # a name for every variable, on ``c var`` lines anywhere after the header
+    names = {}
+    for v in range(1, nvars + 1):
+        names.setdefault(rng.randrange(len(lines) + 1), []).append(f"c var {v} n{v}")
+    lines = [row for k, line in enumerate([*lines, None]) for row in [*names.get(k, []), line]]
+    return [f"p cnf {nvars} {len(clauses)}", *lines[:-1]]
+
+
+class TestLargeDimacsAgainstReference:
+    """Texts of 30,000 literals and more, valid and with one fault planted on a
+    late line, read as the line-by-line reference reads them."""
+
+    @staticmethod
+    def _late(lines, rng):
+        """The index of a clause line in the last tenth of ``lines``."""
+        while True:
+            k = rng.randrange(len(lines) * 9 // 10, len(lines))
+            if lines[k].strip() and not lines[k].startswith("c"):
+                return k
+
+    def _faults(self, lines, rng):
+        """Copies of ``lines``, each with one planted fault."""
+        nvars = int(lines[0].split()[2])
+
+        def replaced(lines, k, make):
+            fields = lines[k].split()
+            at = rng.randrange(len(fields))
+            fields[at] = make(fields[at])
+            return [*lines[:k], " ".join(fields), *lines[k + 1 :]]
+
+        def appended(lines, k, tail):
+            return [*lines[:k], lines[k] + " " + tail, *lines[k + 1 :]]
+
+        late = self._late(lines, rng)
+        early = rng.randrange(1, len(lines) // 2)
+        while not lines[early].strip() or lines[early].startswith("c"):
+            early += 1
+        out_of_range = str(nvars + 1 + rng.randrange(5))
+        yield replaced(lines, late, lambda _: rng.choice(["x", "1_0", "١", "2-", "+-3"]))
+        yield appended(lines, late, f"{out_of_range} 0")
+        yield appended(lines, late, "7 -7 0")
+        yield [*lines, "1 2"]
+        yield appended(lines, late, "3 0")
+        yield replaced(appended(lines, early, "5 -5 0"), late, lambda _: "1_0")
+        yield replaced(appended(lines, early, f"{out_of_range} 0"), late, lambda _: "x")
+        yield [*lines[:late], "p cnf 1 1", *lines[late:]]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_valid_and_faulty_texts_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        lines = _large_dimacs(rng)
+        assert sum(len(line.split()) for line in lines[1:] if line[:1] != "c") >= 30_000
+        spelled = [  # integers written as ``int`` also reads them: ``+2``, ``01``
+            " ".join(rng.choice([f, "+" + f, "0" + f]) if f[0] != "-" else f for f in line.split())
+            if k and not line.startswith("c") else line
+            for k, line in enumerate(lines)
+        ]
+        texts = [lines, spelled, *self._faults(lines, rng)]
+        outcomes = []
+        for text_lines in texts:
+            newline = rng.choice(["\n", "\r\n"])
+            text = newline.join(text_lines) + newline
+            want = _dimacs_outcome(_reference_parse_dimacs, text)
+            assert _dimacs_outcome(parse_dimacs, text) == want
+            outcomes.append(want)
+            u = Universe(int(text_lines[0].split()[2]))
+            assert _dimacs_outcome(parse_dimacs, text, u, 40) == _dimacs_outcome(
+                _reference_parse_dimacs, text, u, 40
+            )
+        # the valid texts parse alike; each fault is an error on a late line
+        assert outcomes[0][0][0] == "n1" and outcomes[0] == outcomes[1]
+        assert [outcome[0] for outcome in outcomes[2:]] == ["ParseError"] * (len(texts) - 2)
+        messages = [outcome[1] for outcome in outcomes[2:]]
+        for message, part in zip(messages, [
+            "expected an integer", "out of range", "tautological", "unterminated",
+            "clauses, found", "expected an integer", "expected an integer", "second problem line",
+        ]):
+            assert part in message
+        assert all(outcome[2] > len(lines) // 2 for outcome in outcomes[2:])
+
+    def test_a_var_index_past_the_digit_limit_is_a_comment(self):
+        # ``int`` refuses more than 4,300 digits: the comment names no variable
+        text = f"c var 1 a\nc var {'9' * 5000} b\np cnf 1 1\n1 0\nx 0\n"
+        assert _dimacs_outcome(parse_dimacs, text) == ("ParseError", "line 5, column 1: expected an integer, got 'x'", 5)
+        assert _dimacs_outcome(parse_dimacs, text[:-4]) == (["a"], [(1,)])
+
+    def test_integers_in_other_scripts_are_not_read(self):
+        with pytest.raises(ParseError, match="expected an integer, got '١'") as caught:
+            parse_dimacs("p cnf 2 1\n١ -2 0\n")
+        assert caught.value.line == 2
+
+
+def _flat_elements(u, rng, count):
+    """``count`` code tuples over ``u``: empty, unit and wider elements."""
+    elements = []
+    for _ in range(count):
+        width = rng.choice([0, 1, 1, 2, 3, 4]) if rng.random() < 0.3 else rng.randint(2, 4)
+        chosen = sorted(rng.sample(range(len(u)), min(width, len(u))))
+        elements.append(tuple(2 * v + rng.randrange(2) for v in chosen))
+    return elements
+
+
+class TestBulkTextsAgainstReference:
+    def test_seeded_forms_with_unit_and_empty_elements(self):
+        from qlit.tractable import Cnf, Dnf
+
+        rng = random.Random(4410)
+        seen = set()
+        for trial in range(400):
+            n = rng.randrange(1, 9)
+            u = Universe([f"v{i}_{rng.randrange(100)}" for i in range(n)] if trial % 2 else n)
+            elements = _flat_elements(u, rng, rng.randrange(6))
+            if trial % 3 == 0:  # every element has two literals or more
+                elements = [e for e in elements if len(e) > 1]
+            for form in (Cnf._of(u, elements), Dnf._of(u, elements)):
+                text = str(form)
+                assert text == _reference_texts(form)
+                seen.add((type(form).__name__, min(map(len, form.codes), default=None), text in ("true", "false")))
+        # the forms include true and false, and elements of every width class
+        assert {(kind, width) for kind, width, _ in seen} >= {
+            (kind, width) for kind in ("Cnf", "Dnf") for width in (None, 0, 1, 2)
+        }

@@ -849,3 +849,22 @@ class TestRulesAgainstTheCheckedConstructor:
                 (ref_rule(u, b, i) for b, i in pairs_of(crossings)), key=oracle.BRule.sort_key
             )
             assert oracle.RuleSet._of(u, crossings).items == tuple(want)
+
+
+class TestRuleWorldsFromCodes:
+    def test_world_is_the_antecedent_with_the_consequent_added(self):
+        rng = random.Random(9601)
+        total = 0
+        for n in range(1, 12):
+            u = Universe(n)
+            crossings = [rng.getrandbits(1 << n) & rng.getrandbits(1 << n) for _ in range(n)]
+            rules = oracle.RuleSet._of(u, crossings).items
+            for rule in rules:
+                want = rule.antecedent.add(rule.consequent).to_world()
+                assert rule.world() == want and type(rule.world().bits) is int
+            # both readers of ``world``: the constructor and membership
+            rule_set = oracle.RuleSet(u, rules)
+            assert rule_set == oracle.RuleSet._of(u, crossings)
+            assert all(rule in rule_set for rule in rules)
+            total += len(rules)
+        assert total > 5000
