@@ -25,19 +25,13 @@ from .quantify import (
     forall_variable,
     quantify_set,
 )
+from .circuits import _var_bitmasks, ddnnf_exists, ddnnf_forall, ddnnf_shift, sdd_exists, sdd_forall, sdd_shift
 from .tractable import (
     close_under,
     cnf_exists_literal,
     cnf_forall_literal,
-    ddnnf_exists,
-    ddnnf_forall,
-    ddnnf_shift,
     dnf_exists_literal,
     dnf_forall_literal,
-    sdd_exists,
-    sdd_forall,
-    sdd_shift,
-    _var_bitmasks,
 )
 from .xai import Classifier, Decision, decide, is_decision_biased, sufficient_reasons
 from .generators import (

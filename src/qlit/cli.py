@@ -19,28 +19,20 @@ enumeration cap of the oracle.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections.abc import Sequence
 
-from . import SUITE_NAMES
+from . import SUITE_NAMES, io
 from .core import Circuit
 from .errors import ParseError, QlitError
-from .io import (
-    _all_ints,
-    _tokenize,
-    emit_dimacs,
-    emit_nnf,
-    parse_classifier_bundle,
-    parse_dimacs,
-    parse_formula,
-    parse_nnf,
-    parse_sdd,
-)
+from .io import _all_ints, _ints, emit_dimacs
 from .quantify import quantify
 from .tractable import Cnf, Dnf
 
 # ``oracle``, ``xai``, ``checks``, ``json`` and ``shlex`` are imported by the
-# handlers that use them, so ``qlit quantify`` does not load (or compile) them
+# handlers that use them, and ``circuits`` and ``formulas`` by the inputs that
+# need them, so ``qlit quantify`` on DIMACS loads (or compiles) none of them
 
 __all__ = ["main", "run"]
 
@@ -83,6 +75,8 @@ def _disjunct_starts(text: str) -> list[tuple[int, int]]:
     one operand; the first ``=>`` builds ``~left | right``, whose operands
     are ``~left`` and those of ``right``; ``|`` splits it into disjuncts.  A
     group around a whole span is looked through."""
+    from .formulas import _tokenize
+
     tokens = list(_tokenize(text))[:-1]  # without the end token
     closing, opened = {}, []
     for k, token in enumerate(tokens):
@@ -118,7 +112,7 @@ def _disjunct_starts(text: str) -> list[tuple[int, int]]:
 
 
 def _formula_to_dnf(text: str) -> Dnf:
-    formula = parse_formula(text)
+    formula = io.parse_formula(text)
     u = formula.universe
     kinds, args = u._store.kinds, u._store.args
     terms = []
@@ -139,19 +133,29 @@ def _formula_to_dnf(text: str) -> Dnf:
     return Dnf(u, terms)
 
 
+def _read_text(path: str) -> str:
+    """The text of an ASCII file; any other byte is a parse error on its line."""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        bad = next(k for k, byte in enumerate(data) if byte > 0x7F)
+        line = len((data[:bad].decode("ascii") + "x").splitlines())
+        raise ParseError(f"non-ASCII byte {data[bad]:#x}", line) from None
+
+
+# the reader of each input kind, read on ``io`` at call time
+_READERS = {"cnf": "parse_dimacs", "ddnnf": "parse_nnf", "sdd": "parse_sdd", "formula": "parse_formula"}
+
+
 def _load_input(path: str, repr_: str):
-    with open(path, "r", encoding="ascii") as handle:
-        text = handle.read()
+    text = _read_text(path)
     kind = _sniff(text) if repr_ == "auto" else repr_
-    if kind == "cnf":
-        return parse_dimacs(text)
-    if kind == "ddnnf":
-        return parse_nnf(text)
-    if kind == "sdd":
-        return parse_sdd(text)
     if kind == "dnf":
         return _formula_to_dnf(text)
-    return parse_formula(text)
+    return getattr(io, _READERS[kind])(text)
 
 
 def _input(args, session):
@@ -165,9 +169,13 @@ def _input(args, session):
 def _read_classifier(path: str) -> Classifier:
     from .xai import Classifier
 
-    with open(path, "r", encoding="ascii") as handle:
-        bundle = parse_classifier_bundle(handle.read())
+    bundle = io.parse_classifier_bundle(_read_text(path))
     return Classifier(bundle.positive, bundle.negative, protected=bundle.protected)
+
+
+def emit_nnf(circuit: Circuit) -> str:
+    """:func:`qlit.io.emit_nnf`, read on ``io`` at each call."""
+    return io.emit_nnf(circuit)
 
 
 def _emit_result(value) -> str:
@@ -348,7 +356,7 @@ def _repl_load(fields: list[str], session) -> None:
 def _positive(text: str) -> int:
     """An ``argparse`` type: an integer of at least 1."""
     try:
-        value = int(text)
+        [value] = _ints([text])
     except ValueError:
         value = 0
     if value < 1:
@@ -446,7 +454,13 @@ def _internal_error(error: Exception) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    """Run ``argv``, else ``sys.argv`` and freeze what the process made out of the last
+    garbage collection at exit (nothing qlit holds has a finalizer; ``with`` closes files)."""
+    if argv is not None:
+        return run(argv)
+    code = run(sys.argv[1:])
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

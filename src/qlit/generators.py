@@ -22,8 +22,9 @@ from .core import (
     Term,
     Universe,
 )
+from .circuits import verify_decision_dnnf, verify_sdd
 from .oracle import models_mask
-from .tractable import Cnf, Dnf, verify_decision_dnnf, verify_sdd
+from .tractable import Cnf, Dnf
 
 __all__ = [
     "random_formula",

@@ -1,4 +1,4 @@
-"""Efficient quantification on CNF, DNF, Decision-DNNF and SDD inputs.
+"""Efficient quantification on CNF and DNF inputs.
 
 Every quantifier here takes a value and a collection of literals, ``(value,
 lits)``.  A CNF or DNF is stored as one tuple of sorted literal-code tuples,
@@ -12,45 +12,25 @@ set.  Existential quantification on a CNF and universal quantification on a
 DNF delete, literal by literal, every element holding ``l`` (CNF) or ``~l``
 (DNF), once the form is closed under resolution or consensus on its
 variable; the missing resolvents and consensus terms come from one
-generator.  Prime implicants and implicates are likewise one construction,
-seeded from models or counter-models.
-
-The circuit routines are single traversals that replace literals by
-constants; for the universal case the same traversal also makes the
-equivalence-preserving reshaping (the shift).  Every routine here is oracle-checked against its definitional
+generator.  Every routine here is oracle-checked against its definitional
 counterpart by the test suite.
 
 Closure preconditions are never assumed silently: callers either ask for the
 closure to be computed first or assert it and get an error when the check
 fails.
+
+The circuit verifiers and routines are in :mod:`qlit.circuits` and ``prime_forms`` in
+:mod:`qlit.formulas`; their names here import those on first use, so CNFs load neither.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import combinations, repeat
+from importlib import import_module
+from itertools import repeat
 
-from .core import (
-    Annotation,
-    Circuit,
-    CircuitBuilder,
-    Clause,
-    Formula,
-    Literal,
-    Term,
-    Universe,
-    Variable,
-    _iter_bits,
-    _var_patterns,
-    rebuild,
-    truth_table,
-)
-from .errors import (
-    CapacityError,
-    InvalidLiteralSetError,
-    PreconditionError,
-    StructureError,
-)
+from .core import Clause, Formula, Literal, Term, Universe, Variable
+from .errors import InvalidLiteralSetError, PreconditionError
 
 __all__ = [
     "Cnf",
@@ -73,7 +53,20 @@ __all__ = [
     "sdd_forall",
 ]
 
-PRIME_FORM_CAP = 16  # desk scale: prime enumeration is exponential past this
+# the names that moved, by their module now
+_MOVED = dict.fromkeys("PRIME_FORM_CAP _closure_primes prime_forms".split(), "formulas") | dict.fromkeys(
+    """_var_bitmasks verify_dnnf verify_decision_dnnf SDD_SEMANTIC_CHECK_CAP verify_sdd ddnnf_exists
+    ddnnf_shift ddnnf_forall sdd_exists sdd_shift sdd_forall""".split(),
+    "circuits",
+)
+
+
+def __getattr__(name: str):
+    """A moved name, read on first use and kept here (PEP 562), so no caller pays this twice."""
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module("." + _MOVED[name], __package__), name)
+    return value
 
 
 class _FlatForm:
@@ -310,379 +303,3 @@ def is_closed_under(form: Cnf | Dnf, var: Variable) -> bool:
     present."""
     return next(_missing(form, var), None) is None
 
-
-# -- prime implicants and implicates ---------------------------------------------
-
-
-def _consensus_sets(a: frozenset[int], b: frozenset[int]) -> frozenset[int] | None:
-    """Combination of two literal-code sets clashing on exactly one variable.
-    With a single clash the merge cannot contain a complementary pair."""
-    clash = -1
-    for code in a:
-        if code ^ 1 in b:
-            if clash >= 0:
-                return None
-            clash = code >> 1
-    if clash < 0:
-        return None
-    return frozenset(c for c in a | b if c >> 1 != clash)
-
-
-def _absorb(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-    """Keep only the subset-minimal sets (absorption)."""
-    ordered = sorted(set(sets), key=len)
-    kept: list[frozenset[int]] = []
-    for candidate in ordered:
-        if not any(other <= candidate for other in kept):
-            kept.append(candidate)
-    return kept
-
-
-def _closure_primes(seeds: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Close literal-code sets under pairwise combination with absorption
-    after every round.  Quine's classic construction: applied to any DNF of a
-    function it yields all prime implicants, and to any CNF all prime
-    implicates; interleaving absorption keeps the working set small without
-    changing the result."""
-    current = _absorb(frozenset(s) for s in seeds)
-    while True:
-        additions: list[frozenset[int]] = []
-        for i, a in enumerate(current):
-            for b in current[i + 1 :]:
-                merged = _consensus_sets(a, b)
-                if merged is None:
-                    continue
-                if any(k <= merged for k in current):
-                    continue
-                if any(k <= merged for k in additions):
-                    continue
-                additions.append(merged)
-        if not additions:
-            break
-        current = _absorb(current + additions)
-    return sorted(tuple(sorted(s)) for s in current)
-
-
-def prime_forms(value, mode: str) -> Dnf | Cnf:
-    """All prime implicants (as a DNF) or prime implicates (as a CNF).
-
-    Accepts a formula, circuit, CNF or DNF.  Seeds come from the matching
-    flat form when one is given, else from the models (one term each) or the
-    counter-models (one clause each, every literal negated); the seeds are
-    then closed under consensus/resolution and pruned by subsumption.  Capped
-    at 16 variables.
-    """
-    from . import oracle  # imported where used: the linear routines never need it
-
-    u = value.universe
-    if len(u) > PRIME_FORM_CAP:
-        raise CapacityError(
-            f"universe has {len(u)} variables, prime-form cap is {PRIME_FORM_CAP}"
-        )
-    if mode not in ("implicants", "implicates"):
-        raise ValueError(f"unknown mode {mode!r}")
-    form = Dnf if mode == "implicants" else Cnf
-    if isinstance(value, form):
-        seeds = set(value.codes)
-    else:
-        flip = form is Cnf
-        mask = oracle.models_mask(value)
-        if flip:
-            mask ^= (1 << (1 << len(u))) - 1
-        seeds = {
-            tuple(2 * i + ((bits >> i & 1) ^ flip) for i in range(len(u)))
-            for bits in _iter_bits(mask)
-        }
-    return form._of(u, _closure_primes(seeds))
-
-
-# -- circuit structure verification -----------------------------------------------
-
-
-def _var_bitmasks(circuit: Circuit) -> tuple[list[int], list[int], dict[str, int]]:
-    """The reachable node ids in order, the variables under each node as a
-    bitmask, by node id, and by kind the first gate whose children share a
-    variable."""
-    kinds, args = circuit.kinds, circuit.args
-    order = circuit.order()
-    masks = [0] * len(kinds)
-    shared: dict[str, int] = {}
-    for i in order:
-        arg = args[i]
-        if type(arg) is tuple:
-            acc = 0
-            for child in arg:
-                if acc & masks[child]:
-                    shared.setdefault(kinds[i], i)
-                acc |= masks[child]
-            masks[i] = acc
-        elif kinds[i] == "lit":
-            masks[i] = 1 << (arg >> 1)
-    return order, masks, shared
-
-
-def _decomposable(circuit: Circuit) -> tuple[list[int], list[int]]:
-    """:func:`_var_bitmasks`, after checking that no and-node's children
-    share a variable."""
-    order, masks, shared = _var_bitmasks(circuit)
-    if "and" in shared:
-        raise StructureError("and-node children share variables", shared["and"])
-    return order, masks
-
-
-def verify_dnnf(circuit: Circuit) -> Circuit:
-    """Check decomposability: no and-node's children share a variable.
-
-    Returns a verified circuit sharing the nodes; the argument is unchanged.
-    A stronger annotation, such as SDD, is kept only when it was verified:
-    decomposability alone does not show it.
-    """
-    _decomposable(circuit)
-    keep = circuit.verified and circuit.annotation != Annotation.NNF
-    return circuit.with_annotation(circuit.annotation if keep else Annotation.DNNF)
-
-
-def _decision_table(circuit: Circuit, order) -> dict[int, tuple]:
-    """Map each or-node among ``order`` to the ids of ``l``, ``~l``,
-    ``alpha`` and ``beta`` in its ``(l & alpha) | (~l & beta)``; a
-    remainder lists a branch's other children, literals last in code
-    order.  Raises at the first node without the decision shape."""
-    kinds, args, decisions = circuit.kinds, circuit.args, circuit.decisions
-    table = {}
-    for i in order:
-        if kinds[i] != "or":
-            continue
-        children = args[i]
-        if len(children) != 2:
-            raise StructureError("decision node needs exactly two branches", i)
-        branches = []
-        for child in children:
-            while kinds[child] == "and" and len(args[child]) == 1:
-                child = args[child][0]
-            if kinds[child] == "and":
-                branches.append(args[child])
-            elif kinds[child] == "lit":
-                branches.append((child,))
-            else:
-                raise StructureError("decision branch is not a literal conjunction", i)
-        first, second = branches
-        flipped = {args[n] ^ 1: n for n in second if kinds[n] == "lit"}
-        decided = sorted([(args[n], n) for n in first if kinds[n] == "lit" and args[n] in flipped])
-        if not decided:
-            raise StructureError("branches do not decide a common variable", i)
-        code, lit = decided[0]
-        if decisions[i] >= 0 and decisions[i] != code >> 1:
-            raise StructureError("declared decision variable does not match shape", i)
-        negation = flipped[code]
-        alpha = [n for n in first if kinds[n] != "lit"]
-        beta = [n for n in second if kinds[n] != "lit"]
-        if len(alpha) + 1 < len(first):
-            alpha += [n for _, n in sorted(
-                (args[n], n) for n in first if kinds[n] == "lit" and n != lit)]
-        if len(beta) + 1 < len(second):
-            beta += [n for _, n in sorted(
-                (args[n], n) for n in second if kinds[n] == "lit" and n != negation)]
-        table[i] = (lit, negation, tuple(alpha), tuple(beta))
-    return table
-
-
-def verify_decision_dnnf(circuit: Circuit) -> Circuit:
-    """Check decomposability plus the decision shape of every or-node; the
-    verified circuit keeps each split, for universal quantification."""
-    order, _ = _decomposable(circuit)
-    return circuit.with_annotation(Annotation.DECISION_DNNF, _decision_table(circuit, order))
-
-
-SDD_SEMANTIC_CHECK_CAP = 10  # prime variables; syntactic rules used above this
-
-
-def _sdd_elements(circuit: Circuit, or_id: int) -> list[tuple[int, int]]:
-    """The (prime, sub) pairs of an SDD or-node: its children's children."""
-    kinds, args = circuit.kinds, circuit.args
-    elements = []
-    for child in args[or_id]:
-        pair = args[child]
-        if kinds[child] != "and" or len(pair) != 2:
-            raise StructureError("or-node child is not a prime/sub pair", or_id)
-        elements.append(pair)
-    return elements
-
-
-def _term_shape_codes(circuit: Circuit, root: int) -> list[int] | None:
-    """Literal codes when ``root`` is a literal or a conjunction of literals."""
-    kinds, args = circuit.kinds, circuit.args
-    kind = kinds[root]
-    if kind == "lit":
-        return [args[root]]
-    if kind != "and":
-        return None
-    codes = []
-    for child in args[root]:
-        if kinds[child] != "lit":
-            return None
-        codes.append(args[child])
-    return codes
-
-
-def verify_sdd(circuit: Circuit) -> Circuit:
-    """Check decomposability plus the prime/sub partition of every or-node.
-
-    Partitions are verified semantically (exhaustively over the prime
-    variables) up to 10 prime variables; above that, primes must be literal
-    or term shaped and are checked by mutual exclusion plus exact coverage
-    measure.
-    """
-    order, masks = _decomposable(circuit)
-    kinds = circuit.kinds
-    for i in order:
-        if kinds[i] != "or":
-            continue
-        elements = _sdd_elements(circuit, i)
-        prime_vars = 0
-        for prime, sub in elements:
-            if masks[prime] & masks[sub]:
-                raise StructureError("prime and sub share variables", i)
-            prime_vars |= masks[prime]
-        if prime_vars.bit_count() <= SDD_SEMANTIC_CHECK_CAP:
-            _check_partition_semantic(circuit, i, elements, prime_vars)
-        else:
-            _check_partition_syntactic(circuit, i, elements)
-    return circuit.with_annotation(Annotation.SDD)
-
-
-def _check_partition_semantic(circuit: Circuit, or_id: int, elements, prime_vars: int) -> None:
-    """Truth tables of the primes over their variables (the bitmask
-    ``prime_vars``) must partition all rows."""
-    var_list = list(_iter_bits(prime_vars))
-    masks = dict(zip(var_list, _var_patterns(len(var_list))))
-    full = (1 << (1 << len(var_list))) - 1
-    union = 0
-    for prime, _ in elements:
-        vector = truth_table(circuit, masks, full, root=prime)
-        if vector == 0:
-            raise StructureError("inconsistent prime", or_id)
-        if union & vector:
-            raise StructureError("primes are not pairwise inconsistent", or_id)
-        union |= vector
-    if union != full:
-        raise StructureError("primes do not cover all assignments", or_id)
-
-
-def _check_partition_syntactic(circuit: Circuit, or_id: int, elements) -> None:
-    terms = []
-    for prime, _ in elements:
-        codes = _term_shape_codes(circuit, prime)
-        if codes is None:
-            raise StructureError(
-                "prime too large for semantic check and not term shaped", or_id
-            )
-        terms.append(set(codes))
-    for a, b in combinations(terms, 2):
-        if not any(code ^ 1 in b for code in a):
-            raise StructureError("primes are not pairwise inconsistent", or_id)
-    # the terms cover every assignment when their shares 2**-len sum to 1
-    depth = max(map(len, terms), default=0)
-    if sum(1 << (depth - len(t)) for t in terms) != 1 << depth:
-        raise StructureError("primes do not cover all assignments", or_id)
-
-
-# -- circuit quantification --------------------------------------------------------
-
-
-def _require(circuit: Circuit, annotation: str) -> Circuit:
-    """The circuit, verified as ``annotation`` (a verified copy if it was not)."""
-    if circuit.annotation != annotation:
-        raise TypeError(f"operation needs a {annotation} circuit, got {circuit.annotation}")
-    verify = verify_sdd if annotation == Annotation.SDD else verify_decision_dnnf
-    return circuit if circuit.verified else verify(circuit)
-
-
-def _quantify_circuit(circuit: Circuit, lits: Iterable, annotation: str, forall: bool) -> Circuit:
-    """Both routines on a Decision-DNNF or SDD: existential replaces each
-    quantified literal by ``true`` (a DNNF results); universal replaces the
-    negation of each by ``false`` within the shift."""
-    circuit = _require(circuit, annotation)
-    codes = set(_codes(circuit.universe, lits))
-    if forall:
-        return _shift(circuit, {code ^ 1: False for code in codes})
-    builder = CircuitBuilder(circuit.universe)
-    root = rebuild(circuit, builder, dict.fromkeys(codes, True))[circuit.root]
-    return builder.finish(root, Annotation.DNNF, verified=True, prune=True)
-
-
-def _shift(circuit: Circuit, replace: dict[int, bool]) -> Circuit:
-    """The shift of a verified Decision-DNNF or SDD, with the literal codes
-    of ``replace`` replaced by constants, in one rebuild that makes no node
-    the shifted or-nodes do not read."""
-    builder = CircuitBuilder(circuit.universe)
-    fold = builder.fold
-    if circuit.annotation == Annotation.DECISION_DNNF:
-        # l, ~l, alpha and beta of each (l & alpha) | (~l & beta), from the verifier
-        parts = circuit.decision_parts or _decision_table(circuit, circuit.order())
-        reads = {i: (l, nl, *alpha, *beta) for i, (l, nl, alpha, beta) in parts.items()}
-
-        def make(i: int, image: dict) -> int:
-            lit, negation, alpha, beta = parts[i]
-            left = fold("or", [image[lit], fold("and", [image[c] for c in beta])])
-            right = fold("or", [image[negation], fold("and", [image[c] for c in alpha])])
-            return fold("and", [left, right])
-    else:
-        kinds, args = circuit.kinds, circuit.args
-        pairs = {i: [args[c] for c in args[i]] for i in circuit.order() if kinds[i] == "or"}
-        reads = {i: tuple(sub for _, sub in elements) for i, elements in pairs.items()}
-        # the prime complements, with the replacement read through the dual
-        negated = rebuild(
-            circuit, builder, {code ^ 1: not value for code, value in replace.items()},
-            dual=True, roots=[prime for elements in pairs.values() for prime, _ in elements],
-        )
-
-        def make(i: int, image: dict) -> int:
-            return fold("and", [fold("or", [negated[p], image[s]]) for p, s in pairs[i]])
-
-    root = rebuild(circuit, builder, replace, shift=(reads, make))[circuit.root]
-    return builder.finish(root, Annotation.NNF, verified=True, prune=True)
-
-
-def ddnnf_exists(circuit: Circuit, lits: Iterable) -> Circuit:
-    """Existential quantification on a Decision-DNNF: replace each quantified
-    literal by ``true``.  Single pass; the result is a DNNF."""
-    return _quantify_circuit(circuit, lits, Annotation.DECISION_DNNF, forall=False)
-
-
-def ddnnf_shift(circuit: Circuit) -> Circuit:
-    """Rewrite every decision ``(l & a) | (~l & b)`` into the equivalent
-    ``(l | b) & (~l | a)``, after which no disjunction shares variables
-    across its disjuncts.  One linear pass, which never makes the branch
-    conjunctions."""
-    return _shift(_require(circuit, Annotation.DECISION_DNNF), {})
-
-
-def ddnnf_forall(circuit: Circuit, lits: Iterable) -> Circuit:
-    """Universal quantification on a Decision-DNNF: the shift, with the
-    negation of each quantified literal replaced by ``false``.  One linear
-    pass, which builds only the nodes the shift reads."""
-    return _quantify_circuit(circuit, lits, Annotation.DECISION_DNNF, forall=True)
-
-
-def sdd_exists(circuit: Circuit, lits: Iterable) -> Circuit:
-    """Existential quantification on an SDD: replace each quantified literal
-    by ``true``.  Single pass; the result is a DNNF."""
-    return _quantify_circuit(circuit, lits, Annotation.SDD, forall=False)
-
-
-def sdd_shift(circuit: Circuit) -> Circuit:
-    """Rewrite every ``(p1 & s1) | ... | (pn & sn)`` into the equivalent
-    ``(~p1 | s1) & ... & (~pn | sn)``.
-
-    Prime negations come from one dual rebuild of all primes, so the output
-    has at most twice the nodes of the input; disjuncts never share
-    variables.  One pass, which never makes the element conjunctions.
-    """
-    return _shift(_require(circuit, Annotation.SDD), {})
-
-
-def sdd_forall(circuit: Circuit, lits: Iterable) -> Circuit:
-    """Universal quantification on an SDD: the shift, with the negation of
-    each quantified literal replaced by ``false``.  One linear pass, which
-    builds only the nodes the shift reads."""
-    return _quantify_circuit(circuit, lits, Annotation.SDD, forall=True)

@@ -38,9 +38,13 @@ from .errors import (
     NoDecisionError,
     UniverseMismatchError,
 )
-from . import oracle
+from . import circuits, oracle  # noqa: F401 - circuits: see below
+from .formulas import prime_forms
 from .quantify import erase, quantify
-from .tractable import Cnf, prime_forms
+from .tractable import Cnf
+
+# ``circuits`` loads here, not on the first circuit query, so that a tracer which wraps
+# functions by name in the loaded modules (perfbench's) also wraps calls inside it
 
 __all__ = [
     "Decision",

@@ -547,30 +547,47 @@ class TestSniffing:
         assert capsys.readouterr().out == "d\n"
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this qlit."""
+    import os
+
+    import qlit
+
+    src = os.path.dirname(os.path.dirname(qlit.__file__))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 class TestImports:
-    def test_cli_loads_only_what_quantify_needs(self):
-        import os
+    def test_cli_loads_only_what_quantify_needs(self, tmp_path):
+        """Each ``qlit quantify`` route loads its own reader's module and no
+        other: DIMACS neither ``circuits`` nor ``formulas``, circuits no
+        ``formulas``, and none of them the oracle or the explanation layer."""
         import subprocess
         import sys
 
-        import qlit
-
-        src = os.path.dirname(os.path.dirname(qlit.__file__))
-        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-        script = (
-            "import sys, qlit.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('qlit')))\n"
-            "print([m for m in ('json', 'shlex', 'dataclasses', 'inspect') if m in sys.modules])\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": path},
-        ).stdout
-        modules = ["cli", "core", "errors", "io", "quantify", "tractable"]
-        assert out == f"{['qlit'] + ['qlit.' + m for m in modules]}\n[]\n"
+        inputs = {
+            "in.cnf": "p cnf 2 2\n1 2 0\n-1 2 0\n",
+            "in.nnf": "nnf 5 4 1\nL 1\nL -1\nA 0\nO 1 2 0 1\nA 2 3 2\n",
+            "in.sdd": "L 1 1\nL 2 -1\nL 3 2\nL 4 -2\nD 5 2 1 3 2 4\n",
+            "in.txt": "x1 & ~x2\n",
+        }
+        base = ["qlit", "qlit.cli", "qlit.core", "qlit.errors", "qlit.io", "qlit.quantify", "qlit.tractable"]
+        extra = {"in.cnf": [], "in.nnf": ["qlit.circuits"], "in.sdd": ["qlit.circuits"], "in.txt": ["qlit.formulas"]}
+        for name, text in inputs.items():
+            path = tmp_path / name
+            path.write_text(text)
+            script = (
+                "import sys\n"
+                "from qlit.cli import main\n"
+                f"code = main(['quantify', '--op', 'forall', '--items', 'x1', '--in', {str(path)!r}])\n"
+                "print(code, sorted(m for m in sys.modules if m.startswith('qlit')))\n"
+                "print([m for m in ('json', 'shlex', 'dataclasses', 'inspect') if m in sys.modules])\n"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=_child_env()
+            ).stdout
+            assert out.splitlines()[-2:] == [f"0 {sorted(base + extra[name])}", "[]"], name
 
     @pytest.mark.parametrize(
         "name, text",
@@ -645,6 +662,17 @@ class TestCheck:
         assert capsys.readouterr().err.endswith(
             "qlit check: error: argument --trials: "
             f"expected an integer of at least 1, got '{value}'\n"
+        )
+
+    @pytest.mark.parametrize("option", ["--trials", "--vars"])
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "1.0"])
+    def test_integers_are_ascii_digits(self, capsys, option, value):
+        argv = {"--trials": "2", "--vars": "2", option: value}
+        with pytest.raises(SystemExit) as stop:
+            main(["check", "--property", "duality", *(f for pair in argv.items() for f in pair)])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"qlit check: error: argument {option}: expected an integer of at least 1, got {value!r}\n"
         )
 
     def test_deterministic_for_fixed_seed(self, capsys):
@@ -743,6 +771,190 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == "qlit: internal error: RuntimeError: handler broke\n"
         assert captured.out.splitlines()[-1] == "x & y"  # the next line still ran
+
+
+class TestProcessEntry:
+    """``python -m qlit.cli`` reads ``sys.argv`` and freezes the heap before
+    the interpreter ends: its exit codes and output are those of ``main(argv)``
+    in-process."""
+
+    def _child(self, argv, tmp_path, env=None):
+        import subprocess
+        import sys
+
+        return subprocess.run(
+            [sys.executable, "-m", "qlit.cli", *argv], capture_output=True, text=True,
+            env={**_child_env(), **(env or {})}, cwd=tmp_path,
+        )
+
+    def test_a_large_result_reaches_stdout_and_the_out_file(self, tmp_path, capsys):
+        import random
+
+        rng = random.Random(18)
+        lines = ["p cnf 300 12000"]
+        for _ in range(12000):
+            chosen = rng.sample(range(1, 301), 3)
+            lines.append(" ".join(str(v if rng.random() < 0.5 else -v) for v in chosen) + " 0")
+        path = tmp_path / "big.cnf"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["quantify", "--op", "forall", "--items", "x1,~x2,X3", "--in", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "in_process.cnf")]) == 0
+        want = capsys.readouterr()
+        child = self._child(argv + ["--out", str(tmp_path / "child.cnf")], tmp_path)
+        assert child.returncode == 0
+        assert (child.stdout, child.stderr) == (want.out, want.err)
+        assert want.out.count(" & ") + 1 >= 10_000
+        out = (tmp_path / "child.cnf").read_bytes()
+        assert out == (tmp_path / "in_process.cnf").read_bytes()
+        assert out.startswith(b"p cnf 300 ") and out.count(b"\n") > 10_000
+
+    def test_exit_codes_and_messages(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "bad.cnf").write_text("p cnf 1 1\n1 -1 0\n")
+        (tmp_path / "three.txt").write_text("x & y & z\n")
+        cases = [
+            (["quantify", "--op", "exists", "--items", "x", "--in", "three.txt"], {}, 0),
+            (["brules", "--in", "three.txt"], {"QLIT_ENUM_CAP": "2"}, 1),
+            (["quantify", "--op", "forall", "--items", "x1", "--in", "bad.cnf"], {}, 2),
+            (["quantify", "--op", "forall", "--items", "x1", "--in", "missing.cnf"], {}, 2),
+        ]
+        monkeypatch.chdir(tmp_path)
+        for argv, env, code in cases:
+            with monkeypatch.context() as patch:
+                for key, value in env.items():
+                    patch.setenv(key, value)
+                assert main(argv) == code
+            want = capsys.readouterr()
+            child = self._child(argv, tmp_path, env)
+            assert (child.returncode, child.stdout, child.stderr) == (code, want.out, want.err), argv
+
+    def test_only_the_process_entry_freezes_the_heap(self, tmp_path):
+        import subprocess
+        import sys
+
+        (tmp_path / "in.cnf").write_text("p cnf 2 1\n1 2 0\n")
+        argv = ["quantify", "--op", "forall", "--items", "~x1", "--in", "in.cnf"]
+        script = (
+            "import gc, sys\n"
+            "from qlit.cli import main\n"
+            f"code = main({argv!r})\n"
+            "frozen = gc.get_freeze_count()\n"
+            f"sys.argv = ['qlit', *{argv!r}]\n"
+            "code += main()\n"
+            "print(code, frozen, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), cwd=tmp_path
+        )
+        assert child.stdout == "x2\nx2\n"
+        assert child.stderr == "0 0 True\n"
+
+    def test_an_internal_error_is_3(self, tmp_path):
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "from qlit import cli\n"
+            "def broken(args, session):\n"
+            "    raise RuntimeError('handler broke')\n"
+            "cli._cmd_brules = broken\n"
+            "sys.argv = ['qlit', 'brules', '--in', 'f.txt']\n"
+            "sys.exit(cli.main())\n"
+        )
+        (tmp_path / "f.txt").write_text("x & y\n")
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), cwd=tmp_path
+        )
+        assert (child.returncode, child.stdout) == (3, "")
+        assert child.stderr == "qlit: internal error: RuntimeError: handler broke\n"
+
+
+class TestHeaderLimits:
+    """A variable count past ``MAX_VARIABLES`` is refused on its line, and
+    every other line is read before the universe is built."""
+
+    @pytest.mark.parametrize(
+        "name, text, error",
+        [
+            ("huge.cnf", "p cnf 999999999999999999992 1\n1 0\n",
+             "line 1, column 1: 999999999999999999992 variables, more than the limit of 1000000"),
+            ("two_million.cnf", "p cnf 2000000 1\nx 0\n",
+             "line 1, column 1: 2000000 variables, more than the limit of 1000000"),
+            ("huge.nnf", "nnf 3 2 99999999999999999999999\nL 1\nL -1\nO 1 2 0 1\n",
+             "line 1, column 1: 99999999999999999999999 variables, more than the limit of 1000000"),
+            ("huge.sdd", "L 1 1\nL 2 -99999999999999999999\nD 3 1 1 2\n",
+             "line 2, column 1: 99999999999999999999 variables, more than the limit of 1000000"),
+        ],
+    )
+    def test_a_count_past_the_limit_is_2_on_its_line(self, tmp_path, capsys, name, text, error):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["quantify", "--op", "forall", "--items", "x1", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "module, text, error",
+        [
+            ("io", "p cnf 1000000 1\nx 0\n", "line 2, column 1: expected an integer, got 'x'"),
+            ("io", "p cnf 1000000 1\n1 -1 0\n", "line 2, column 1: tautological clause over variable 1"),
+            ("io", "p cnf 1000000 2\n1 0\n", "line 2, column 1: header declares 2 clauses, found 1"),
+            ("circuits", "nnf 1 0 1000000\nX 1\n", "line 2, column 1: unknown node kind 'X'"),
+            ("circuits", "nnf 2 0 1000000\nL 1\n", "line 2, column 1: header declares 2 nodes, found 1"),
+            ("circuits", "L 1 1000000\nL 1 1\n", "line 2, column 1: node id 1 defined twice"),
+        ],
+    )
+    def test_a_later_line_error_builds_no_universe(self, tmp_path, capsys, monkeypatch, module, text, error):
+        import importlib
+
+        def refuse(*args):
+            raise AssertionError("a universe was built")
+
+        monkeypatch.setattr(importlib.import_module(f"qlit.{module}"), "Universe", refuse)
+        path = tmp_path / "late"
+        path.write_text(text)
+        assert main(["quantify", "--op", "forall", "--items", "x1", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+class TestNonAscii:
+    """A byte past ASCII is a parse error on its line (exit 2), not a crash."""
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"p cnf 2 1\n\xd9\xa1 -2 0\n", 2),
+            (b"c var 1 caf\xc3\xa9\r\nc var 2 b\r\np cnf 2 1\r\n1 -2 0\r\n", 1),
+            (b"c one\rc two\r\nx1 & \xff\n", 3),
+        ],
+    )
+    def test_quantify_input_is_2_on_the_line(self, tmp_path, capsys, data, line):
+        path = tmp_path / "in.cnf"
+        path.write_bytes(data)
+        assert main(["quantify", "--op", "forall", "--items", "x1", "--in", str(path)]) == 2
+        byte = next(b for b in data if b > 0x7F)
+        assert capsys.readouterr().err == f"error: line {line}, column 1: non-ASCII byte {byte:#x}\n"
+
+    def test_classifier_bundle_is_2_on_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.bundle"
+        path.write_bytes(b"var 1 a\nvar 2 \xc3\xa9\nsection delta\np cnf 2 1\n1 0\n")
+        assert main(["decide", "--classifier", str(path), "--term", "a"]) == 2
+        assert capsys.readouterr().err == "error: line 2, column 1: non-ASCII byte 0xc3\n"
+
+    def test_repl_load_reports_it_and_keeps_reading(self, tmp_path, capsys, monkeypatch):
+        import io as stdlib_io
+
+        bad = tmp_path / "bad.cnf"
+        bad.write_bytes(b"p cnf 1 1\n1 0\nc \xe2\x80\x94\n")
+        bundle = tmp_path / "bad.bundle"
+        bundle.write_bytes(b"\xefvar 1 a\n")
+        script = f"load {bad}\nload classifier {bundle}\nquit\n"
+        monkeypatch.setattr("sys.stdin", stdlib_io.StringIO(script))
+        assert main(["repl"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == [
+            "error: line 3, column 1: non-ASCII byte 0xe2",
+            "error: line 1, column 1: non-ASCII byte 0xef",
+        ]
 
 
 class TestIntegerFields:

@@ -1106,3 +1106,44 @@ class TestBulkTextsAgainstReference:
         assert {(kind, width) for kind, width, _ in seen} >= {
             (kind, width) for kind in ("Cnf", "Dnf") for width in (None, 0, 1, 2)
         }
+
+
+class TestLargeHeadersCostNothingEarly:
+    """A header may declare up to ``MAX_VARIABLES`` variables: a later line's
+    error is found before anything that grows with that count is built."""
+
+    @pytest.mark.parametrize(
+        "parse, text, error",
+        [
+            (parse_dimacs, "p cnf 1000000 1\n1 -1 0\n", "tautological clause over variable 1"),
+            (parse_dimacs, "p cnf 1000000 2\n1 0\n", "header declares 2 clauses, found 1"),
+            (parse_dimacs, "p cnf 1000000 1\n1 2\n", "unterminated clause"),
+            (parse_nnf, "nnf 2 0 1000000\nL 1\n", "header declares 2 nodes, found 1"),
+            (parse_sdd, "L 1 1000000\nL 1 1\n", "node id 1 defined twice"),
+        ],
+    )
+    def test_a_later_error_allocates_little(self, parse, text, error):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as raised:
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raised.value.line == 2 and error in str(raised.value)
+        assert peak < 1 << 20  # a table over the header's count takes tens of MiB
+
+    def test_one_past_the_limit_is_refused_on_the_header(self):
+        from qlit.io import MAX_VARIABLES
+
+        for parse, text, line in [
+            (parse_dimacs, f"c x\np cnf {MAX_VARIABLES + 1} 0\n", 2),
+            (parse_nnf, f"nnf 1 0 {MAX_VARIABLES + 1}\nA 0\n", 1),
+            (parse_sdd, f"T 1\nL 2 -{MAX_VARIABLES + 1}\n", 2),
+        ]:
+            with pytest.raises(ParseError) as raised:
+                parse(text)
+            assert raised.value.line == line
+            assert f"{MAX_VARIABLES + 1} variables, more than the limit of {MAX_VARIABLES}" in str(raised.value)
