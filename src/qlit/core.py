@@ -25,10 +25,11 @@ formulas use ``not``, whose argument is the one-child tuple.  A
 
 Every pass is written once, on the ids of the store and root that a value
 gives.  :func:`walk` lists the ids under some roots, children first.
-:func:`truth_table` evaluates a DAG on bit-parallel variable masks, one
-world per bit; past 16 variables it frees each node's table after the last
-reader and makes a literal's table at each reader, and ``_var_patterns``
-builds the masks by doubling, once per number of variables.
+:func:`truth_table` evaluates one or several roots of a DAG in one walk on
+bit-parallel variable masks, one world per bit; past 16 variables it frees
+each node's table after the last reader and makes a literal's table at each
+reader, and ``_var_patterns`` builds the masks by doubling, once per number
+of variables.
 :func:`rebuild` copies a DAG into a builder: it replaces literals by
 constants, builds the De Morgan dual on request and folds every gate by
 :meth:`CircuitBuilder.fold`.  None recurses, so only memory bounds the depth
@@ -89,7 +90,8 @@ class Variable:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.index, self.name))
+        # equal variables share an index; no tuple and no nested call
+        return self.index
 
     def __reduce__(self) -> tuple:
         return Variable, (self.index, self.name)
@@ -114,7 +116,8 @@ class Literal:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.variable, self.positive))
+        # the literal's code, read without calling the variable's hash
+        return self.variable.index * 2 + self.positive
 
     def __reduce__(self) -> tuple:
         return Literal, (self.variable, self.positive)
@@ -344,18 +347,6 @@ def _by_code(negative: list, positive: list) -> tuple:
     return tuple(chain.from_iterable(zip(negative, positive)))
 
 
-def dimacs_codes(nvars: int) -> dict[int, int | None]:
-    """The inverse of ``Universe._dimacs``: the literal code of each DIMACS
-    integer in ``-nvars..nvars``.  ``0``, which names no literal, maps to
-    ``None``; an integer out of range is not a key."""
-    return dict(
-        zip(
-            range(-nvars, nvars + 1),
-            [*range(2 * nvars - 2, -1, -2), None, *range(1, 2 * nvars, 2)],
-        )
-    )
-
-
 class World:
     """A total truth assignment, stored as a bit per variable."""
 
@@ -399,7 +390,7 @@ class World:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.universe), self.bits))
+        return hash(self.bits)
 
     def __lt__(self, other: "World") -> bool:
         return self.bits < other.bits
@@ -673,36 +664,44 @@ _MASK_CACHE_VAR_LIMIT = 16
 
 
 def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
-                root: int | None = None, memo: dict | None = None) -> int:
+                root: int | tuple[int, ...] | None = None, memo: dict | None = None,
+                room: int | None = None) -> int | tuple[int, ...]:
     """Bit-parallel evaluation of a formula or circuit: bit ``w`` of the
     result is the value in world ``w``.
 
     ``masks[i]`` holds the bits of the worlds where variable ``i`` is true
     and ``full`` the bits of all worlds.  ``root`` picks a node other than
-    the value's root.  ``memo`` maps ids to their tables; the nodes of a
-    universe's store never change, so a memo on its ids may be kept across
-    calls, and the walk stops at the nodes it already holds.  Without one,
+    the value's root, or a tuple of nodes of the value's store: then one
+    walk over the union of their nodes evaluates each shared node once, and
+    the tables come back as a tuple in the order of ``root``.
+
+    ``memo`` maps ids to their tables; the nodes of a universe's store
+    never change, so a memo on its ids may be kept across calls, and the
+    walk stops at the nodes it already holds.  ``room`` bounds how many
+    tables the call may add to the memo: a call that needs more adds none,
+    reads the memo's tables and frees its own as below.  Without a memo,
     tables wider than ``2**16`` bits (past 16 variables) live only until
-    their last reader in the walk has used them, and a literal's table is
-    made at each reader and never kept, so memory follows the walk's
-    frontier, not its size.
+    their last reader in the walk has used them, each root counting as one
+    more reader, and a literal's table is made at each reader and never
+    kept, so memory follows the walk's frontier, not its size.
     """
     store, top = value._dag()
-    root = top if root is None else root
-    release = memo is None and full.bit_length() > 1 << _MASK_CACHE_VAR_LIMIT
+    roots = (top,) if root is None else root if type(root) is tuple else (root,)
     kinds, args = store.kinds, store.args
+    held = {} if memo is None else memo
+    order = walk(args, roots, held)
+    if memo is None:
+        release = full.bit_length() > 1 << _MASK_CACHE_VAR_LIMIT
+    else:
+        release = room is not None and len(order) > room
     if release:
-        memo = _LiteralsOnRead(masks, full, args)
-    elif memo is None:
-        memo = {}
-    elif root in memo:
-        return memo[root]
-    order = walk(args, (root,), memo)
-    if release:
+        memo = _LiteralsOnRead(held, masks, full, args)
         order = [ref for ref in order if kinds[ref] != "lit"]
-        readers = Counter(chain.from_iterable(
+        readers = Counter(chain(roots, chain.from_iterable(
             args[ref] for ref in order if type(args[ref]) is tuple
-        ))
+        )))
+    else:
+        memo = held
     for ref in order:
         kind, arg = kinds[ref], args[ref]
         if kind == "lit":
@@ -724,21 +723,28 @@ def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
             for child in arg:
                 readers[child] -= 1
                 if not readers[child]:
-                    memo.pop(child, None)  # a literal was never stored
-    return memo[root]
+                    memo.pop(child, None)  # a literal or a held table was never stored
+    if type(root) is tuple:
+        return tuple([memo[ref] for ref in roots])
+    return memo[roots[0]]
 
 
 class _LiteralsOnRead(dict):
-    """Tables by id that make a literal's table at each read and never
-    store it: a positive literal's is its variable's mask, held anyway, and
-    a negative literal's is made for its one reader."""
+    """Tables by id for a walk that frees them.  A table the memo ``held``
+    holds is read from it; a literal's table is made at each read and never
+    stored: a positive literal's is its variable's mask, held anyway, and a
+    negative literal's is made for its one reader."""
 
-    __slots__ = ("masks", "full", "args")
+    __slots__ = ("held", "masks", "full", "args")
 
-    def __init__(self, masks: Sequence[int] | Mapping[int, int], full: int, args: Sequence):
-        self.masks, self.full, self.args = masks, full, args
+    def __init__(self, held: Mapping[int, int], masks: Sequence[int] | Mapping[int, int],
+                 full: int, args: Sequence):
+        self.held, self.masks, self.full, self.args = held, masks, full, args
 
     def __missing__(self, ref: int) -> int:
+        table = self.held.get(ref)
+        if table is not None:
+            return table
         code = self.args[ref]
         mask = self.masks[code >> 1]
         return mask if code & 1 else self.full ^ mask

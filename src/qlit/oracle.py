@@ -140,18 +140,31 @@ def models_mask(value) -> int:
     to_formula = getattr(value, "to_formula", None)
     if to_formula is None:
         raise TypeError(f"cannot compute a truth table for {value!r}")
+    return _formula_masks(to_formula())[0]
+
+
+def _formula_masks(*formulas) -> tuple[int, ...]:
+    """The truth tables of formulas of one universe, from one walk over the
+    union of their nodes."""
+    first = formulas[0]
+    u, roots = first.universe, tuple([f.id for f in formulas])
+    # the nodes of a universe's store never change, so their truth tables
+    # can be remembered across calls, by id, up to 16 variables; a call
+    # that would fill the cache past its bound caches nothing
+    memo = u._oracle_mask_cache
+    tables = tuple([memo.get(root) for root in roots])
+    if None not in tables:
+        return tables
     masks, full = _var_patterns(len(u)), _full_mask(u)
     if len(u) > _MASK_CACHE_VAR_LIMIT:  # each table lives until its last reader
-        return truth_table(to_formula(), masks, full)
-    # the nodes of a universe's store never change, so their truth tables
-    # can be remembered across calls, by id, up to 16 variables
-    memo = u._oracle_mask_cache
-    table = truth_table(to_formula(), masks, full, memo=memo)
-    if len(memo) << max(len(u), _MASK_CACHE_MIN_VARS) > _MASK_CACHE_BITS:
+        return truth_table(first, masks, full, roots)
+    room = (_MASK_CACHE_BITS >> max(len(u), _MASK_CACHE_MIN_VARS)) - len(memo)
+    tables = truth_table(first, masks, full, roots, memo, room)
+    if any(root not in memo for root in roots):
         # full: dropped whole, as a new dict, so a walk in another thread
         # keeps the one it reads
         u._oracle_mask_cache = {}
-    return table
+    return tables
 
 
 def _same_universe(value, universe: Universe) -> None:
@@ -159,18 +172,38 @@ def _same_universe(value, universe: Universe) -> None:
         raise UniverseMismatchError("value does not live in the requested universe")
 
 
+# values whose truth table is made from their literals, without a walk
+_DIRECT = (World, Term, Clause)
+
+
+def _pair_masks(a, b) -> tuple[int, int]:
+    """The truth tables of ``a`` and ``b``, with the checks of
+    ``models_mask(a)``, then ``b``'s universe, then ``models_mask(b)``.
+    Two DAG values (formulas, circuits) are read from one walk, so the
+    nodes they share are evaluated once."""
+    if (
+        isinstance(a, _DIRECT) or isinstance(b, _DIRECT)
+        or not hasattr(a, "to_formula") or not hasattr(b, "to_formula")
+    ):
+        mask = models_mask(a)
+        _same_universe(b, a.universe)
+        return mask, models_mask(b)
+    u = a.universe
+    _check_cap(u)
+    _same_universe(b, u)
+    return _formula_masks(a.to_formula(), b.to_formula())
+
+
 def equivalent(a, b) -> bool:
     """Exact model-set equality, by enumeration."""
-    mask = models_mask(a)
-    _same_universe(b, a.universe)
-    return mask == models_mask(b)
+    first, second = _pair_masks(a, b)
+    return first == second
 
 
 def entails(a, b) -> bool:
     """``a`` implies ``b``: every model of ``a`` is a model of ``b``."""
-    mask = models_mask(a)
-    _same_universe(b, a.universe)
-    return mask & ~models_mask(b) == 0
+    first, second = _pair_masks(a, b)
+    return first & ~second == 0
 
 
 def consistent(a) -> bool:

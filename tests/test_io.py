@@ -824,14 +824,13 @@ class TestTextsAgainstReference:
                 assert emit_dimacs(value) == _reference_emit_dimacs(value)
 
     def test_dimacs_codes_invert_the_universe_table(self):
-        from qlit.core import dimacs_codes
+        from qlit.io import _code
 
         for n in range(6):
             u = Universe(n)
-            code_of = dimacs_codes(n)
-            assert sorted(code_of) == list(range(-n, n + 1)) and code_of[0] is None
+            assert sorted(map(int, u._dimacs)) == [*range(-n, 0), *range(1, n + 1)]
             for code, text in enumerate(u._dimacs):
-                assert code_of[int(text)] == code
+                assert _code(int(text)) == code
 
 
 _BUNDLE_BYTES = "0123456789- \t\nacdegiprvx"

@@ -17,13 +17,15 @@ from qlit.errors import (
 )
 from qlit.generators import (
     parity_decision_dnnf,
+    random_clause,
     random_consistent_formula,
     random_decision_dnnf,
     random_formula,
+    random_sdd,
     random_term,
 )
 from qlit.io import parse_formula
-from qlit.quantify import forall_literal
+from qlit.quantify import forall_literal, quantify_set
 from qlit.tractable import Cnf, Dnf, cnf_forall_literal, ddnnf_forall, dnf_exists_literal
 from qlit import oracle
 
@@ -418,6 +420,166 @@ class TestTableMemory:
         rng = random.Random(2401)
         for bits in (rng.getrandbits(24) for _ in range(200)):
             assert bool(expected >> bits & 1) == evaluate(f, World(u, bits))
+
+
+    def test_a_comparison_past_16_variables_holds_no_table_past_the_call(self):
+        # one walk holds the nodes the two sides share until the second side
+        # reads them, so its frontier may pass either side's own, but never
+        # both together; no table is left once the call returns
+        u = Universe(24)
+        f = _formula_of_at_least(u, random.Random(2400), 200)
+        g = quantify_set(f, "forall", [u._literals[1], u._literals[14], u._literals[40]])
+        expected = oracle.models_mask(f) == oracle.models_mask(g)
+        peaks = []
+        for call in (lambda: oracle.models_mask(f), lambda: oracle.models_mask(g),
+                     lambda: oracle.equivalent(f, g)):
+            tracemalloc.start()
+            try:
+                answer = call()
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert answer == expected
+        assert current < (1 << 24) // 8  # less than one table
+        assert peaks[2] < peaks[0] + peaks[1]
+
+    def test_a_call_that_would_fill_the_cache_past_its_bound_caches_nothing(self):
+        # 60 seeded depth-6 formulas over 16 variables, 1,557 nodes: held
+        # whole, their tables took a traced peak of 11.9 MiB
+        u = Universe(16)
+        rng = random.Random(9400)
+        f = u.all_conj([random_formula(u, rng, depth=6) for _ in range(60)])
+        assert len(walk(u._store.args, (f.id,))) == 1557
+        masks, full = core._var_patterns(16), (1 << (1 << 16)) - 1
+        expected = truth_table(f, masks, full, memo={})
+        tracemalloc.start()
+        try:
+            assert oracle.models_mask(f) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < oracle._MASK_CACHE_BITS // 8
+        assert len(u._oracle_mask_cache) << 16 <= oracle._MASK_CACHE_BITS
+        # a cache that held tables when the call found no room is dropped
+        small = random_formula(u, rng, depth=4)
+        small_table = oracle.models_mask(small)
+        cache = u._oracle_mask_cache
+        assert small.id in cache
+        assert oracle.equivalent(f, small) == (expected == small_table)
+        assert u._oracle_mask_cache is not cache and not u._oracle_mask_cache
+
+
+def _tables(*values):
+    """Each value's truth table from its own walk, with a fresh memo."""
+    u = values[0].universe
+    masks, full = core._var_patterns(len(u)), (1 << (1 << len(u))) - 1
+    out = []
+    for value in values:
+        if isinstance(value, World):
+            value = value.to_term()
+        value = value if hasattr(value, "_dag") else value.to_formula()
+        out.append(truth_table(value, masks, full, memo={}))
+    return out
+
+
+def _check_pair(a, b):
+    first, second = _tables(a, b)
+    assert oracle.equivalent(a, b) == (first == second)
+    assert oracle.entails(a, b) == (first & ~second == 0)
+    assert oracle.entails(b, a) == (second & ~first == 0)
+
+
+class TestPairedTables:
+    """``equivalent`` and ``entails`` read two DAG values' tables from one
+    walk; they must agree with two separate tables, on the memo path (up to
+    16 variables) and the release path."""
+
+    @pytest.mark.parametrize("n", [10, 14, 17, 20])
+    def test_a_formula_against_its_quantification(self, n):
+        rng = random.Random(9500 + n)
+        u = Universe(n)
+        for _ in range(3):
+            f = random_formula(u, rng, depth=7)
+            items = [u._literals[rng.randrange(2 * n)] for _ in range(3)]
+            for quantifier in ("forall", "exists"):
+                g = quantify_set(f, quantifier, items)
+                _check_pair(f, g)
+                _check_pair(g, f)
+
+    @pytest.mark.parametrize("n", [11, 18])
+    def test_unrelated_formulas_and_shared_nodes(self, n):
+        rng = random.Random(9600 + n)
+        u = Universe(n)
+        for _ in range(3):
+            f, g = random_formula(u, rng, depth=6), random_formula(u, rng, depth=6)
+            _check_pair(f, g)
+            _check_pair(f, f)  # one root, twice
+            _check_pair(f & g, f)  # one root under the other
+            _check_pair(u.lit(0), ~u.lit(0) | f)
+            _check_pair(u.true, f)
+
+    @pytest.mark.parametrize("n", [10, 18])
+    def test_circuits(self, n):
+        rng = random.Random(9700 + n)
+        u = Universe(n)
+        circuit = random_decision_dnnf(u, rng) if n <= 12 else random_sdd(u, rng)
+        f = random_formula(u, rng, depth=5)
+        _check_pair(circuit, f)
+        _check_pair(circuit, circuit.to_formula())
+        if n <= 12:
+            _check_pair(ddnnf_forall(circuit, [u._literals[3]]), circuit)
+
+    @pytest.mark.parametrize("n", [10, 17])
+    def test_formulas_against_terms_clauses_and_worlds(self, n):
+        rng = random.Random(9800 + n)
+        u = Universe(n)
+        f = random_formula(u, rng, depth=6)
+        for other in (
+            random_term(u, rng), random_clause(u, rng), World(u, rng.getrandbits(n)),
+            u.term(), u.clause(),
+        ):
+            _check_pair(f, other)
+
+
+class TestComparisonErrorOrder:
+    """Checks keep their order: the first value's capacity, then the second
+    value's universe, then the second value's table."""
+
+    def test_capacity_before_universe(self, monkeypatch):
+        monkeypatch.setenv("QLIT_ENUM_CAP", "3")
+        big, other = Universe(4), Universe(2)
+        for a in (big.lit(0) & big.lit(2), big.term("x1"), random_decision_dnnf(big, random.Random(1))):
+            for b in (other.lit(0), other.clause("x1"), big.lit(1)):
+                for compare in (oracle.equivalent, oracle.entails):
+                    with pytest.raises(CapacityError):
+                        compare(a, b)
+
+    def test_universe_before_the_second_table(self):
+        u, other = Universe(3), Universe(3)
+        f = u.lit(0) | u.lit(3)
+        circuit = random_decision_dnnf(other, random.Random(2))
+        for a, b in ((f, other.lit(0)), (f, circuit), (circuit, f), (u.term("x1"), other.lit(1)),
+                     (f, other.term("x2")), (f, World(other, 1)), (f, object())):
+            for compare in (oracle.equivalent, oracle.entails):
+                with pytest.raises((UniverseMismatchError, AttributeError)) as caught:
+                    compare(a, b)
+                assert caught.type is (AttributeError if type(b) is object else UniverseMismatchError)
+
+    def test_a_value_without_a_table(self, xyz):
+        f = parse_formula("x | y", xyz)
+        for compare in (oracle.equivalent, oracle.entails):
+            with pytest.raises(TypeError, match="cannot compute a truth table"):
+                compare(f, _NoTable(xyz))
+            with pytest.raises(TypeError, match="cannot compute a truth table"):
+                compare(_NoTable(xyz), Universe(3).lit(0))
+
+
+class _NoTable:
+    """A value of a universe that has no truth table."""
+
+    def __init__(self, universe):
+        self.universe = universe
 
 
 class TestMaskCacheBound:

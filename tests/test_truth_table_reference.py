@@ -7,7 +7,7 @@ times one period, which is quadratic in the table's width; and
 each gate from ``full`` or ``0``.  :func:`qlit.core._var_patterns` must
 return the same masks, and :func:`qlit.core.truth_table` the same tables,
 whether it frees tables after their last reader (past 16 variables, without
-a memo) or fills a memo.
+a memo) or fills a memo, and for several roots of one store at once.
 """
 
 import random
@@ -120,6 +120,43 @@ class TestFormulaTables:
             table = ref_truth_table(f, masks, full)
             for bits in range(1 << 7):
                 assert evaluate(f, World(u, bits)) == bool(table >> bits & 1)
+
+
+class TestSeveralRoots:
+    """One walk over several roots gives each root the table that its own
+    walk gives, roots under other roots and repeated roots included."""
+
+    def _roots(self, u, rng):
+        f, g, h = (random_formula(u, rng, depth=6) for _ in range(3))
+        return f, (f.id, (f & g).id, h.id, f.id, u.lit(3).id, (~u.lit(2)).id, u.true.id)
+
+    @pytest.mark.parametrize("n", [9, 16, 18])
+    def test_without_a_memo(self, n):
+        rng = random.Random(8600 + n)
+        u = Universe(n)
+        masks, full = _var_patterns(n), _full(n)
+        for _ in range(3):
+            value, roots = self._roots(u, rng)
+            expected = tuple(ref_truth_table(value, masks, full, root=ref) for ref in roots)
+            assert truth_table(value, masks, full, roots) == expected
+            assert truth_table(value, masks, full, roots[2:3]) == expected[2:3]
+
+    @pytest.mark.parametrize("n", [9, 16])
+    def test_with_a_memo_and_room(self, n):
+        rng = random.Random(8700 + n)
+        u = Universe(n)
+        masks, full = _var_patterns(n), _full(n)
+        memo = {}
+        for _ in range(3):
+            value, roots = self._roots(u, rng)
+            expected = tuple(ref_truth_table(value, masks, full, root=ref) for ref in roots)
+            held = dict(memo)
+            # no room: the memo's tables are read, and none is added
+            assert truth_table(value, masks, full, roots, memo, room=0) == expected
+            assert memo == held
+            needed = len(walk(u._store.args, roots, memo))
+            assert truth_table(value, masks, full, roots, memo, room=needed) == expected
+            assert len(memo) == len(held) + needed and all(ref in memo for ref in roots)
 
 
 class TestCircuitTables:
