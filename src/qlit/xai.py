@@ -10,7 +10,11 @@ characterizes biased decisions.
 
 Every quantifying query goes through :func:`qlit.quantify.quantify`, so a
 CNF side reaches the linear drop rule there, one pass for the whole literal
-set, and a formula side the definitional operators.
+set, and a formula side the definitional operators.  Queries that only ask
+whether a population entails a CNF side (decisions, relevance, bias) and the
+hitting-set search read the clause masks the classifier keeps: bit ``c`` of a
+mask is literal code ``c``, so a term entails the side when its own mask meets
+every clause mask.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     Formula,
@@ -27,7 +31,7 @@ from .core import (
     Term,
     Universe,
     Variable,
-    evaluate,
+    _iter_bits,
     negate,
     truth_table,
 )
@@ -40,7 +44,7 @@ from .errors import (
 )
 from . import circuits, oracle  # noqa: F401 - circuits: see below
 from .formulas import prime_forms
-from .quantify import erase, quantify
+from .quantify import quantify
 from .tractable import Cnf
 
 # ``circuits`` loads here, not on the first circuit query, so that a tracer which wraps
@@ -86,11 +90,28 @@ def _side_of(side) -> Decision:
     raise ValueError(f"unknown side {side!r}")
 
 
+def _mask(codes: Iterable[int]) -> int:
+    """The bit mask of literal codes: bit ``c`` for code ``c``."""
+    return sum(map((1).__lshift__, codes))
+
+
+def _clause_masks(side: Formula | Cnf) -> tuple[int, ...] | None:
+    """One mask per clause of a CNF side, in clause order; ``None`` for a
+    formula side."""
+    return tuple(map(_mask, side.codes)) if isinstance(side, Cnf) else None
+
+
 class Classifier:
     """A deciding formula, its materialized negation, the feature universe and
-    the protected feature set."""
+    the protected feature set.
 
-    __slots__ = ("positive", "negative", "features", "protected")
+    ``clause_masks`` holds, for the positive then the negative side, one
+    literal-code mask per clause of a CNF side, or ``None`` for a formula
+    side.  They live on the classifier, built once with it, so no query
+    rebuilds them and no cache can hand one classifier's masks to another.
+    """
+
+    __slots__ = ("positive", "negative", "features", "protected", "clause_masks")
 
     def __init__(
         self,
@@ -111,6 +132,7 @@ class Classifier:
         )
         for var in self.protected:
             self.features.check(var)
+        self.clause_masks = (_clause_masks(positive), _clause_masks(negative))
 
     def _check_mutual_negation(self, positive, negative) -> None:
         if negative.universe is not self.features:
@@ -164,12 +186,22 @@ class Classifier:
         )
 
 
-def _term_entails(term: Term, value) -> bool:
-    """Every completion of ``term`` satisfies ``value``."""
-    if isinstance(value, Cnf):
-        codes = set(term.codes)
-        return not any(codes.isdisjoint(clause) for clause in value.codes)
-    return oracle.entails(term, value)
+def _entails(classifier: Classifier, side, masks, codes: tuple[int, ...], mask: int) -> bool:
+    """Every completion of the population ``codes``, whose mask is ``mask``,
+    satisfies ``side``: on a CNF side, the mask meets every clause mask."""
+    if masks is None:
+        return oracle.entails(Term._view(classifier.features, codes), side)
+    return all(map(mask.__and__, masks))
+
+
+def _decision(classifier: Classifier, codes: tuple[int, ...], mask: int) -> Decision:
+    """The decision on a population of the classifier's universe."""
+    positive, negative = classifier.clause_masks
+    if _entails(classifier, classifier.positive, positive, codes, mask):
+        return Decision.POSITIVE
+    if _entails(classifier, classifier.negative, negative, codes, mask):
+        return Decision.NEGATIVE
+    return Decision.UNDEFINED
 
 
 def decide(classifier: Classifier, population: Term | str) -> Decision:
@@ -178,11 +210,7 @@ def decide(classifier: Classifier, population: Term | str) -> Decision:
     term = classifier.population(population)
     if term.universe is not classifier.features:
         raise UniverseMismatchError("population is over a different universe")
-    if _term_entails(term, classifier.positive):
-        return Decision.POSITIVE
-    if _term_entails(term, classifier.negative):
-        return Decision.NEGATIVE
-    return Decision.UNDEFINED
+    return _decision(classifier, term.codes, _mask(term.codes))
 
 
 def instances_independent_of_features(
@@ -221,10 +249,14 @@ def complete_reason(classifier: Classifier, population: Term | str) -> Formula |
     decision = decide(classifier, term)
     if decision is Decision.UNDEFINED:
         raise NoDecisionError("population is not decided, no reason exists")
-    deciding = classifier.side(decision)
+    return _complete_reason(classifier, term, decision)
+
+
+def _complete_reason(classifier: Classifier, term: Term, decision: Decision) -> Formula | Cnf:
+    """The complete reason for a decision already made on ``term``."""
     mentioned = {v.index for v in term.variables()}
     unmentioned = [v for v in classifier.features if v.index not in mentioned]
-    return quantify(deciding, "forall", [*term.literals(), *unmentioned])
+    return quantify(classifier.side(decision), "forall", [*term.literals(), *unmentioned])
 
 
 @dataclass
@@ -236,38 +268,52 @@ class ReasonSet:
     decision: Decision
 
 
-def _minimal_hitting_sets(
-    clauses: Sequence[frozenset[int]], cap: int
-) -> list[tuple[int, ...]]:
-    """All subset-minimal hitting sets of the clause family, by branch and
-    bound with per-node exclusion sets, on a stack of frames, not Python's."""
-    family = [c for c in clauses]
-    results: set[tuple[int, ...]] = set()
+def _minimal_hitting_sets(clauses: Iterable[int], cap: int) -> list[tuple[int, ...]]:
+    """All subset-minimal hitting sets of the family of clause masks, as
+    sorted code tuples, by branch and bound with per-node exclusion masks, on
+    a stack of frames, not Python's.
 
-    def minimal(chosen: frozenset[int]) -> bool:
-        for lit in chosen:
-            if not any(clause & chosen == {lit} for clause in family):
-                return False
-        return True
-
-    stack = [(frozenset(), frozenset())]
+    A clause that contains another is hit whenever that one is, so the search
+    runs on the family's minimal clauses only, shortest first: the same
+    hitting sets, from a smaller tree.
+    """
+    family: list[int] = []
+    for clause in sorted(dict.fromkeys(clauses), key=int.bit_count):
+        for kept in family:
+            if kept & clause == kept:
+                break
+        else:
+            family.append(clause)
+    results: set[int] = set()
+    stack = [(0, 0)]
     while stack:
         chosen, banned = stack.pop()
-        unhit = next((c for c in family if not c & chosen), None)
-        if unhit is None:
-            if minimal(chosen):
-                results.add(tuple(sorted(chosen)))
+        for clause in family:
+            if not clause & chosen:
+                break
+        else:
+            # minimal when every chosen literal is the only one chosen in
+            # some clause
+            sole = 0
+            for clause in family:
+                hit = clause & chosen
+                if not hit & (hit - 1):
+                    sole |= hit
+            if sole == chosen:
+                results.add(chosen)
                 if len(results) > cap:
                     raise CapacityError(
                         f"more than {cap} sufficient reasons; raise the cap to enumerate"
                     )
             continue
-        children, blocked = [], banned
-        for lit in sorted(unhit - banned):
-            children.append((chosen | {lit}, blocked))
-            blocked = blocked | {lit}
-        stack.extend(reversed(children))  # the first child is searched first
-    return sorted(results)
+        children, blocked, free = [], banned, clause & ~banned
+        while free:
+            low = free & -free
+            children.append((chosen | low, blocked))
+            blocked |= low
+            free ^= low
+        stack.extend(reversed(children))  # the lowest literal is searched first
+    return sorted(tuple(_iter_bits(chosen)) for chosen in results)
 
 
 def sufficient_reasons(
@@ -284,10 +330,13 @@ def sufficient_reasons(
     decision = decide(classifier, term)
     if decision is Decision.UNDEFINED:
         raise NoDecisionError("population is not decided, no reason exists")
-    reason = complete_reason(classifier, term)
+    reason = _complete_reason(classifier, term, decision)
     u = classifier.features
-    if isinstance(reason, Cnf):
-        hitting = _minimal_hitting_sets([frozenset(c) for c in reason.codes], cap)
+    masks = classifier.clause_masks[decision is Decision.NEGATIVE]
+    if masks is not None:
+        # the reason's clauses are the deciding clauses cut to the population
+        mask = _mask(term.codes)
+        hitting = _minimal_hitting_sets(map(mask.__and__, masks), cap)
     else:
         hitting = sorted(prime_forms(reason, "implicants").codes)
         if len(hitting) > cap:
@@ -313,10 +362,22 @@ def biased_instances(classifier: Classifier, side) -> Formula:
 
 
 def is_decision_biased(classifier: Classifier, instance: Term | str) -> bool:
-    """Whether the instance satisfies the bias formula of its own side."""
+    """Whether the instance satisfies the bias formula of its own side.
+
+    A decided instance satisfies its deciding side, so it is biased exactly
+    when it falls outside the invariant, the side with the protected features
+    universally quantified: when the instance without its protected
+    characteristics no longer entails the side.
+    """
     term = classifier.instance(instance)
     side = decide(classifier, term)
-    return evaluate(biased_instances(classifier, side), term.to_world())
+    if not classifier.protected:
+        raise ConfigurationError("classifier has no protected features")
+    deciding = classifier.side(side)
+    masks = classifier.clause_masks[side is Decision.NEGATIVE]
+    protected = {v.index for v in classifier.protected}
+    kept = tuple([c for c in term.codes if c >> 1 not in protected])
+    return not _entails(classifier, deciding, masks, kept, _mask(kept))
 
 
 @dataclass
@@ -351,28 +412,26 @@ def relevance_report(classifier: Classifier, population: Term | str) -> Relevanc
     """Flag each characteristic of the population.
 
     A feature is irrelevant when erasing it preserves the decision; a
-    characteristic is irrelevant when dropping it preserves the decision.
-    Feature irrelevance implies characteristic irrelevance (dropping the only
-    literal of a variable and erasing the variable agree on terms), which the
-    row construction preserves by checking both.
+    characteristic is irrelevant when dropping it preserves the decision.  A
+    term holds one literal per variable, so erasing a feature and dropping its
+    characteristic leave the same sub-term: one decision per characteristic
+    answers both, and feature irrelevance implies characteristic irrelevance.
     """
     term = classifier.population(population)
     decision = decide(classifier, term)
     if decision is Decision.UNDEFINED:
         raise NoDecisionError("population is not decided, nothing to report")
+    codes, mask = term.codes, _mask(term.codes)
     rows = []
-    for lit in term.literals():
-        var = lit.variable
-        erased = erase(term, [var])
-        dropped = term.difference([lit])
-        feature_ok = decide(classifier, erased) is decision
-        characteristic_ok = decide(classifier, dropped) is decision
+    for k, lit in enumerate(term.literals()):
+        kept = _decision(classifier, codes[:k] + codes[k + 1:], mask ^ (1 << codes[k]))
+        same = kept is decision
         rows.append(
             RelevanceRow(
-                feature=var,
+                feature=lit.variable,
                 characteristic=lit,
-                feature_irrelevant=feature_ok,
-                characteristic_irrelevant=characteristic_ok or feature_ok,
+                feature_irrelevant=same,
+                characteristic_irrelevant=same,
             )
         )
     return RelevanceReport(decision=decision, rows=tuple(rows))
