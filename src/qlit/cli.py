@@ -28,7 +28,7 @@ from .core import Circuit
 from .errors import ParseError, QlitError
 from .io import _all_ints, _ints, emit_dimacs
 from .quantify import quantify
-from .tractable import Cnf, Dnf
+from .tractable import Cnf
 
 # ``oracle``, ``xai``, ``checks``, ``json`` and ``shlex`` are imported by the
 # handlers that use them, and ``circuits`` and ``formulas`` by the inputs that
@@ -53,86 +53,6 @@ def _sniff(text: str) -> str:
     return "formula"
 
 
-def _operands(store, root: int, kind: str) -> list[int]:
-    """The ids of the operands of a nested chain of ``kind`` gates, left to right."""
-    out = []
-    stack = [root]
-    while stack:
-        ref = stack.pop()
-        if store.kinds[ref] == kind:
-            stack.extend(reversed(store.args[ref]))
-        else:
-            out.append(ref)
-    return out
-
-
-def _disjunct_starts(text: str) -> list[tuple[int, int]]:
-    """The line and column of each operand of the top-level disjunction of
-    formula ``text``, which parses, in the order ``_operands`` lists them.
-
-    Mirrors how the parser builds or-nodes: the lowest connective outside
-    parentheses splits a span.  ``<=>`` builds an and-node, so the span is
-    one operand; the first ``=>`` builds ``~left | right``, whose operands
-    are ``~left`` and those of ``right``; ``|`` splits it into disjuncts.  A
-    group around a whole span is looked through."""
-    from .formulas import _tokenize
-
-    tokens = list(_tokenize(text))[:-1]  # without the end token
-    closing, opened = {}, []
-    for k, token in enumerate(tokens):
-        if token.text == "(":
-            opened.append(k)
-        elif token.text == ")":
-            closing[opened.pop()] = k
-    out = []
-    spans = [(0, len(tokens))]
-    while spans:
-        start, end = spans.pop()
-        first = tokens[start]
-        while tokens[start].text == "(" and closing[start] == end - 1:
-            start, end = start + 1, end - 1
-        outside: dict[str, list[int]] = {"<=>": [], "=>": [], "|": []}
-        k = start
-        while k < end:
-            if tokens[k].text == "(":
-                k = closing[k]
-            elif tokens[k].text in outside:
-                outside[tokens[k].text].append(k)
-            k += 1
-        if outside["=>"] and not outside["<=>"]:
-            cut = outside["=>"][0]
-            out.append((first.line, first.column))
-            spans.append((cut + 1, end))
-        elif outside["|"] and not outside["<=>"]:
-            bounds = [start - 1, *outside["|"], end]
-            spans.extend((bounds[j] + 1, bounds[j + 1]) for j in reversed(range(len(bounds) - 1)))
-        else:
-            out.append((first.line, first.column))
-    return out
-
-
-def _formula_to_dnf(text: str) -> Dnf:
-    formula = io.parse_formula(text)
-    u = formula.universe
-    kinds, args = u._store.kinds, u._store.args
-    terms = []
-    for k, part in enumerate(_operands(u._store, formula.id, "or")):
-        codes = []
-        for ref in _operands(u._store, part, "and"):
-            if kinds[ref] == "not" and kinds[args[ref][0]] == "lit":
-                codes.append(args[args[ref][0]] ^ 1)
-            elif kinds[ref] == "lit":
-                codes.append(args[ref])
-            elif kinds[ref] == "false":  # the term is false: the DNF drops it
-                break
-            elif kinds[ref] != "true":
-                line, column = _disjunct_starts(text)[k]
-                raise ParseError("input is not a disjunction of terms", line, column)
-        else:
-            terms.append(u.term([u.literal_by_code(c) for c in codes]))
-    return Dnf(u, terms)
-
-
 def _read_text(path: str) -> str:
     """The text of an ASCII file; any other byte is a parse error on its line."""
     try:
@@ -147,15 +67,13 @@ def _read_text(path: str) -> str:
 
 
 # the reader of each input kind, read on ``io`` at call time
-_READERS = {"cnf": "parse_dimacs", "ddnnf": "parse_nnf", "sdd": "parse_sdd", "formula": "parse_formula"}
+_READERS = {"cnf": "parse_dimacs", "dnf": "parse_dnf", "ddnnf": "parse_nnf", "sdd": "parse_sdd",
+            "formula": "parse_formula"}
 
 
 def _load_input(path: str, repr_: str):
     text = _read_text(path)
-    kind = _sniff(text) if repr_ == "auto" else repr_
-    if kind == "dnf":
-        return _formula_to_dnf(text)
-    return getattr(io, _READERS[kind])(text)
+    return getattr(io, _READERS[_sniff(text) if repr_ == "auto" else repr_])(text)
 
 
 def _input(args, session):

@@ -8,6 +8,7 @@ runs.
   identifier is a letter or ``_``, then letters, digits and ``_``, as
   ``str.isalpha`` and ``str.isalnum`` decide.  Any white space separates
   tokens; only ``\\n`` starts a new line in error positions.
+  :func:`parse_dnf` reads a formula that is a disjunction of terms as a DNF.
 
 * A classifier bundle is a small header (``var <index> <name>`` lines and an
   optional ``protected <name>...`` line) followed by one or two DIMACS
@@ -73,44 +74,107 @@ def parse_formula(text: str, universe: Universe | None = None) -> Formula:
     depth is limited by memory alone.  Nodes are built in the order a
     recursive descent would build them.
     """
+    return _parse(text, universe)[0]
+
+
+def _parse(text: str, universe: Universe | None) -> tuple[Formula, tuple]:
+    """The formula of ``text`` and the mark of its root.  An operand's mark is
+    ``(first, split)``: its first token (a group's ``(``) and, for an or-node
+    that ``|`` or ``=>`` built, the marks of its two operands, ``None`` for
+    the ``~left`` of ``=>``, which starts where the implication does."""
     tokens = list(_tokenize(text))  # a bad character outranks a syntax error
     if universe is None:
         names = {t.text for t in tokens if t.kind == "ident"} - {"true", "false"}
         universe = Universe(sorted(names))
     operands: list[Formula] = []
-    pending: list[str] = []  # binary operators, "~" and "("
+    marks: list[tuple] = []  # one per operand
+    pending: list[_Token] = []  # binary operators, "~" and "("
     want_operand = True
     for token in tokens:
         if want_operand:  # prefix "~" and "(", then an atom
             if token.text in ("~", "("):
-                pending.append(token.text)
+                pending.append(token)
             else:
                 operands.append(_atom(token, universe))
+                marks.append((token, None))
                 want_operand = False
             continue
         # apply the pending operators that bind more tightly, or as tightly and
         # group to the left; any other token applies all back to the open "("
         strength = _BINARY.get(token.text, 0)
-        while pending and pending[-1] != "(":
-            top = _BINARY.get(pending[-1], 5)  # "~" binds tightest
+        while pending and pending[-1].text != "(":
+            top = _BINARY.get(pending[-1].text, 5)  # "~" binds tightest
             if top < strength or top == strength <= 2:
                 break
             op = pending.pop()
             right = operands.pop()
-            operands.append(~right if op == "~" else _APPLY[op](operands.pop(), right))
+            if op.text == "~":
+                operands.append(~right)
+                marks[-1] = (op, None)
+                continue
+            operands.append(_APPLY[op.text](operands.pop(), right))
+            right_mark = marks.pop()
+            left_mark = marks[-1]
+            if op.text in ("|", "=>"):  # an or-node
+                marks[-1] = (left_mark[0], (left_mark if op.text == "|" else None, right_mark))
+            else:
+                marks[-1] = (left_mark[0], None)
         if strength:
-            pending.append(token.text)
+            pending.append(token)
             want_operand = True
         elif not pending:
             if token.kind != "end":
                 raise ParseError(f"unexpected {token.text!r}", token.line, token.column)
-            return operands[0]
+            return operands[0], marks[0]
         elif token.text == ")":
-            pending.pop()
+            marks[-1] = (pending.pop(), marks[-1][1])
         else:
             raise ParseError(
                 f"expected ')', got {token.text or 'end of input'!r}", token.line, token.column
             )
+
+
+def parse_dnf(text: str) -> Dnf:
+    """Parse formula ``text`` that is a disjunction of terms into a DNF.
+
+    The universe is the mentioned identifiers, as for :func:`parse_formula`.
+    A disjunct ``true`` is the empty term and ``false`` adds no term; inside
+    a term ``true`` adds nothing, and ``false`` or a complementary pair makes
+    the term false, so it is dropped.  Any other disjunct is a parse error at
+    its first token; the ``~x`` of ``x => y`` starts where the implication
+    does, at the bracket around it if there is one.
+    """
+    formula, mark = _parse(text, None)
+    u = formula.universe
+    kinds, args = u._store.kinds, u._store.args
+    terms = []
+    disjuncts = [(formula.id, mark)]
+    while disjuncts:
+        ref, (first, split) = disjuncts.pop()
+        if split is not None:  # an or-node: its operands, the left one next
+            left, right = args[ref]
+            disjuncts.append((right, split[1]))
+            disjuncts.append((left, split[0] or (first, None)))
+            continue
+        codes = set()
+        parts = [ref]
+        while parts:
+            part = parts.pop()
+            kind = kinds[part]
+            if kind == "and":
+                parts += reversed(args[part])
+            elif kind == "lit":
+                codes.add(args[part])
+            elif kind == "not" and kinds[args[part][0]] == "lit":
+                codes.add(args[args[part][0]] ^ 1)
+            elif kind == "false":
+                break
+            elif kind != "true":
+                raise ParseError("input is not a disjunction of terms", first.line, first.column)
+        else:
+            if len({code >> 1 for code in codes}) == len(codes):  # no complementary pair
+                terms.append(tuple(sorted(codes)))
+    return Dnf._of(u, terms)
 
 
 def _atom(token: _Token, universe: Universe) -> Formula:

@@ -41,6 +41,7 @@ __all__ = [
     "parse_sdd",
     "emit_sdd",
     "parse_formula",
+    "parse_dnf",
     "emit_formula",
     "parse_classifier_bundle",
     "emit_classifier_bundle",
@@ -49,7 +50,7 @@ __all__ = [
 
 # the names that moved, by their module now
 _MOVED = dict.fromkeys("parse_nnf emit_nnf parse_sdd emit_sdd".split(), "circuits") | dict.fromkeys(
-    """_Token _tokenize parse_formula emit_formula ClassifierBundle parse_classifier_bundle
+    """_Token _tokenize parse_formula parse_dnf emit_formula ClassifierBundle parse_classifier_bundle
     emit_classifier_bundle""".split(),
     "formulas",
 )

@@ -146,12 +146,7 @@ class Classifier:
         # the seeded worlds, bit-sliced: bit k of masks[i] is variable i in
         # world k, so one pass per side evaluates every world at once
         rng = random.Random(0)
-        size = len(self.features)
-        worlds = [rng.getrandbits(size) for _ in range(NEGATION_SAMPLES)]
-        masks = [
-            int("".join("1" if w >> i & 1 else "0" for w in reversed(worlds)), 2)
-            for i in range(size)
-        ]
+        masks = [rng.getrandbits(NEGATION_SAMPLES) for _ in range(len(self.features))]
         full = (1 << NEGATION_SAMPLES) - 1
         pos_table = truth_table(positive.to_formula(), masks, full)
         neg_table = truth_table(negative.to_formula(), masks, full)

@@ -200,6 +200,8 @@ class TestQuantifyRoutes:
             ("false", "false"),
             (with_empty_term, "true | a"),
             ("a & false | true & a", "a"),  # false drops a term, true adds nothing
+            ("a & ~a | b", "b"),  # so does a complementary pair
+            ("a & ~a", "false"),
         ]:
             path.write_text(text + "\n")
             assert _quantify_out(capsys, "--op", "forall", "--items", ",", *args) == printed + "\n"
@@ -213,6 +215,7 @@ class TestQuantifyRoutes:
             ("a | (b |\n  (~~c)) | d\n", 2, 3),
             ("(a & b) => c\n", 1, 1),
             ("a | b <=> c\n", 1, 1),
+            ("x | ((a | b) => c)\n", 1, 5),  # the ~(a | b) starts at the bracket
         ],
     )
     def test_dnf_fault_names_the_operand_that_is_not_a_term(
@@ -225,46 +228,6 @@ class TestQuantifyRoutes:
         assert capsys.readouterr().err == (
             f"error: line {line}, column {column}: input is not a disjunction of terms\n"
         )
-
-    def test_disjunct_starts_match_the_parsed_disjunction(self):
-        import random
-        import re
-
-        from qlit.cli import _disjunct_starts, _operands
-        from qlit.io import parse_formula
-
-        def text(rng, depth):
-            if depth == 0 or rng.random() < 0.2:
-                return rng.choice(["a", "~b", "c", "true", "~~d"])
-            if rng.random() < 0.15:
-                return "~(" + text(rng, depth - 1) + ")"
-            op = rng.choice([" | ", " | ", " & ", " => ", " <=> ", "\n| "])
-            out = text(rng, depth - 1) + op + text(rng, depth - 1)
-            return "(" + out + ")" if rng.random() < 0.4 else out
-
-        def first_atom(store, ref):
-            while type(store.args[ref]) is tuple:
-                ref = store.args[ref][0]
-            if store.kinds[ref] == "lit":
-                return store.universe.variables[store.args[ref] >> 1].name
-            return store.kinds[ref]
-
-        rng = random.Random(9800)
-        for _ in range(500):
-            source = text(rng, rng.randint(1, 6))
-            formula = parse_formula(source)
-            store = formula.universe._store
-            parts = _operands(store, formula.id, "or")
-            starts = _disjunct_starts(source)
-            assert len(starts) == len(parts)
-            # atoms keep their text order, so an operand's first atom is the
-            # first identifier from its start on
-            lines = source.split("\n")
-            offsets = [sum(len(l) + 1 for l in lines[: line - 1]) + column - 1
-                       for line, column in starts]
-            assert offsets == sorted(set(offsets))
-            for part, offset in zip(parts, offsets):
-                assert re.compile(r"\w+").search(source, offset).group() == first_atom(store, part)
 
     @pytest.mark.parametrize(
         "text, annotation",
