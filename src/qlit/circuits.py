@@ -20,8 +20,7 @@ oracle-checked against its definitional counterpart by the test suite.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from itertools import combinations
+from collections.abc import Iterable, Sequence
 
 from .core import Annotation, Circuit, CircuitBuilder, Universe, _iter_bits, _var_patterns, rebuild, truth_table
 from .errors import ParseError, StructureError
@@ -142,28 +141,32 @@ def _sdd_elements(circuit: Circuit, or_id: int) -> list[tuple[int, int]]:
 
 
 def _term_shape_codes(circuit: Circuit, root: int) -> list[int] | None:
-    """Literal codes when ``root`` is a literal or a conjunction of literals."""
+    """Literal codes when ``root`` is a literal, a conjunction of literals, or
+    the partition ``(l & t) | (~l & false)`` that :func:`emit_sdd` writes for
+    the term ``l & t``."""
     kinds, args = circuit.kinds, circuit.args
-    kind = kinds[root]
-    if kind == "lit":
-        return [args[root]]
-    if kind != "and":
-        return None
     codes = []
-    for child in args[root]:
-        if kinds[child] != "lit":
+    while kinds[root] == "or" and len(args[root]) == 2:
+        (head, rest), (other, sub) = _sdd_elements(circuit, root)
+        if kinds[head] != "lit" or kinds[other] != "lit" or args[head] ^ 1 != args[other] or kinds[sub] != "false":
             return None
-        codes.append(args[child])
-    return codes
+        codes.append(args[head])
+        root = rest
+    if kinds[root] == "lit":
+        return [*codes, args[root]]
+    if kinds[root] != "and" or any(kinds[child] != "lit" for child in args[root]):
+        return None
+    return codes + [args[child] for child in args[root]]
 
 
 def verify_sdd(circuit: Circuit) -> Circuit:
     """Check decomposability plus the prime/sub partition of every or-node.
 
     Partitions are verified semantically (exhaustively over the prime
-    variables) up to 10 prime variables; above that, primes must be literal
-    or term shaped and are checked by mutual exclusion plus exact coverage
-    measure.
+    variables) up to 10 prime variables.  Above that every prime must be
+    term shaped (see :func:`_term_shape_codes`) and the terms must pass
+    :func:`partition_fault`: they clash pairwise and their shares 2**-|t|
+    sum to 1.
     """
     order, masks = _decomposable(circuit)
     kinds = circuit.kinds
@@ -202,21 +205,45 @@ def _check_partition_semantic(circuit: Circuit, or_id: int, elements, prime_vars
 
 
 def _check_partition_syntactic(circuit: Circuit, or_id: int, elements) -> None:
-    terms = []
-    for prime, _ in elements:
-        codes = _term_shape_codes(circuit, prime)
-        if codes is None:
-            raise StructureError(
-                "prime too large for semantic check and not term shaped", or_id
-            )
-        terms.append(set(codes))
-    for a, b in combinations(terms, 2):
-        if not any(code ^ 1 in b for code in a):
-            raise StructureError("primes are not pairwise inconsistent", or_id)
-    # the terms cover every assignment when their shares 2**-len sum to 1
-    depth = max(map(len, terms), default=0)
-    if sum(1 << (depth - len(t)) for t in terms) != 1 << depth:
-        raise StructureError("primes do not cover all assignments", or_id)
+    terms = [_term_shape_codes(circuit, prime) for prime, _ in elements]
+    if None in terms:
+        raise StructureError("prime too large for semantic check and not term shaped", or_id)
+    fault = partition_fault([sum(map((1).__lshift__, codes)) for codes in terms])
+    if fault:
+        raise StructureError("primes are not pairwise inconsistent" if fault == "overlap"
+                             else "primes do not cover all assignments", or_id)
+
+
+def partition_fault(masks: Sequence[int]) -> str | None:
+    """``None`` when the consistent terms with literal-code masks ``masks``
+    (bit ``c`` for code ``c``) partition the worlds, ``"overlap"`` when two of
+    them do not clash (neither holds the complement of a literal of the
+    other), else ``"gap"``: their shares 2**-|t| do not sum to 1.  Masks of
+    non-valid clauses ask the same of the negated clauses.
+
+    A group of masks that all hold one variable, in both signs, splits on it
+    as a decision tree's leaves do; only a group with no such variable is
+    compared pair by pair.
+    """
+    low = 4 ** (max(masks, default=0).bit_length() // 2 + 1) // 3  # bit 2v: the literal ~v
+    groups = [masks]
+    while groups:
+        group = groups.pop()
+        held, union = -1, 0
+        for mask in group:
+            held &= mask | mask >> 1
+            union |= mask
+        split = held & union & union >> 1 & low  # in every mask, in both signs
+        if split:
+            bit = split & -split
+            groups += [mask for mask in group if mask & bit], [mask for mask in group if not mask & bit]
+            continue
+        flipped = [(mask & low) << 1 | mask >> 1 & low for mask in group]
+        for k in range(1, len(group)):
+            if not all(map(group[k].__and__, flipped[:k])):
+                return "overlap"
+    depth = max(map(int.bit_count, masks), default=0)
+    return None if sum(1 << depth - mask.bit_count() for mask in masks) == 1 << depth else "gap"
 
 
 # -- circuit quantification --------------------------------------------------------

@@ -257,15 +257,14 @@ def _repl_load(fields: list[str], session) -> None:
     if len(fields) == 3 and fields[1] == "classifier":
         session["classifier"] = _read_classifier(fields[2])
         print(f"loaded {session['classifier']!r}")
-    elif len(fields) == 3 and fields[1] in ("formula", "cnf", "dnf", "nnf", "sdd"):
-        repr_ = {"nnf": "ddnnf"}.get(fields[1], fields[1])
-        session["loaded"] = _load_input(fields[2], repr_)
+    elif len(fields) == 3 and fields[1] in (*_READERS, "nnf"):
+        session["loaded"] = _load_input(fields[2], {"nnf": "ddnnf"}.get(fields[1], fields[1]))
         print(f"loaded {session['loaded']!r}")
     elif len(fields) == 2:
         session["loaded"] = _load_input(fields[1], "auto")
         print(f"loaded {session['loaded']!r}")
     else:
-        raise QlitError("usage: load [classifier|formula|cnf|dnf|nnf|sdd] FILE")
+        raise QlitError(f"usage: load [{'|'.join(('classifier', *_READERS, 'nnf'))}] FILE")
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -299,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     quantify.add_argument("--in", dest="input", help="input file (omit in the repl to use the loaded object)")
     quantify.add_argument(
         "--repr",
-        choices=("auto", "cnf", "dnf", "ddnnf", "sdd", "formula"),
+        choices=("auto", *_READERS),
         default="auto",
         help="input representation; auto sniffs the file and picks the fast routine",
     )
@@ -309,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     brules = sub.add_parser("brules", help="print boundary rules and models")
     brules.add_argument("--in", dest="input")
-    brules.add_argument("--repr", choices=("auto", "cnf", "dnf", "ddnnf", "sdd", "formula"), default="auto")
+    brules.add_argument("--repr", choices=("auto", *_READERS), default="auto")
     brules.add_argument("--report-transition", metavar="LIT", help="also report rule changes under forall LIT")
     brules.add_argument("--json", action="store_true")
     brules.set_defaults(handler=_cmd_brules)

@@ -1,12 +1,15 @@
 """Classifier-level query layer: decisions, relevance, reasons and bias.
 
 A classifier is a formula over a feature universe whose models are the
-positively decided instances; its negation (materialized at load) captures
-the negative ones.  Explanation queries reduce to universal quantification:
-quantifying an instance's own characteristics plus its unmentioned features
-out of the deciding formula yields the complete reason, whose prime
-implicants are the sufficient reasons; quantifying the protected features
-characterizes biased decisions.
+positively decided instances; its negation captures the negative ones.  It
+is materialized at load, or given and checked exactly: a CNF pair at any
+size when the negated clauses of both sides partition the worlds (as a
+decision tree's do), any other pair by the oracle, up to its cap.
+Explanation queries reduce to universal quantification: quantifying an
+instance's own characteristics plus its unmentioned features out of the
+deciding formula yields the complete reason, whose prime implicants are the
+sufficient reasons; quantifying the protected features characterizes biased
+decisions.
 
 Every quantifying query goes through :func:`qlit.quantify.quantify`, so a
 CNF side reaches the linear drop rule there, one pass for the whole literal
@@ -19,8 +22,6 @@ every clause mask.
 
 from __future__ import annotations
 
-import random
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -33,7 +34,6 @@ from .core import (
     Variable,
     _iter_bits,
     negate,
-    truth_table,
 )
 from .errors import (
     ArityError,
@@ -42,13 +42,11 @@ from .errors import (
     NoDecisionError,
     UniverseMismatchError,
 )
-from . import circuits, oracle  # noqa: F401 - circuits: see below
+from . import oracle
+from .circuits import partition_fault
 from .formulas import prime_forms
 from .quantify import quantify
 from .tractable import Cnf
-
-# ``circuits`` loads here, not on the first circuit query, so that a tracer which wraps
-# functions by name in the loaded modules (perfbench's) also wraps calls inside it
 
 __all__ = [
     "Decision",
@@ -66,8 +64,6 @@ __all__ = [
     "relevance_report",
 ]
 
-NEGATION_CHECK_CAP = 12  # exact mutual-negation check; sampled above this
-NEGATION_SAMPLES = 10_000
 DEFAULT_REASON_CAP = 100_000
 
 
@@ -122,43 +118,20 @@ class Classifier:
     ):
         self.features: Universe = positive.universe
         self.positive = positive
-        if negative is None:
-            negative = negate(positive.to_formula())
-        elif check:
-            self._check_mutual_negation(positive, negative)
-        self.negative = negative
+        self.negative = negate(positive.to_formula()) if negative is None else negative
+        self.clause_masks = masks = (_clause_masks(positive), _clause_masks(self.negative))
+        if negative is not None and check:
+            if negative.universe is not self.features:
+                raise UniverseMismatchError("classifier sides use different universes")
+            # past the oracle's cap only a partition is accepted; the rest raise CapacityError
+            fault = "overlap" if None in masks else partition_fault(masks[0] + masks[1])
+            if fault == "gap" or fault and not oracle.equivalent(negative, negate(positive.to_formula())):
+                raise UniverseMismatchError("negative side is not the negation of the positive side")
         self.protected = frozenset(
             self.features.variable(v) if isinstance(v, str) else v for v in protected
         )
         for var in self.protected:
             self.features.check(var)
-        self.clause_masks = (_clause_masks(positive), _clause_masks(negative))
-
-    def _check_mutual_negation(self, positive, negative) -> None:
-        if negative.universe is not self.features:
-            raise UniverseMismatchError("classifier sides use different universes")
-        if len(self.features) <= NEGATION_CHECK_CAP:
-            if not oracle.equivalent(negative, negate(positive.to_formula())):
-                raise UniverseMismatchError(
-                    "negative side is not the negation of the positive side"
-                )
-            return
-        # the seeded worlds, bit-sliced: bit k of masks[i] is variable i in
-        # world k, so one pass per side evaluates every world at once
-        rng = random.Random(0)
-        masks = [rng.getrandbits(NEGATION_SAMPLES) for _ in range(len(self.features))]
-        full = (1 << NEGATION_SAMPLES) - 1
-        pos_table = truth_table(positive.to_formula(), masks, full)
-        neg_table = truth_table(negative.to_formula(), masks, full)
-        if pos_table ^ neg_table != full:
-            raise UniverseMismatchError(
-                "negative side disagrees with the negation of the positive side"
-            )
-        warnings.warn(
-            f"mutual negation only sampled ({NEGATION_SAMPLES} worlds) above "
-            f"{NEGATION_CHECK_CAP} features",
-            stacklevel=3,
-        )
 
     def side(self, side) -> Formula | Cnf:
         return self.positive if _side_of(side) is Decision.POSITIVE else self.negative

@@ -995,3 +995,14 @@ class TestRepl:
         assert main(["repl"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert any("(x | ~y) & y" in line for line in out)
+
+    def test_load_kinds_are_the_repr_choices(self, capsys, monkeypatch, loan_nnf_file):
+        # the kinds of --repr, plus nnf for ddnnf
+        import io as stdlib_io
+
+        script = f"load ddnnf {loan_nnf_file}\nload nnf {loan_nnf_file}\nload tree {loan_nnf_file}\nquit\n"
+        monkeypatch.setattr("sys.stdin", stdlib_io.StringIO(script))
+        assert main(["repl"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("loaded ") for line in out) == 2
+        assert "error: usage: load [classifier|cnf|dnf|ddnnf|sdd|formula|nnf] FILE" in out

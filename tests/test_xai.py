@@ -339,13 +339,15 @@ class TestClassifierLoading:
             classifier = Classifier(f)
             assert oracle.equivalent(classifier.negative, negate(f))
 
-    def test_large_classifier_is_sampled_with_warning(self):
+    @pytest.mark.filterwarnings("error")
+    def test_large_formula_pair_is_checked_exactly(self):
         u = Universe(14)
         positive = u.all_disj(u.lit(v.name) for v in u.variables)
         negative = negate(positive)
-        with pytest.warns(UserWarning, match="sampled"):
-            classifier = Classifier(positive, negative)
+        classifier = Classifier(positive, negative)
         assert classifier.negative is negative
+        with pytest.raises(UniverseMismatchError, match="negation"):
+            Classifier(positive, u.all_conj(u.lit(v.name) for v in u.variables[1:]))
 
     def test_long_cnf_classifier_loads(self):
         u = Universe(12)
@@ -361,7 +363,8 @@ class TestClassifierLoading:
             mask &= oracle.models_mask(clause)
         assert oracle.models_mask(classifier.negative) == ((1 << (1 << 12)) - 1) & ~mask
 
-    def test_sampled_check_on_a_long_cnf(self):
+    @pytest.mark.filterwarnings("error")
+    def test_exact_check_on_a_long_cnf(self):
         u = Universe(16)
         rng = random.Random(6)
         clauses = []
@@ -370,7 +373,6 @@ class TestClassifierLoading:
             clauses.append(u.clause([u.literal_by_code(2 * v + rng.randrange(2)) for v in chosen]))
         positive = Cnf(u, clauses)
         negative = negate(positive.to_formula())
-        with pytest.warns(UserWarning, match="sampled"):
-            assert Classifier(positive, negative).negative is negative
+        assert Classifier(positive, negative).negative is negative
         with pytest.raises(UniverseMismatchError, match="negation"):
             Classifier(positive, positive.to_formula())

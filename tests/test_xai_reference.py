@@ -6,11 +6,13 @@ intersection with each clause, relevance rows that decide the erased and the
 dropped sub-term separately, the hitting-set search on ``frozenset`` clauses
 and bias as the bias formula evaluated at the instance.  They run on seeded
 classifiers of three kinds: CNF pairs from random decision trees over 4-14
-features (so both the exact and the sampled mutual-negation check run), a
-random CNF with its materialized formula negation, and random formulas.
+features (their mutual negation is checked by the partition rule, with no
+warning), a random CNF with its materialized formula negation, and random
+formulas.
 """
 
 import random
+import warnings
 
 import pytest
 
@@ -26,7 +28,6 @@ from qlit.tractable import Cnf
 from qlit.xai import (
     Classifier,
     Decision,
-    NEGATION_CHECK_CAP,
     biased_instances,
     decide,
     is_decision_biased,
@@ -142,10 +143,9 @@ def tree_classifier(seed):
         ])
 
     protected = rng.sample(u.variables, rng.randint(1, 3))
-    if n > NEGATION_CHECK_CAP:
-        with pytest.warns(UserWarning, match="sampled"):
-            return Classifier(side(True), side(False), protected=protected), rng
-    return Classifier(side(True), side(False), protected=protected), rng
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return Classifier(side(True), side(False), protected=protected), rng
 
 
 def cnf_classifier(seed):
