@@ -210,7 +210,7 @@ class Universe:
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Variable):
             return (
-                item.index < len(self._variables)
+                0 <= item.index < len(self._variables)
                 and self._variables[item.index] == item
             )
         if isinstance(item, Literal):
@@ -221,7 +221,12 @@ class Universe:
 
     def check(self, item: Variable | Literal) -> None:
         """Refuse anything but a variable or literal of this universe (names
-        are resolved by :meth:`variable` and :meth:`item`, not here)."""
+        are resolved by :meth:`variable` and :meth:`item`, not here).  The
+        universe's own variables, and literals over them, pass by identity."""
+        var = item.variable if item.__class__ is Literal else item
+        own = self._variables
+        if var.__class__ is Variable and 0 <= var.index < len(own) and own[var.index] is var:
+            return
         if not isinstance(item, (Variable, Literal)) or item not in self:
             raise UniverseMismatchError(f"expected a variable or literal of {self}, got {item!r}")
 
@@ -232,12 +237,21 @@ class Universe:
         if isinstance(spec, Literal):
             self.check(spec)
             return spec
-        name = spec.strip()
-        positive = True
-        if name.startswith("~"):
-            positive = False
-            name = name[1:].strip()
-        return self._literals[self.variable(name).index * 2 + positive]
+        if not isinstance(spec, str):
+            raise TypeError(f"expected a literal or its name, got {spec!r}")
+        return self._literals[self._code(spec)]
+
+    def _code(self, text: str) -> int:
+        """The code of ``"x"`` or ``"~x"``, blanks around the ``~`` and the
+        name ignored."""
+        name = text.strip()
+        positive = not name.startswith("~")
+        if not positive:
+            name = name[1:].lstrip()
+        try:
+            return self._by_name[name].index * 2 + positive
+        except KeyError:
+            raise UniverseMismatchError(f"unknown variable {name!r}") from None
 
     def literal_by_code(self, code: int) -> Literal:
         return self._literals[code]
@@ -259,6 +273,8 @@ class Universe:
         if isinstance(spec, (Literal, Variable)):
             self.check(spec)
             return spec
+        if not isinstance(spec, str):
+            raise TypeError(f"expected a literal, a variable or a name, got {spec!r}")
         name = spec.strip()
         if name.startswith("~") or name in self._by_name:
             return self.literal(name)
@@ -302,17 +318,20 @@ class Universe:
         return Clause(self, self._codes(literals, "clause"))
 
     def _codes(self, literals: Iterable[LiteralLike] | str, what: str) -> tuple[int, ...]:
+        """The sorted codes of ``literals``, or of the comma-separated names
+        of a string (blank parts skipped), read without literal objects."""
         if isinstance(literals, str):
-            literals = [s for s in literals.split(",") if s.strip()]
+            found = map(self._code, filter(str.strip, literals.split(",")))
+        else:
+            found = (self.literal(spec).code for spec in literals)
         codes: set[int] = set()
-        for spec in literals:
-            lit = self.literal(spec)
-            if lit.code ^ 1 in codes:
+        for code in found:
+            if code ^ 1 in codes:
                 kind = "inconsistent" if what == "term" else "valid"
                 raise InvalidLiteralSetError(
-                    f"{kind} {what}: complementary pair over {lit.variable.name}"
+                    f"{kind} {what}: complementary pair over {self._variables[code >> 1].name}"
                 )
-            codes.add(lit.code)
+            codes.add(code)
         return tuple(sorted(codes))
 
     # -- formula constructors ----------------------------------------------

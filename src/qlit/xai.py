@@ -11,13 +11,14 @@ deciding formula yields the complete reason, whose prime implicants are the
 sufficient reasons; quantifying the protected features characterizes biased
 decisions.
 
-Every quantifying query goes through :func:`qlit.quantify.quantify`, so a
-CNF side reaches the linear drop rule there, one pass for the whole literal
-set, and a formula side the definitional operators.  Queries that only ask
-whether a population entails a CNF side (decisions, relevance, bias) and the
-hitting-set search read the clause masks the classifier keeps: bit ``c`` of a
-mask is literal code ``c``, so a term entails the side when its own mask meets
-every clause mask.
+A CNF side's complete reason is cut on literal codes by the linear drop
+rule, one pass that keeps of each deciding clause only the population's
+literals; a formula side, and every other quantifying query, goes through
+:func:`qlit.quantify.quantify`.  Queries that only ask whether a population
+entails a CNF side (decisions, relevance, bias) and the hitting-set search
+read the clause masks the classifier keeps: bit ``c`` of a mask is literal
+code ``c``, so a term entails the side when its own mask meets every clause
+mask.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from . import oracle
 from .circuits import partition_fault
 from .formulas import prime_forms
 from .quantify import quantify
-from .tractable import Cnf
+from .tractable import Cnf, _drop
 
 __all__ = [
     "Decision",
@@ -199,9 +200,8 @@ def instances_independent_of_characteristics(
 ) -> Formula | Cnf:
     """Formula selecting the instances decided on the given side independently
     of the given characteristics (their complements are quantified)."""
-    quantified = [
-        ~classifier.features.literal(lit) for lit in characteristics
-    ]
+    u = classifier.features
+    quantified = [u.literal_by_code(u.literal(lit).code ^ 1) for lit in characteristics]
     return quantify(classifier.side(side), "forall", quantified)
 
 
@@ -222,9 +222,14 @@ def complete_reason(classifier: Classifier, population: Term | str) -> Formula |
 
 def _complete_reason(classifier: Classifier, term: Term, decision: Decision) -> Formula | Cnf:
     """The complete reason for a decision already made on ``term``."""
+    side, u = classifier.side(decision), classifier.features
+    if isinstance(side, Cnf):
+        # quantifying the population and both literals of every other
+        # feature drops every code but the population's own
+        return _drop(side, set(range(2 * len(u))).difference(term.codes))
     mentioned = {v.index for v in term.variables()}
-    unmentioned = [v for v in classifier.features if v.index not in mentioned]
-    return quantify(classifier.side(decision), "forall", [*term.literals(), *unmentioned])
+    unmentioned = [v for v in u if v.index not in mentioned]
+    return quantify(side, "forall", [*term.literals(), *unmentioned])
 
 
 @dataclass

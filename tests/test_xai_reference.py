@@ -12,6 +12,7 @@ formulas.
 """
 
 import random
+import re
 import warnings
 
 import pytest
@@ -29,6 +30,7 @@ from qlit.xai import (
     Classifier,
     Decision,
     biased_instances,
+    complete_reason,
     decide,
     is_decision_biased,
     relevance_report,
@@ -81,15 +83,21 @@ def ref_minimal_hitting_sets(family, cap):
     return sorted(results)
 
 
+def ref_complete_reason(classifier, term):
+    """(decision, reason): the deciding side quantified through ``quantify``
+    on the population's literals and every unmentioned feature."""
+    decision = ref_decide(classifier, term)
+    if decision is Decision.UNDEFINED:
+        raise NoDecisionError("population is not decided, no reason exists")
+    mentioned = {v.index for v in term.variables()}
+    unmentioned = [v for v in classifier.features if v.index not in mentioned]
+    return decision, quantify(classifier.side(decision), "forall", [*term.literals(), *unmentioned])
+
+
 def ref_sufficient_reasons(classifier, term, cap):
     """(decision, reason code tuples); ``NoDecisionError`` or ``CapacityError``
     as the earlier query raised them."""
-    decision = ref_decide(classifier, term)
-    if decision is Decision.UNDEFINED:
-        raise NoDecisionError("undecided")
-    mentioned = {v.index for v in term.variables()}
-    unmentioned = [v for v in classifier.features if v.index not in mentioned]
-    reason = quantify(classifier.side(decision), "forall", [*term.literals(), *unmentioned])
+    decision, reason = ref_complete_reason(classifier, term)
     if isinstance(reason, Cnf):
         return decision, ref_minimal_hitting_sets([frozenset(c) for c in reason.codes], cap)
     hitting = sorted(prime_forms(reason, "implicants").codes)
@@ -203,6 +211,23 @@ class TestAgainstReference:
                 assert got is want
                 continue
             assert (got.decision, [t.codes for t in got.sufficient]) == want
+
+    def test_complete_reason(self, kind, seed):
+        classifier, rng = KINDS[kind](seed)
+        for term in populations(classifier, rng):
+            try:
+                decision, want = ref_complete_reason(classifier, term)
+            except NoDecisionError as error:
+                for query in (complete_reason, sufficient_reasons):
+                    with pytest.raises(NoDecisionError, match=f"^{re.escape(str(error))}$"):
+                        query(classifier, term)
+                continue
+            reasons = sufficient_reasons(classifier, term)
+            assert reasons.decision is decision
+            for got in (complete_reason(classifier, term), reasons.complete):
+                assert type(got) is type(want) and got.universe is want.universe
+                # a CNF reason keeps the reference's clause order; formulas are interned
+                assert got.codes == want.codes if isinstance(want, Cnf) else got is want
 
     def test_cap_raises_where_the_reference_does(self, kind, seed):
         classifier, rng = KINDS[kind](seed)
