@@ -12,10 +12,13 @@ and the linear quantification routines on Decision-DNNF and SDD.
   <id> <k> <p1> <s1> ... <pk> <sk>`` partition nodes.  Ids are explicit,
   defined once, used after definition; the last defined node is the root.
 
+A circuit gets its class only from a verifier here (the readers call them).
 The quantification routines are single traversals that replace literals by
 constants; for the universal case the same traversal also makes the
-equivalence-preserving reshaping (the shift).  Every routine here is
-oracle-checked against its definitional counterpart by the test suite.
+equivalence-preserving reshaping (the shift), one rule on the or-node
+partitions that the Decision-DNNF and SDD verifiers record.  Every routine
+here is oracle-checked against its definitional counterpart by the test
+suite.
 """
 
 from __future__ import annotations
@@ -65,20 +68,21 @@ def _decomposable(circuit: Circuit) -> tuple[list[int], list[int]]:
 def verify_dnnf(circuit: Circuit) -> Circuit:
     """Check decomposability: no and-node's children share a variable.
 
-    Returns a verified circuit sharing the nodes; the argument is unchanged.
-    A stronger annotation, such as SDD, is kept only when it was verified:
-    decomposability alone does not show it.
+    Returns a DNNF sharing the nodes; the argument is unchanged.  A circuit
+    that already has a proved class, DNNF or stronger, is returned as it
+    is, without a walk.
     """
+    if circuit.annotation != Annotation.NNF:
+        return circuit
     _decomposable(circuit)
-    keep = circuit.verified and circuit.annotation != Annotation.NNF
-    return circuit.with_annotation(circuit.annotation if keep else Annotation.DNNF)
+    return circuit.with_annotation(Annotation.DNNF)
 
 
 def _decision_table(circuit: Circuit, order) -> dict[int, tuple]:
-    """Map each or-node among ``order`` to the ids of ``l``, ``~l``,
-    ``alpha`` and ``beta`` in its ``(l & alpha) | (~l & beta)``; a
-    remainder lists a branch's other children, literals last in code
-    order.  Raises at the first node without the decision shape."""
+    """Map each or-node among ``order`` to the partition ``((l, alpha),
+    (~l, beta))`` of its ``(l & alpha) | (~l & beta)``: the ids of the
+    decision literals, and of each branch's other children, literals last
+    in code order.  Raises at the first node without the decision shape."""
     kinds, args, decisions = circuit.kinds, circuit.args, circuit.decisions
     table = {}
     for i in order:
@@ -114,13 +118,13 @@ def _decision_table(circuit: Circuit, order) -> dict[int, tuple]:
         if len(beta) + 1 < len(second):
             beta += [n for _, n in sorted(
                 (args[n], n) for n in second if kinds[n] == "lit" and n != negation)]
-        table[i] = (lit, negation, tuple(alpha), tuple(beta))
+        table[i] = ((lit, tuple(alpha)), (negation, tuple(beta)))
     return table
 
 
 def verify_decision_dnnf(circuit: Circuit) -> Circuit:
     """Check decomposability plus the decision shape of every or-node; the
-    verified circuit keeps each split, for universal quantification."""
+    verified circuit keeps each node's partition, for the shift."""
     order, _ = _decomposable(circuit)
     return circuit.with_annotation(Annotation.DECISION_DNNF, _decision_table(circuit, order))
 
@@ -166,10 +170,12 @@ def verify_sdd(circuit: Circuit) -> Circuit:
     variables) up to 10 prime variables.  Above that every prime must be
     term shaped (see :func:`_term_shape_codes`) and the terms must pass
     :func:`partition_fault`: they clash pairwise and their shares 2**-|t|
-    sum to 1.
+    sum to 1.  The verified circuit keeps each node's partition
+    ``((p1, (s1,)), ...)``, for the shift.
     """
     order, masks = _decomposable(circuit)
     kinds = circuit.kinds
+    partitions = {}
     for i in order:
         if kinds[i] != "or":
             continue
@@ -183,7 +189,8 @@ def verify_sdd(circuit: Circuit) -> Circuit:
             _check_partition_semantic(circuit, i, elements, prime_vars)
         else:
             _check_partition_syntactic(circuit, i, elements)
-    return circuit.with_annotation(Annotation.SDD)
+        partitions[i] = tuple((prime, (sub,)) for prime, sub in elements)
+    return circuit.with_annotation(Annotation.SDD, partitions)
 
 
 def _check_partition_semantic(circuit: Circuit, or_id: int, elements, prime_vars: int) -> None:
@@ -250,11 +257,10 @@ def partition_fault(masks: Sequence[int]) -> str | None:
 
 
 def _require(circuit: Circuit, annotation: str) -> Circuit:
-    """The circuit, verified as ``annotation`` (a verified copy if it was not)."""
+    """The circuit, after checking that a verifier proved it ``annotation``."""
     if circuit.annotation != annotation:
-        raise TypeError(f"operation needs a {annotation} circuit, got {circuit.annotation}")
-    verify = verify_sdd if annotation == Annotation.SDD else verify_decision_dnnf
-    return circuit if circuit.verified else verify(circuit)
+        raise TypeError(f"operation needs a verified {annotation} circuit, got {circuit.annotation}")
+    return circuit
 
 
 def _quantify_circuit(circuit: Circuit, lits: Iterable, annotation: str, forall: bool) -> Circuit:
@@ -267,40 +273,31 @@ def _quantify_circuit(circuit: Circuit, lits: Iterable, annotation: str, forall:
         return _shift(circuit, {code ^ 1: False for code in codes})
     builder = CircuitBuilder(circuit.universe)
     root = rebuild(circuit, builder, dict.fromkeys(codes, True))[circuit.root]
-    return builder.finish(root, Annotation.DNNF, verified=True, prune=True)
+    return builder.finish(root, prune=True).with_annotation(Annotation.DNNF)
 
 
 def _shift(circuit: Circuit, replace: dict[int, bool]) -> Circuit:
     """The shift of a verified Decision-DNNF or SDD, with the literal codes
-    of ``replace`` replaced by constants, in one rebuild that makes no node
-    the shifted or-nodes do not read."""
+    of ``replace`` replaced by constants: each or-node with the partition
+    ``((p1, subs1), ..., (pn, subsn))`` becomes ``(~p1 | and(subs1)) & ...
+    & (~pn | and(subsn))``.  The prime complements come from one dual
+    rebuild, which reads the replacement through the dual, and the rest
+    from one rebuild that makes no node the shifted or-nodes do not read."""
     builder = CircuitBuilder(circuit.universe)
     fold = builder.fold
-    if circuit.annotation == Annotation.DECISION_DNNF:
-        # l, ~l, alpha and beta of each (l & alpha) | (~l & beta), from the verifier
-        parts = circuit.decision_parts or _decision_table(circuit, circuit.order())
-        reads = {i: (l, nl, *alpha, *beta) for i, (l, nl, alpha, beta) in parts.items()}
+    partitions = circuit.partitions
+    negated = rebuild(
+        circuit, builder, {code ^ 1: not value for code, value in replace.items()},
+        dual=True, roots=[prime for elements in partitions.values() for prime, _ in elements],
+    )
+    reads = {i: tuple(s for _, subs in elements for s in subs) for i, elements in partitions.items()}
 
-        def make(i: int, image: dict) -> int:
-            lit, negation, alpha, beta = parts[i]
-            left = fold("or", [image[lit], fold("and", [image[c] for c in beta])])
-            right = fold("or", [image[negation], fold("and", [image[c] for c in alpha])])
-            return fold("and", [left, right])
-    else:
-        kinds, args = circuit.kinds, circuit.args
-        pairs = {i: [args[c] for c in args[i]] for i in circuit.order() if kinds[i] == "or"}
-        reads = {i: tuple(sub for _, sub in elements) for i, elements in pairs.items()}
-        # the prime complements, with the replacement read through the dual
-        negated = rebuild(
-            circuit, builder, {code ^ 1: not value for code, value in replace.items()},
-            dual=True, roots=[prime for elements in pairs.values() for prime, _ in elements],
-        )
-
-        def make(i: int, image: dict) -> int:
-            return fold("and", [fold("or", [negated[p], image[s]]) for p, s in pairs[i]])
+    def make(i: int, image: dict) -> int:
+        return fold("and", [fold("or", [negated[prime], fold("and", [image[s] for s in subs])])
+                            for prime, subs in partitions[i]])
 
     root = rebuild(circuit, builder, replace, shift=(reads, make))[circuit.root]
-    return builder.finish(root, Annotation.NNF, verified=True, prune=True)
+    return builder.finish(root, prune=True)
 
 
 def ddnnf_exists(circuit: Circuit, lits: Iterable) -> Circuit:
@@ -310,10 +307,10 @@ def ddnnf_exists(circuit: Circuit, lits: Iterable) -> Circuit:
 
 
 def ddnnf_shift(circuit: Circuit) -> Circuit:
-    """Rewrite every decision ``(l & a) | (~l & b)`` into the equivalent
-    ``(l | b) & (~l | a)``, after which no disjunction shares variables
-    across its disjuncts.  One linear pass, which never makes the branch
-    conjunctions."""
+    """Rewrite every decision ``(l & a) | (~l & b)``, the partition with the
+    primes ``l`` and ``~l``, into the equivalent ``(~l | a) & (l | b)``,
+    after which no disjunction shares variables across its disjuncts.  One
+    linear pass, which never makes the branch conjunctions."""
     return _shift(_require(circuit, Annotation.DECISION_DNNF), {})
 
 
@@ -352,9 +349,10 @@ def sdd_forall(circuit: Circuit, lits: Iterable) -> Circuit:
 
 
 def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
-    """Parse a compiled circuit and infer its strongest annotation.  The
-    universe is built once every line has been read and checked (a builder
-    reads its universe only in ``finish``)."""
+    """Parse a compiled circuit, with the strongest class that a verifier
+    proves: Decision-DNNF, DNNF, else plain NNF.  The universe is built once
+    every line has been read and checked (a builder reads its universe only
+    in ``finish``)."""
     lines = text.splitlines()
     header = None
     builder = CircuitBuilder(universe)
@@ -445,7 +443,7 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
         )
 
     builder.universe = Universe(spec) if universe is None else universe
-    circuit = builder.finish(ids[-1], Annotation.NNF)
+    circuit = builder.finish(ids[-1])
     if decisions_declared:
         try:
             return verify_decision_dnnf(circuit)
@@ -454,7 +452,7 @@ def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
     try:
         return verify_dnnf(circuit)
     except StructureError:
-        return circuit.with_annotation(Annotation.NNF)
+        return circuit
 
 
 def emit_nnf(circuit: Circuit) -> str:
@@ -550,7 +548,7 @@ def parse_sdd(text: str, universe: Universe | None = None) -> Circuit:
         by_id[node_id] = root
 
     builder.universe = Universe(spec) if universe is None else universe
-    return verify_sdd(builder.finish(root, Annotation.SDD))
+    return verify_sdd(builder.finish(root))
 
 
 def emit_sdd(circuit: Circuit) -> str:

@@ -70,7 +70,8 @@ __all__ = [
 
 
 def _refuse_assignment(self, name: str, value=None) -> None:
-    """Variables and literals are immutable: the constructor sets each field once."""
+    """Variables, literals, formulas and circuits are immutable: the
+    constructor sets each field once."""
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
@@ -107,6 +108,10 @@ class Literal:
     __setattr__ = __delattr__ = _refuse_assignment
 
     def __init__(self, variable: Variable, positive: bool):
+        if variable.__class__ is not Variable:
+            raise TypeError(f"a literal's variable must be a Variable, got {variable!r}")
+        if positive.__class__ is not bool:
+            raise TypeError(f"a literal's polarity must be a bool, got {positive!r}")
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "positive", positive)
 
@@ -530,10 +535,11 @@ class Formula:
     """
 
     __slots__ = ("universe", "id")
+    __setattr__ = __delattr__ = _refuse_assignment
 
     def __init__(self, universe: Universe, id: int):
-        self.universe = universe
-        self.id = id
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "id", id)
 
     def _dag(self) -> tuple:
         return self.universe._store, self.id
@@ -912,7 +918,7 @@ def to_nnf(formula: Formula) -> Formula:
 
 
 class Annotation:
-    """Structural classes a circuit may claim (strongest known annotation)."""
+    """Structural classes a circuit may be proved to be in."""
 
     NNF = "nnf"
     DNNF = "dnnf"
@@ -929,37 +935,27 @@ class Circuit:
     of child ids, which index earlier nodes only, or ``None`` for a
     constant) and the declared decision variable ``decisions[i]`` (-1 if
     none).  An SDD or-node's (prime, sub) pairs are its children's two
-    children.  ``annotation`` records the strongest structural class the
-    circuit is known to be in; ``verified`` says whether that class has
-    actually been checked.  ``decision_parts`` holds the split of each
-    or-node that :func:`~qlit.tractable.verify_decision_dnnf` found (else
-    ``None``).  Nothing changes after construction: parsers and
-    verifiers return a new circuit sharing the lists, and transformation
-    passes build new circuits carrying what they can prove.
+    children.  A constructed circuit is plain NNF: ``annotation``, its
+    class, is set only by :meth:`with_annotation`, which a verifier calls
+    once it has proved the class, or a pass whose construction proves it.
+    For Decision-DNNF and SDD, ``partitions`` maps each reachable or-node
+    to ``((prime, subs), ...)``: primes that partition the worlds, each
+    conjoined with its subs; a decision ``(l & alpha) | (~l & beta)`` has
+    the primes ``l`` and ``~l``.  Nothing changes after construction.
     """
 
-    __slots__ = ("universe", "kinds", "args", "decisions", "root", "annotation",
-                 "verified", "decision_parts")
+    __slots__ = ("universe", "kinds", "args", "decisions", "root", "annotation", "partitions")
+    __setattr__ = __delattr__ = _refuse_assignment
 
-    def __init__(
-        self,
-        universe: Universe,
-        kinds: list[str],
-        args: list,
-        decisions: list[int],
-        root: int,
-        annotation: str = Annotation.NNF,
-        verified: bool = False,
-        decision_parts: dict[int, tuple] | None = None,
-    ):
-        self.universe = universe
-        self.kinds = kinds
-        self.args = args
-        self.decisions = decisions
-        self.root = root
-        self.annotation = annotation
-        self.verified = verified
-        self.decision_parts = decision_parts
+    def __init__(self, universe: Universe, kinds: list[str], args: list,
+                 decisions: list[int], root: int):
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "decisions", decisions)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "annotation", Annotation.NNF)
+        object.__setattr__(self, "partitions", None)
 
     @property
     def nodes(self) -> "_NodeView":
@@ -985,10 +981,13 @@ class Circuit:
         """Ids of the nodes under ``roots`` (default: the root), roots included."""
         return set(self.order(roots))
 
-    def with_annotation(self, annotation: str, decision_parts: dict | None = None) -> "Circuit":
-        """The same lists under ``annotation``, marked verified."""
-        return Circuit(self.universe, self.kinds, self.args, self.decisions, self.root,
-                       annotation, True, decision_parts)
+    def with_annotation(self, annotation: str, partitions: dict | None = None) -> "Circuit":
+        """The same lists under the proved class ``annotation``, with the
+        partition of each or-node for Decision-DNNF and SDD."""
+        circuit = Circuit(self.universe, self.kinds, self.args, self.decisions, self.root)
+        object.__setattr__(circuit, "annotation", annotation)
+        object.__setattr__(circuit, "partitions", partitions)
+        return circuit
 
     def to_formula(self) -> Formula:
         store = self.universe._store
@@ -1001,10 +1000,7 @@ class Circuit:
         return CircuitBuilder(self.universe)
 
     def __repr__(self) -> str:
-        return (
-            f"Circuit({len(self.kinds)} nodes, root {self.root}, "
-            f"{self.annotation}{' verified' if self.verified else ''})"
-        )
+        return f"Circuit({len(self.kinds)} nodes, root {self.root}, {self.annotation})"
 
 
 class Node(namedtuple("Node", "kind arg decision")):
@@ -1107,18 +1103,13 @@ class CircuitBuilder:
             return parts[0]
         return self._add(kind, tuple(parts))
 
-    def finish(
-        self,
-        root: int,
-        annotation: str = Annotation.NNF,
-        verified: bool = False,
-        prune: bool = False,
-    ) -> Circuit:
-        """Wrap the lists into a circuit; ``prune`` drops nodes unreachable
-        from the root (transformation passes leave such orphans behind) and
-        renumbers the rest, keeping their order.  Children precede their
-        parents, so some node is unreachable exactly when a node other than
-        the root has no parent; only then does the walk run."""
+    def finish(self, root: int, prune: bool = False) -> Circuit:
+        """Wrap the lists into a plain NNF circuit; ``prune`` drops nodes
+        unreachable from the root (transformation passes leave such orphans
+        behind) and renumbers the rest, keeping their order.  Children
+        precede their parents, so some node is unreachable exactly when a
+        node other than the root has no parent; only then does the walk
+        run."""
         if root < 0:
             root = self.const(root == self.true)
         kinds, args, decisions = self.kinds, self.args, self.decisions
@@ -1135,7 +1126,7 @@ class CircuitBuilder:
                     for arg in map(args.__getitem__, kept)
                 ]
                 root = remap[root]
-        return Circuit(self.universe, kinds, args, decisions, root, annotation, verified)
+        return Circuit(self.universe, kinds, args, decisions, root)
 
 
 class _Store(CircuitBuilder):

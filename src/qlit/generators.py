@@ -3,8 +3,8 @@
 Random formulas exercise the full connective set (including nested
 negation); random circuits are correct by construction: decision circuits
 come out of Shannon expansion with node sharing, partition circuits out of
-recursive cube splitting.  Builders used for the large timing ladders skip
-re-verification since the shape is guaranteed.
+recursive cube splitting.  Each is verified, except the parity chain of the
+timing ladders, whose class its construction proves.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from .core import (
     Formula,
     Term,
     Universe,
+    _var_patterns,
 )
-from .circuits import verify_decision_dnnf, verify_sdd
+from .circuits import _decision_table, verify_decision_dnnf, verify_sdd
 from .oracle import models_mask
 from .tractable import Cnf, Dnf
 
@@ -131,15 +132,6 @@ def all_terms(universe: Universe) -> Iterator[Term]:
 # -- decision circuits -------------------------------------------------------------
 
 
-def _table_cofactors(table: int, remaining: int) -> tuple[int, int]:
-    """Split a truth table over ``remaining`` variables on its first variable."""
-    low = high = 0
-    for j in range(1 << (remaining - 1)):
-        low |= (table >> (2 * j) & 1) << j
-        high |= (table >> (2 * j + 1) & 1) << j
-    return low, high
-
-
 def _shannon(
     builder: CircuitBuilder,
     variables: Sequence[int],
@@ -147,14 +139,19 @@ def _shannon(
     table: int,
     memo: dict,
 ) -> int:
-    remaining = len(variables) - pos
-    if remaining == 0:
+    """The decision circuit of ``table``, a truth table over all of
+    ``variables`` (bit ``i`` of a row for ``variables[i]``) that no longer
+    depends on those before ``pos``."""
+    if pos == len(variables):
         return builder.const(bool(table & 1))
     key = (pos, table)
     got = memo.get(key)
     if got is not None:
         return got
-    low_table, high_table = _table_cofactors(table, remaining)
+    high_table = table & _var_patterns(len(variables))[pos]
+    low_table = table ^ high_table
+    low_table |= low_table << (1 << pos)
+    high_table |= high_table >> (1 << pos)
     low = _shannon(builder, variables, pos + 1, low_table, memo)
     high = _shannon(builder, variables, pos + 1, high_table, memo)
     if low == high:
@@ -190,15 +187,16 @@ def random_decision_dnnf(universe: Universe, rng: random.Random) -> Circuit:
         table = rng.getrandbits(1 << len(group))
         roots.append(_shannon(builder, group, 0, table, {}))
     root = roots[0] if len(roots) == 1 else builder.add_and(roots)
-    circuit = builder.finish(root, Annotation.DECISION_DNNF)
-    return verify_decision_dnnf(circuit)
+    return verify_decision_dnnf(builder.finish(root))
 
 
 def parity_decision_dnnf(universe: Universe) -> Circuit:
     """A chain-shaped decision circuit (odd parity), linear in the universe.
 
-    Built verified by construction; used for the size/timing ladders where
-    re-verification would dominate the measurement.
+    Its construction proves its class, so the verifier is skipped: its
+    decomposability check keeps a bitmask of up to ``n`` bits per node,
+    memory quadratic on this chain, which the million-node timing ladders
+    cannot afford.
     """
     n = len(universe)
     builder = CircuitBuilder(universe)
@@ -214,7 +212,8 @@ def parity_decision_dnnf(universe: Universe) -> Circuit:
             decision=i,
         )
         even, odd = next_even, next_odd
-    return builder.finish(odd, Annotation.DECISION_DNNF, verified=True)
+    circuit = builder.finish(odd)
+    return circuit.with_annotation(Annotation.DECISION_DNNF, _decision_table(circuit, circuit.order()))
 
 
 def big_random_cnf(universe: Universe, rng: random.Random, clauses: int, width: int = 3) -> Cnf:
@@ -275,5 +274,4 @@ def random_sdd(universe: Universe, rng: random.Random) -> Circuit:
     rng.shuffle(indexes)
     builder = CircuitBuilder(universe)
     root = _random_sdd_node(builder, indexes, rng, depth=3)
-    circuit = builder.finish(root, Annotation.SDD)
-    return verify_sdd(circuit)
+    return verify_sdd(builder.finish(root))

@@ -1,5 +1,6 @@
 """Circuits stored as per-node lists: the text of every circuit routine's
-output, pinned by digest, and the shape invariants of those outputs."""
+output and its node and edge counts, pinned by digest, and the shape
+invariants of those outputs."""
 
 import hashlib
 import random
@@ -38,8 +39,8 @@ ROUTINES = {
 # order, recorded from the node-object layout that the lists replaced
 DIGESTS = {
     "decision.ddnnf_exists": "fae39003e0228c0ee609ca45a0bf27b7983df0129194a5985c1a9eb22c914d68",
-    "decision.ddnnf_forall": "a3ff29020ea54795d2259353034c57098e7a2614044a75662cd740db92f87bd2",
-    "decision.ddnnf_shift": "62fd6df6e5309e8c6b31defd4fd82c76295d3e607d105796fb516e741b42fa3c",
+    "decision.ddnnf_forall": "9eb88ed42dd4135365fe9d523857a0f9b6d0e52fba96c002a97dc03ddcc230ed",
+    "decision.ddnnf_shift": "9a862a5f11d53e00bd798da525c93b373ed60e55e24841a243e98f0d93937006",
     "decision.negate": "a9aa18d26c11999985aa4d81debd537d6170af1d790bb06b5a8267c7e7522b37",
     "emit_sdd": "092d439ec4307e4a4dba773a234d1036119b253f0618e6ab760eb305b65338c8",
     "parse_nnf": "da15529ecd6423214a78091a54b25e1a57b14a0ecdf8c12de3e1db83c0a940da",
@@ -47,6 +48,21 @@ DIGESTS = {
     "sdd.sdd_exists": "0864d80788d1e338227e3e2a4744be0476a86093ba34c204459a4b9bbe62a587",
     "sdd.sdd_forall": "a04904267d30b00e7ea78ff84198b53cf21b5e9b44391baaae9315b40ef289de",
     "sdd.sdd_shift": "6f67157832228ed142c8d47cbc8b4138888799773638c5fee757c3879bcf932a",
+}
+
+# SHA-256 of the line "<nodes> <edges>" of each output, in corpus order: a
+# change that only reorders a routine's nodes re-pins its DIGESTS entry and
+# must leave its entry here as it is
+SIZES = {
+    "decision.ddnnf_exists": "60f54bf5fbd9809a32dd640b0171befc7fce40786e624faec192d9c036397709",
+    "decision.ddnnf_forall": "f42e5cff49eaf7825b5f16ed9da0622e789d31b03dbf3f1ceb71a04e6ea59d29",
+    "decision.ddnnf_shift": "fe05cdab7b5a0735e9e6dab3769bb1fc89d282f90871ec64ce48b81c86b6b024",
+    "decision.negate": "9229a243b86800482803765894e1448521a4d14224d90185d14bf9b3b0dea5c6",
+    "parse_nnf": "97d89be6dddaa8658be945574fca949ad5eac4b3da630b623ab6d921c6bc1edb",
+    "sdd.negate": "a385d3d100600e6240a73317ac4b61cf6402279d338025c27e3bb66015db8186",
+    "sdd.sdd_exists": "5512716903ba245d60bf7b36a88c6a7a3893680ac823283163d0c4dc68946831",
+    "sdd.sdd_forall": "08922d3d50639b2b6f7513c8f1389d507cef4038c846f4c39fe7f67b17a3c165",
+    "sdd.sdd_shift": "1868d1b2e4942c31e7798e0278609b3ba0acc306a6c29ad337d9f0edf3360ed0",
 }
 
 
@@ -105,6 +121,13 @@ def digests() -> dict[str, str]:
     return got
 
 
+def sizes() -> dict[str, str]:
+    return {
+        name: _digest(f"{len(c)} {c.size() - len(c)}\n" for c in circuits)
+        for name, circuits in _outputs().items()
+    }
+
+
 def _check_shape(circuit) -> None:
     """Every node reachable from the root, every child older than its
     parent, and the lists, the node view and ``size()`` in agreement."""
@@ -139,6 +162,9 @@ def _check_shape(circuit) -> None:
 class TestOutputDigests:
     def test_emitted_text_is_unchanged(self):
         assert digests() == DIGESTS
+
+    def test_node_and_edge_counts_are_unchanged(self):
+        assert sizes() == SIZES
 
     def test_outputs_are_pruned_and_topological(self):
         outputs = _outputs()

@@ -157,7 +157,8 @@ class TestLiteralSets:
 
 
 class TestRecords:
-    """``Variable`` and ``Literal`` are immutable records compared by field."""
+    """``Variable`` and ``Literal`` are immutable records compared by field;
+    formulas and circuits are immutable too."""
 
     def test_assignment_and_deletion_are_refused(self, xyz):
         var, lit = xyz.variable("x"), xyz.literal("~y")
@@ -167,6 +168,23 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 delattr(record, field)
         assert (var.index, var.name, lit.positive) == (0, "x", False)
+
+    def test_formulas_and_circuits_refuse_assignment_and_deletion(self, xyz):
+        formula = xyz.lit("x") & xyz.lit("y")
+        builder = CircuitBuilder(xyz)
+        circuit = builder.finish(builder.add_and([builder.lit(1), builder.lit(3)]))
+        for value, fields in (
+            (formula, ("id", "universe", "extra")),
+            (circuit, ("annotation", "partitions", "root", "kinds", "extra")),
+        ):
+            for field in fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, field, 0)
+                with pytest.raises(AttributeError):
+                    delattr(value, field)
+        # the one interned handle every holder shares still names its node
+        assert formula is xyz.lit("x") & xyz.lit("y") and str(formula) == "x & y"
+        assert circuit.annotation == "nnf" and circuit.partitions is None
 
     def test_equal_fields_compare_and_hash_alike(self, xyz):
         var = xyz.variable("y")

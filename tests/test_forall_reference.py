@@ -67,7 +67,7 @@ def ref_ddnnf_shift(circuit):
         return builder.fold("and", [left, right])
 
     root = rebuild(circuit, builder, shift=(ref_every_or_node(circuit), decision))[circuit.root]
-    return builder.finish(root, Annotation.NNF, verified=True, prune=True)
+    return builder.finish(root, prune=True)
 
 
 def ref_sdd_shift(circuit):
@@ -84,7 +84,7 @@ def ref_sdd_shift(circuit):
         )
 
     root = rebuild(circuit, builder, shift=(ref_every_or_node(circuit), partition))[circuit.root]
-    return builder.finish(root, Annotation.NNF, verified=True, prune=True)
+    return builder.finish(root, prune=True)
 
 
 def ref_forall(circuit, lits):
@@ -93,7 +93,7 @@ def ref_forall(circuit, lits):
     builder = CircuitBuilder(circuit.universe)
     replace = {lit.code ^ 1: False for lit in lits}
     root = rebuild(shifted, builder, replace)[shifted.root]
-    return builder.finish(root, Annotation.NNF, verified=True, prune=True)
+    return builder.finish(root, prune=True)
 
 
 # -- cases ----------------------------------------------------------------------
@@ -167,21 +167,22 @@ class TestOnePassForall:
         assert oracle.equivalent(out, ref_forall(circuit, [lit]))
         assert oracle.equivalent(out, quantify_set(circuit.to_formula(), "forall", [lit]))
 
-    def test_a_circuit_verified_by_construction_is_split_in_the_pass(self):
+    def test_a_trusted_circuit_carries_its_partitions(self):
         u = Universe(7)
         circuit = parity_decision_dnnf(u)
-        assert circuit.verified and circuit.decision_parts is None
+        assert circuit.annotation == Annotation.DECISION_DNNF
+        assert sorted(circuit.partitions) == [i for i in circuit.order() if circuit.kinds[i] == "or"]
         lits = [u.literal_by_code(3), u.literal_by_code(8)]
         assert oracle.equivalent(ddnnf_forall(circuit, lits), ref_forall(circuit, lits))
 
     def test_verification_keeps_the_split_of_every_or_node(self):
         rng = random.Random(1103)
         circuit = random_decision_dnnf(Universe(6), rng)
-        parts = circuit.decision_parts
+        parts = circuit.partitions
         ors = [i for i in circuit.order() if circuit.kinds[i] == "or"]
         assert sorted(parts) == ors
         for i in ors:
-            lit, negation, alpha, beta = parts[i]
+            (lit, alpha), (negation, beta) = parts[i]
             code, want_alpha, want_beta = ref_decision_parts(circuit, i)
             assert (circuit.args[lit], circuit.args[negation]) == (code, code ^ 1)
             assert (list(alpha), list(beta)) == (want_alpha, want_beta)

@@ -5,7 +5,9 @@ clauses of both sides partition the worlds; a seeded differential checks the
 whole mutual-negation check against ``oracle.equivalent`` on decision-tree
 pairs, their mutants and a partition that no tree makes.  The SDD verifier
 takes the same rule past 10 prime variables, on primes built in memory and
-on the same primes read back from the text the writer emits.
+on the same primes read back from the text the writer emits.  Last, every
+partition that the Decision-DNNF and SDD verifiers record, which the shift
+reads, is checked against the oracle on seeded circuits.
 """
 
 import random
@@ -14,9 +16,10 @@ import pytest
 
 from conftest import unit_clause_bundle
 from qlit import oracle
-from qlit.circuits import emit_sdd, parse_sdd, partition_fault, verify_sdd
-from qlit.core import Annotation, CircuitBuilder, Universe, negate
+from qlit.circuits import emit_nnf, emit_sdd, parse_nnf, parse_sdd, partition_fault, verify_sdd
+from qlit.core import Annotation, Circuit, CircuitBuilder, Universe, negate
 from qlit.errors import CapacityError, StructureError, UniverseMismatchError
+from qlit.generators import random_decision_dnnf, random_sdd
 from qlit.io import parse_classifier_bundle
 from qlit.tractable import Cnf
 from qlit.xai import Classifier
@@ -179,7 +182,7 @@ def term_sdd(primes, n: int):
     """An SDD over ``n`` prime variables and two more: one or-node whose
     primes are the code tuples ``primes`` (terms) or ``"or"`` (the non-term
     ``(x1 & x2) | (~x1 & x3)``), each with a literal sub over the two extra
-    variables.  The circuit is annotated, not verified."""
+    variables.  The circuit is not verified."""
     u = Universe(n + 2)
     builder = CircuitBuilder(u)
     elements = []
@@ -194,7 +197,7 @@ def term_sdd(primes, n: int):
         else:
             node = builder.add_and([builder.lit(c) for c in prime])
         elements.append(builder.add_and((node, builder.lit(2 * n + k % 4))))
-    return u, builder.finish(builder.add_or(elements), Annotation.SDD)
+    return u, builder.finish(builder.add_or(elements))
 
 
 def decision_list(n: int) -> list[tuple[int, ...]]:
@@ -213,7 +216,7 @@ class TestSddTermPartitions:
     def test_decision_list_round_trips(self, n):
         u, circuit, in_memory, from_text = both_routes(decision_list(n), n)
         for verified in (in_memory(), from_text()):
-            assert verified.annotation == Annotation.SDD and verified.verified
+            assert verified.annotation == Annotation.SDD
             assert oracle.equivalent(verified, circuit)
 
     def test_wide_partition_with_primes_in_any_order(self):
@@ -240,3 +243,48 @@ class TestSddTermPartitions:
         for route in (in_memory, from_text):
             with pytest.raises(StructureError, match=message):
                 route()
+
+
+# -- the partitions the verifiers record -----------------------------------------------
+
+
+def verified_circuits():
+    """Seeded Decision-DNNFs and SDDs over 2-8 variables, as generated and
+    read back from the texts the writers emit."""
+    rng = random.Random(2401)
+    for k in range(140):
+        u = Universe(2 + k % 7)
+        decision, sdd = random_decision_dnnf(u, rng), random_sdd(u, rng)
+        yield decision
+        yield parse_nnf(emit_nnf(decision), u)
+        yield sdd
+        yield parse_sdd(emit_sdd(sdd), u)
+
+
+def node_table(circuit, node: int) -> int:
+    """The oracle's truth table of ``node`` of ``circuit``."""
+    return oracle.models_mask(
+        Circuit(circuit.universe, circuit.kinds, circuit.args, circuit.decisions, node))
+
+
+class TestRecordedPartitions:
+    def test_every_reachable_or_node_has_a_partition_of_the_worlds(self):
+        checked = dict.fromkeys((Annotation.DECISION_DNNF, Annotation.SDD), 0)
+        for circuit in verified_circuits():
+            ors = [i for i in circuit.order() if circuit.kinds[i] == "or"]
+            assert sorted(circuit.partitions) == ors
+            full = (1 << (1 << len(circuit.universe))) - 1
+            for i in ors:
+                union = joined = 0
+                for prime, subs in circuit.partitions[i]:
+                    table = node_table(circuit, prime)
+                    assert table, "inconsistent prime"
+                    assert not union & table, "primes overlap"
+                    union |= table
+                    for sub in subs:
+                        table &= node_table(circuit, sub)
+                    joined |= table
+                assert union == full, "primes do not cover the worlds"
+                assert joined == node_table(circuit, i)
+            checked[circuit.annotation] += len(ors)
+        assert min(checked.values()) > 500, checked

@@ -207,7 +207,7 @@ def ref_complete_reason(classifier, population):
 def fingerprint(value):
     """Type, text, element codes or node ids in order, and emitted bytes."""
     if isinstance(value, Circuit):
-        return ("Circuit", value.annotation, value.verified, emit_nnf(value))
+        return ("Circuit", value.annotation, emit_nnf(value))
     if isinstance(value, Formula):
         store = value.universe._store
         nodes = tuple((ref, store.kinds[ref]) for ref in walk(store.args, (value.id,)))

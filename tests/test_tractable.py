@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qlit.core import Annotation, Circuit, Universe, negate
+from qlit.core import Annotation, CircuitBuilder, Formula, Universe, negate
 from qlit.errors import CapacityError, PreconditionError, StructureError
 from qlit.generators import (
     random_cnf,
@@ -16,7 +16,7 @@ from qlit.generators import (
 )
 from qlit.io import parse_dimacs, parse_formula, parse_nnf, parse_sdd
 from qlit import oracle
-from qlit.quantify import exists_literal, forall_literal, quantify_set
+from qlit.quantify import exists_literal, forall_literal, quantify, quantify_set
 from qlit.tractable import (
     Cnf,
     Dnf,
@@ -232,7 +232,7 @@ class TestDecisionCircuit:
     def test_transcribed_loan_circuit_parses_as_decision(self):
         u = Universe(["d", "g", "h", "i"])
         circuit = parse_nnf(LOAN_DECISION_NNF, u)
-        assert circuit.annotation == Annotation.DECISION_DNNF and circuit.verified
+        assert circuit.annotation == Annotation.DECISION_DNNF
         delta = parse_formula("(h | i) & (~d | g) & (~d | i)", u)
         assert oracle.equivalent(circuit, delta)
 
@@ -314,12 +314,10 @@ class TestDecisionCircuit:
     def test_claimed_but_broken_structure_is_detected(self):
         u = Universe(["x", "y"])
         # (x & y) | y is no decision node and shares y across branches
-        from qlit.core import CircuitBuilder
-
         builder = CircuitBuilder(u)
         x, y = builder.lit(1), builder.lit(3)
         node = builder.add_or([builder.add_and([x, y]), y])
-        circuit = builder.finish(node, Annotation.DECISION_DNNF)
+        circuit = builder.finish(node)
         with pytest.raises(StructureError):
             verify_decision_dnnf(circuit)
 
@@ -332,7 +330,7 @@ class TestSddCircuit:
 
     def test_two_element_partition_parses(self):
         u, circuit = self.sdd_equivalence()
-        assert circuit.annotation == Annotation.SDD and circuit.verified
+        assert circuit.annotation == Annotation.SDD
         assert oracle.equivalent(circuit, parse_formula("(x => y) & (y => x)", u))
 
     def test_exists_matches_definitional(self):
@@ -383,15 +381,13 @@ class TestSddCircuit:
 
     def test_non_covering_primes_detected(self):
         u = Universe(["x", "y"])
-        from qlit.core import CircuitBuilder
-
         builder = CircuitBuilder(u)
         x = builder.lit(1)
         y = builder.lit(3)
         pair = builder.add_and([x, y])
         node = builder.add_or([pair])
         with pytest.raises(StructureError):
-            verify_sdd(builder.finish(node, Annotation.SDD))
+            verify_sdd(builder.finish(node))
 
 
 class TestMonotoneOutput:
@@ -417,39 +413,51 @@ class TestVerifiersLeaveArgumentsAlone:
         assert as_decision.kinds is circuit.kinds
         assert as_decision.args is circuit.args
         assert as_decision.decisions is circuit.decisions
-        assert circuit.annotation == Annotation.SDD and circuit.verified
+        assert circuit.annotation == Annotation.SDD
         assert verify_dnnf(circuit).annotation == Annotation.SDD
         out = sdd_exists(circuit, [u.pos("x")])
         assert oracle.equivalent(out, parse_formula("~x | y", u))
 
-    def test_routines_verify_a_copy(self):
-        u = Universe(["d", "g", "h", "i"])
-        parsed = parse_nnf(LOAN_DECISION_NNF, u)
-        claimed = Circuit(
-            u, parsed.kinds, parsed.args, parsed.decisions, parsed.root, Annotation.DECISION_DNNF
-        )
-        out = ddnnf_forall(claimed, [u.pos("d")])
-        assert oracle.equivalent(out, u.lit("i") & u.lit("g"))
-        assert not claimed.verified
-        plain = Circuit(u, parsed.kinds, parsed.args, parsed.decisions, parsed.root)
-        assert verify_dnnf(plain).annotation == Annotation.DNNF
+    def test_routines_refuse_an_unverified_circuit(self):
+        # (x & a) | (~x & b) is both a decision node and an SDD partition
+        u = Universe(["a", "b", "x"])
+        b = CircuitBuilder(u)
+        node = b.add_or([b.add_and([b.lit(5), b.lit(1)]), b.add_and([b.lit(4), b.lit(3)])], decision=2)
+        plain = b.finish(node)
+        assert plain.annotation == Annotation.NNF and plain.partitions is None
+        formula = plain.to_formula()
+        for verify, routines in (
+            (verify_decision_dnnf, (ddnnf_forall, ddnnf_exists)),
+            (verify_sdd, (sdd_forall, sdd_exists)),
+        ):
+            for routine, quantifier in zip(routines, ("forall", "exists")):
+                for lits in ([u.pos("x")], [u.neg("a"), u.pos("b")], [u.neg("x"), u.pos("x")]):
+                    with pytest.raises(TypeError, match="needs a verified"):
+                        routine(plain, lits)
+                    want = quantify_set(formula, quantifier, lits)
+                    assert oracle.equivalent(routine(verify(plain), lits), want)
+                    # quantify takes the definitional route on the plain circuit
+                    got = quantify(plain, quantifier, lits)
+                    assert isinstance(got, Formula) and oracle.equivalent(got, want)
 
     @pytest.mark.parametrize("claim", [Annotation.SDD, Annotation.DECISION_DNNF])
     def test_an_unchecked_claim_verifies_as_dnnf_only(self, claim):
-        from qlit.core import CircuitBuilder
-        from qlit.quantify import quantify
-
         # (a & b) | (a & c) is decomposable, but its primes overlap and it
-        # decides no variable
+        # decides no variable: the claimed class's verifier refuses it
         u = Universe(["a", "b", "c"])
         b = CircuitBuilder(u)
         a, bb, c = b.lit(1), b.lit(3), b.lit(5)
-        claimed = b.finish(b.add_or([b.add_and([a, bb]), b.add_and([a, c])]), claim)
-        verified = verify_dnnf(claimed)
-        assert verified.annotation == Annotation.DNNF and verified.verified
+        plain = b.finish(b.add_or([b.add_and([a, bb]), b.add_and([a, c])]))
+        verify, forall = (verify_sdd, sdd_forall) if claim == Annotation.SDD \
+            else (verify_decision_dnnf, ddnnf_forall)
+        with pytest.raises(StructureError):
+            verify(plain)
+        verified = verify_dnnf(plain)
+        assert verified.annotation == Annotation.DNNF
+        assert verify_dnnf(verified) is verified
         with pytest.raises(TypeError):
-            (sdd_forall if claim == Annotation.SDD else ddnnf_forall)(verified, [u.neg("b")])
-        want = quantify_set(claimed.to_formula(), "forall", [u.neg("b")])
+            forall(verified, [u.neg("b")])
+        want = quantify_set(plain.to_formula(), "forall", [u.neg("b")])
         assert oracle.equivalent(quantify(verified, "forall", ["~b"]), want)
         sdd = parse_sdd("L 1 1\nL 2 -1\nL 3 2\nL 4 -2\nD 5 2 1 3 2 4\n", Universe(["x", "y"]))
-        assert verify_dnnf(sdd).annotation == Annotation.SDD
+        assert verify_dnnf(sdd) is sdd

@@ -8,7 +8,8 @@ a bare ``~``, ``~~a``, ``a b``, repeats, empty parts, complementary pairs and
 unknown names) and requires the same codes or the same error type and
 message from ``Universe.term`` and ``Universe.clause``.  The membership tests
 pin down ``Universe.check`` on the universe's own objects, on equal ones from
-elsewhere and on foreign ones.
+elsewhere and on foreign ones, and a literal made of fields of the wrong
+type is refused when it is made.
 """
 
 import pickle
@@ -207,3 +208,19 @@ def test_objects_of_another_universe_are_refused():
     for item in (other.variables[2], other.literal_by_code(5), Universe(3).variables[0]):
         with pytest.raises(UniverseMismatchError):
             u.check(item)
+
+
+@pytest.mark.parametrize(
+    "variable,positive,shown",
+    [
+        ("a", True, "'a'"),
+        (0, False, "0"),
+        (None, True, "None"),
+        (Variable(0, "a"), 1, "1"),
+        (Variable(0, "a"), "yes", "'yes'"),
+        (Variable(0, "a"), None, "None"),
+    ],
+)
+def test_a_literal_refuses_fields_of_the_wrong_type(variable, positive, shown):
+    with pytest.raises(TypeError, match=re.escape(shown)):
+        Literal(variable, positive)
