@@ -15,10 +15,13 @@ A CNF side's complete reason is cut on literal codes by the linear drop
 rule, one pass that keeps of each deciding clause only the population's
 literals; a formula side, and every other quantifying query, goes through
 :func:`qlit.quantify.quantify`.  Queries that only ask whether a population
-entails a CNF side (decisions, relevance, bias) and the hitting-set search
-read the clause masks the classifier keeps: bit ``c`` of a mask is literal
-code ``c``, so a term entails the side when its own mask meets every clause
-mask.
+entails a side (decisions, relevance, bias) read what the classifier keeps.
+On a CNF side that is one mask per clause, which the hitting-set search
+reads too: bit ``c`` of a mask is literal code ``c``, so a term entails the
+side when its own mask meets every clause mask.  On a formula side it is the
+side's truth table, made at the first query that needs it: a term entails
+the side when its own table has no bit outside the side's, and a full
+instance reads the one bit of its world.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .core import (
     Universe,
     Variable,
     _iter_bits,
+    _refuse_assignment,
     negate,
 )
 from .errors import (
@@ -100,15 +104,20 @@ def _clause_masks(side: Formula | Cnf) -> tuple[int, ...] | None:
 
 class Classifier:
     """A deciding formula, its materialized negation, the feature universe and
-    the protected feature set.
+    the protected feature set; immutable once made.
 
     ``clause_masks`` holds, for the positive then the negative side, one
     literal-code mask per clause of a CNF side, or ``None`` for a formula
     side.  They live on the classifier, built once with it, so no query
     rebuilds them and no cache can hand one classifier's masks to another.
+    A formula side's truth table is made by :func:`qlit.oracle.models_mask`
+    at the first query that needs it and then held, at most ``2**24`` bits
+    a side at the oracle's default cap; every such query reads the cap
+    again.
     """
 
-    __slots__ = ("positive", "negative", "features", "protected", "clause_masks")
+    __slots__ = ("positive", "negative", "features", "protected", "clause_masks", "_tables")
+    __setattr__ = __delattr__ = _refuse_assignment
 
     def __init__(
         self,
@@ -117,22 +126,30 @@ class Classifier:
         protected: Iterable[Variable | str] = (),
         check: bool = True,
     ):
-        self.features: Universe = positive.universe
-        self.positive = positive
-        self.negative = negate(positive.to_formula()) if negative is None else negative
-        self.clause_masks = masks = (_clause_masks(positive), _clause_masks(self.negative))
-        if negative is not None and check:
-            if negative.universe is not self.features:
+        features: Universe = positive.universe
+        derived = negative is None
+        if derived:
+            negative = negate(positive.to_formula())
+        masks = (_clause_masks(positive), _clause_masks(negative))
+        if check and not derived:
+            if negative.universe is not features:
                 raise UniverseMismatchError("classifier sides use different universes")
             # past the oracle's cap only a partition is accepted; the rest raise CapacityError
             fault = "overlap" if None in masks else partition_fault(masks[0] + masks[1])
             if fault == "gap" or fault and not oracle.equivalent(negative, negate(positive.to_formula())):
                 raise UniverseMismatchError("negative side is not the negation of the positive side")
-        self.protected = frozenset(
-            self.features.variable(v) if isinstance(v, str) else v for v in protected
+        protected = frozenset(
+            features.variable(v) if isinstance(v, str) else v for v in protected
         )
-        for var in self.protected:
-            self.features.check(var)
+        for var in protected:
+            features.check(var)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
+        object.__setattr__(self, "clause_masks", masks)
+        object.__setattr__(self, "protected", protected)
+        # a formula side's truth table, by side, made at its first query
+        object.__setattr__(self, "_tables", [None, None])
 
     def side(self, side) -> Formula | Cnf:
         return self.positive if _side_of(side) is Decision.POSITIVE else self.negative
@@ -155,20 +172,64 @@ class Classifier:
         )
 
 
-def _entails(classifier: Classifier, side, masks, codes: tuple[int, ...], mask: int) -> bool:
+def _table(classifier: Classifier, negative: bool) -> int:
+    """The truth table of a formula side, made at the first query that needs
+    it and then held; the oracle's cap is checked at each call."""
+    u = classifier.features
+    oracle._check_cap(u)
+    tables = classifier._tables
+    table = tables[negative]
+    if table is None:
+        side = classifier.negative if negative else classifier.positive
+        oracle._same_universe(side, u)
+        table = tables[negative] = oracle.models_mask(side)
+    return table
+
+
+def _term_table(n: int, codes: tuple[int, ...]) -> int:
+    """The truth table of the term ``codes`` over ``n`` variables, built up
+    from the lowest variable: a free variable doubles the table, a positive
+    literal moves it to the upper half of a table twice its size and a
+    negative literal to the lower half.  The tables grow geometrically, so
+    the build costs about two operations on ``2**n`` bits."""
+    signs = [None] * n
+    for code in codes:
+        signs[code >> 1] = code & 1
+    table = 1
+    for i, sign in enumerate(signs):
+        if sign is None:
+            table |= table << (1 << i)
+        elif sign:
+            table <<= 1 << i
+    return table
+
+
+def _entails(
+    classifier: Classifier, negative: bool, codes: tuple[int, ...], mask: int, read: list
+) -> bool:
     """Every completion of the population ``codes``, whose mask is ``mask``,
-    satisfies ``side``: on a CNF side, the mask meets every clause mask."""
-    if masks is None:
-        return oracle.entails(Term._view(classifier.features, codes), side)
-    return all(map(mask.__and__, masks))
+    satisfies the negative or the positive side: on a CNF side, the mask
+    meets every clause mask; on a formula side, the population's models are
+    models of the side.  ``read`` holds, by side, the formula tables this
+    query has read, so a query checks the cap once per side."""
+    masks = classifier.clause_masks[negative]
+    if masks is not None:
+        return all(map(mask.__and__, masks))
+    table = read[negative]
+    if table is None:
+        table = read[negative] = _table(classifier, negative)
+    n = len(classifier.features)
+    if len(codes) == n:  # a full instance: the bit of its world
+        return bool(table >> sum([1 << (code >> 1) for code in codes if code & 1]) & 1)
+    own = _term_table(n, codes)
+    return own & table == own
 
 
-def _decision(classifier: Classifier, codes: tuple[int, ...], mask: int) -> Decision:
+def _decision(classifier: Classifier, codes: tuple[int, ...], mask: int, read: list) -> Decision:
     """The decision on a population of the classifier's universe."""
-    positive, negative = classifier.clause_masks
-    if _entails(classifier, classifier.positive, positive, codes, mask):
+    if _entails(classifier, False, codes, mask, read):
         return Decision.POSITIVE
-    if _entails(classifier, classifier.negative, negative, codes, mask):
+    if _entails(classifier, True, codes, mask, read):
         return Decision.NEGATIVE
     return Decision.UNDEFINED
 
@@ -179,7 +240,7 @@ def decide(classifier: Classifier, population: Term | str) -> Decision:
     term = classifier.population(population)
     if term.universe is not classifier.features:
         raise UniverseMismatchError("population is over a different universe")
-    return _decision(classifier, term.codes, _mask(term.codes))
+    return _decision(classifier, term.codes, _mask(term.codes), [None, None])
 
 
 def instances_independent_of_features(
@@ -232,7 +293,7 @@ def _complete_reason(classifier: Classifier, term: Term, decision: Decision) -> 
     return quantify(side, "forall", [*term.literals(), *unmentioned])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReasonSet:
     """The complete reason, its prime implicants and the decision they explain."""
 
@@ -346,14 +407,12 @@ def is_decision_biased(classifier: Classifier, instance: Term | str) -> bool:
     side = decide(classifier, term)
     if not classifier.protected:
         raise ConfigurationError("classifier has no protected features")
-    deciding = classifier.side(side)
-    masks = classifier.clause_masks[side is Decision.NEGATIVE]
     protected = {v.index for v in classifier.protected}
     kept = tuple([c for c in term.codes if c >> 1 not in protected])
-    return not _entails(classifier, deciding, masks, kept, _mask(kept))
+    return not _entails(classifier, side is Decision.NEGATIVE, kept, _mask(kept), [None, None])
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelevanceRow:
     feature: Variable
     characteristic: Literal
@@ -369,7 +428,7 @@ class RelevanceRow:
         return "essential"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelevanceReport:
     decision: Decision
     rows: tuple[RelevanceRow, ...]
@@ -394,10 +453,10 @@ def relevance_report(classifier: Classifier, population: Term | str) -> Relevanc
     decision = decide(classifier, term)
     if decision is Decision.UNDEFINED:
         raise NoDecisionError("population is not decided, nothing to report")
-    codes, mask = term.codes, _mask(term.codes)
+    codes, mask, read = term.codes, _mask(term.codes), [None, None]
     rows = []
     for k, lit in enumerate(term.literals()):
-        kept = _decision(classifier, codes[:k] + codes[k + 1:], mask ^ (1 << codes[k]))
+        kept = _decision(classifier, codes[:k] + codes[k + 1:], mask ^ (1 << codes[k]), read)
         same = kept is decision
         rows.append(
             RelevanceRow(

@@ -370,6 +370,20 @@ class TestSddCircuit:
         with pytest.raises(StructureError):
             parse_sdd(text, u)
 
+    def test_a_sub_over_its_primes_variable_fails_decomposability(self):
+        # the second element is (~x, x): its and-node is refused before any
+        # partition is read, in memory and from text
+        u = Universe(["x"])
+        text = "L 1 1\nL 2 -1\nT 3\nL 4 1\nD 5 2 1 3 2 4\n"
+        message = r"^and-node children share variables \(node 4\)$"
+        with pytest.raises(StructureError, match=message):
+            parse_sdd(text, u)
+        builder = CircuitBuilder(u)
+        x, not_x = builder.lit(1), builder.lit(0)
+        pairs = [builder.add_and([x, builder.const(True)]), builder.add_and([not_x, x])]
+        with pytest.raises(StructureError, match="^and-node children share variables"):
+            verify_sdd(builder.finish(builder.add_or(pairs)))
+
     def test_semantic_route_is_chosen_by_the_number_of_prime_variables(self):
         # the prime x16 is itself a partition node, so the syntactic route
         # would refuse it; one prime variable takes the semantic route,

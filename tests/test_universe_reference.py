@@ -6,7 +6,9 @@ replaced.
 differential runs both on about 5,000 population texts (blanks, ``~ name``,
 a bare ``~``, ``~~a``, ``a b``, repeats, empty parts, complementary pairs and
 unknown names) and requires the same codes or the same error type and
-message from ``Universe.term`` and ``Universe.clause``.  The membership tests
+message from ``Universe.term`` and ``Universe.clause``; another runs them
+over universes whose own names have blanks around them or start with ``~``,
+which the readers' table of spellings leaves out.  The membership tests
 pin down ``Universe.check`` on the universe's own objects, on equal ones from
 elsewhere and on foreign ones, and a literal made of fields of the wrong
 type is refused when it is made.
@@ -20,6 +22,7 @@ import pytest
 
 from qlit.core import Literal, Universe, Variable
 from qlit.errors import InvalidLiteralSetError, UniverseMismatchError
+from qlit.io import parse_dimacs
 
 NAMES = ["a", "b", "c", "x1", "x10", "long_name", "p q"]
 
@@ -115,6 +118,44 @@ def test_literal_lists_read_as_the_reference(seed):
         ]
         for what, read in (("term", u.term), ("clause", u.clause)):
             assert outcome(lambda: read(specs).codes) == outcome(ref_codes, u, specs, what)
+
+
+# names that ``_code`` does not read back as themselves: blanks around them, a
+# leading ``~``, a bare ``~`` and the empty name
+ODD_NAMES = [" a", "a", "~b", "b", "c ", "c", "~", "", "\tp q", "p q", "~~d"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_texts_over_odd_names_read_as_the_reference(seed):
+    rng = random.Random(seed)
+    u = Universe(ODD_NAMES)
+    pads = ["", "", " ", "~", "~ ", "\t"]
+    for _ in range(1000):
+        parts = [
+            rng.choice(pads) + rng.choice(ODD_NAMES + ["zz"]) + rng.choice(pads[:3])
+            for _ in range(rng.randint(0, 5))
+        ]
+        text = ",".join(parts)
+        for what, read in (("term", u.term), ("clause", u.clause)):
+            assert outcome(lambda: read(text).codes) == outcome(ref_codes, u, text, what), text
+
+
+def test_a_name_with_blanks_or_a_leading_tilde_reads_as_before():
+    # a table of every name would read " a" as the first variable and "~b" as
+    # the variable named "~b"; the readers take the trimmed "a" and "~ b"
+    u = Universe([" a", "a", "~b", "b"])
+    assert u.term(" a").codes == (3,) == u.term("a").codes
+    assert u.term("~b").codes == (6,) == u.term("~ b").codes
+    assert u.term("~~b").codes == (4,)
+    assert u.term(" a,~b, a").codes == (3, 6)
+
+
+def test_the_spellings_are_made_at_the_first_text_read():
+    u = parse_dimacs("p cnf 2 1\n1 -2 0\n").universe
+    u.term([u.literal_by_code(1)])
+    assert u._spellings is None  # neither the universe nor the reader made them
+    assert u.term("x1,~x2").codes == (1, 2)
+    assert u._spellings == {"~x1": 0, "x1": 1, "~x2": 2, "x2": 3}
 
 
 def test_blank_texts_read_as_empty_and_listed_blanks_are_refused():

@@ -2,6 +2,7 @@
 reasons, bias and relevance, against the two worked classifiers."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -376,3 +377,36 @@ class TestClassifierLoading:
         assert Classifier(positive, negative).negative is negative
         with pytest.raises(UniverseMismatchError, match="negation"):
             Classifier(positive, positive.to_formula())
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("field", ["positive", "negative", "features", "protected", "clause_masks"])
+    def test_a_classifier_refuses_assignment_and_deletion(self, loan, field):
+        before = getattr(loan, field)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field {field!r}$"):
+            setattr(loan, field, loan.negative)
+        with pytest.raises(AttributeError, match=f"^cannot assign to field {field!r}$"):
+            delattr(loan, field)
+        assert getattr(loan, field) is before
+
+    def test_a_formula_classifier_keeps_answering_for_its_own_side(self):
+        u = Universe(["a", "b"])
+        classifier = Classifier(parse_formula("a & b", u))
+        assert decide(classifier, "a,b") is Decision.POSITIVE
+        with pytest.raises(AttributeError):
+            classifier.positive = u.lit("~a")
+        assert decide(classifier, "a,b") is Decision.POSITIVE
+        assert decide(classifier, "~a") is Decision.NEGATIVE
+
+    def test_query_results_are_frozen(self, admission):
+        reasons = sufficient_reasons(admission, "e,~f,~g,r,w")
+        report = relevance_report(admission, "e,~f,~g,r,w")
+        for value, field in (
+            (reasons, "decision"),
+            (report, "rows"),
+            (report.rows[0], "feature_irrelevant"),
+        ):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, field, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, field)

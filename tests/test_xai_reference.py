@@ -8,19 +8,25 @@ and bias as the bias formula evaluated at the instance.  They run on seeded
 classifiers of three kinds: CNF pairs from random decision trees over 4-14
 features (their mutual negation is checked by the partition rule, with no
 warning), a random CNF with its materialized formula negation, and random
-formulas.
+formulas.  Formula classifiers of 17-20 features, past the oracle's
+16-variable table cache, a CNF with its derived formula negation at that
+size and unchecked pairs run the entailment queries against the same
+references; the cap and the truth tables a formula side keeps are pinned
+down too.
 """
 
 import random
 import re
+import sys
+import threading
 import warnings
 
 import pytest
 
 from conftest import unit_clause_bundle
 from qlit import oracle
-from qlit.core import Universe, World, evaluate
-from qlit.errors import CapacityError, NoDecisionError
+from qlit.core import Universe, World, evaluate, negate
+from qlit.errors import CapacityError, NoDecisionError, UniverseMismatchError
 from qlit.formulas import prime_forms
 from qlit.generators import random_cnf, random_consistent_formula
 from qlit.io import parse_classifier_bundle
@@ -293,3 +299,164 @@ def test_the_unit_clause_bundle_at_1200_features():
         sufficient_reasons(classifier, term, cap=0)
     assert is_decision_biased(classifier, term) is True
     assert ref_is_decision_biased(classifier, term) is True
+
+
+# -- formula sides through their truth tables -------------------------------------------
+
+
+def wide_formula_classifier(seed):
+    rng = random.Random(seed)
+    u = Universe(17 + seed % 4)
+    protected = rng.sample(u.variables, rng.randint(1, 3))
+    return Classifier(random_consistent_formula(u, rng, depth=5), protected=protected), rng
+
+
+def wide_cnf_classifier(seed):
+    """A CNF positive side with its derived formula negation."""
+    rng = random.Random(seed)
+    u = Universe(17 + seed % 4)
+    protected = rng.sample(u.variables, rng.randint(1, 3))
+    return Classifier(random_cnf(u, rng, clauses=6), protected=protected), rng
+
+
+def unchecked_classifier(seed):
+    """A formula and its negation widened or narrowed by another, kept
+    without the negation check: a population may entail both sides, or
+    neither."""
+    rng = random.Random(seed)
+    u = Universe(3 + seed % 3 if seed % 2 else 17 + seed % 4)
+    protected = rng.sample(u.variables, 1)
+    positive, other = (random_consistent_formula(u, rng, depth=4) for _ in range(2))
+    negative = negate(positive) | other if seed % 2 else negate(positive) & other
+    return Classifier(positive, negative, protected=protected, check=False), rng
+
+
+WIDE = {
+    "wide formula": wide_formula_classifier,
+    "wide cnf": wide_cnf_classifier,
+    "unchecked": unchecked_classifier,
+}
+
+
+@pytest.mark.parametrize("kind,seed", [(kind, seed) for kind in WIDE for seed in range(4)])
+def test_entailment_queries_read_the_side_tables_as_the_reference(kind, seed):
+    classifier, rng = WIDE[kind](seed)
+    decisions = set()
+    for term in populations(classifier, rng, count=5):
+        want = ref_decide(classifier, term)
+        decisions.add(want)
+        assert decide(classifier, term) is want
+        got = outcome(relevance_report, classifier, term)
+        want = outcome(ref_relevance_rows, classifier, term)
+        if isinstance(got, type):
+            assert got is want
+        else:
+            rows = [
+                (r.feature.index, r.characteristic.code, r.feature_irrelevant,
+                 r.characteristic_irrelevant)
+                for r in got.rows
+            ]
+            assert (got.decision, rows) == want
+        if len(term) == len(classifier.features) and want is not NoDecisionError:
+            assert is_decision_biased(classifier, term) is ref_is_decision_biased(classifier, term)
+    assert decisions - {Decision.UNDEFINED}
+
+
+def test_an_unchecked_side_of_another_universe_is_refused_when_read():
+    u, other = Universe(["a", "b"]), Universe(["a", "b"])
+    classifier = Classifier(u.lit("a"), other.lit("b"), check=False)
+    assert decide(classifier, "a") is Decision.POSITIVE
+    with pytest.raises(UniverseMismatchError, match="^value does not live in the requested universe$"):
+        decide(classifier, "~a")
+    with pytest.raises(UniverseMismatchError):
+        oracle.entails(u.term("~a"), classifier.negative)
+
+
+def cap_error(universe) -> str:
+    """The oracle's own refusal of a truth table over ``universe``."""
+    with pytest.raises(CapacityError) as error:
+        oracle.entails(universe.term(), universe.true)
+    return f"^{re.escape(str(error.value))}$"
+
+
+def test_formula_queries_past_the_cap_raise_the_oracles_error(monkeypatch):
+    classifier, rng = formula_classifier(2)
+    u = classifier.features
+    instance = World(u, 5).to_term()
+    queries = (decide, relevance_report, is_decision_biased, complete_reason, sufficient_reasons)
+    monkeypatch.setenv("QLIT_ENUM_CAP", str(len(u) - 1))
+    message = cap_error(u)
+    for query in queries:
+        with pytest.raises(CapacityError, match=message):
+            query(classifier, instance)
+    # lowered after the tables were made: each query still reads the cap
+    monkeypatch.delenv("QLIT_ENUM_CAP")
+    for query in queries:
+        query(classifier, instance)
+    monkeypatch.setenv("QLIT_ENUM_CAP", str(len(u) - 1))
+    for query in queries:
+        with pytest.raises(CapacityError, match=message):
+            query(classifier, instance)
+
+
+def test_a_cnf_positive_decides_past_the_cap_and_its_formula_negative_refuses(monkeypatch):
+    u = Universe(["a", "b", "c"])
+    classifier = Classifier(Cnf(u, [u.clause("a,b"), u.clause("c")]))
+    monkeypatch.setenv("QLIT_ENUM_CAP", "2")
+    assert decide(classifier, "a,c") is Decision.POSITIVE
+    with pytest.raises(CapacityError, match=cap_error(u)):
+        decide(classifier, "~c")
+
+
+def test_each_formula_side_makes_its_table_once(monkeypatch):
+    classifier, rng = wide_formula_classifier(1)
+    made = []
+    models_mask = oracle.models_mask
+
+    def counted(value):
+        made.append(value)
+        return models_mask(value)
+
+    def refused(*args):
+        raise AssertionError("a formula side asked oracle.entails")
+
+    monkeypatch.setattr(oracle, "models_mask", counted)
+    monkeypatch.setattr(oracle, "entails", refused)
+    queries = [decide, relevance_report, is_decision_biased]
+    terms = list(populations(classifier, rng, count=9))
+    for k in range(50):
+        term = terms[k % len(terms)]
+        query = queries[k % 3]
+        if query is is_decision_biased and len(term) < len(classifier.features):
+            query = decide
+        outcome(query, classifier, term)
+    assert sorted(map(id, made)) == sorted([id(classifier.positive), id(classifier.negative)])
+
+
+def test_threads_that_make_the_tables_together_answer_as_the_reference():
+    # a fresh classifier makes its tables under several threads at once: a
+    # table made twice is the same table, so every answer stays right
+    classifier, rng = wide_formula_classifier(2)
+    terms = list(populations(classifier, rng, count=4))
+    want = [ref_decide(classifier, term) for term in terms]
+    fresh = Classifier(classifier.positive, protected=classifier.protected)
+    got, errors = [], []
+
+    def work():
+        try:
+            got.append([decide(fresh, term) for term in terms])
+        except Exception as error:  # noqa: BLE001 - reported by the assert below
+            errors.append(error)
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    assert got == [want] * len(threads)
