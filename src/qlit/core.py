@@ -183,8 +183,6 @@ class Universe:
         numbers = [str(i) for i in range(1, len(variables) + 1)]
         self._texts = _by_code(["~" + name for name in names], names)
         self._dimacs = _by_code(["-" + number for number in numbers], numbers)
-        # spelling to code for population strings, made at the first one read
-        self._spellings: dict[str, int] | None = None
         self._store = _Store(self)
         self._node_cache: dict[tuple, int] = self._store._cache
         # the oracle's truth tables of formula nodes, by id (small universes);
@@ -319,26 +317,16 @@ class Universe:
     # -- terms and clauses ---------------------------------------------------
 
     def term(self, literals: Iterable[LiteralLike] | str = ()) -> "Term":
-        return Term._view(self, self._codes(literals, "term"))
+        return Term(self, self._codes(literals, "term"))
 
     def clause(self, literals: Iterable[LiteralLike] | str = ()) -> "Clause":
-        return Clause._view(self, self._codes(literals, "clause"))
+        return Clause(self, self._codes(literals, "clause"))
 
     def _codes(self, literals: Iterable[LiteralLike] | str, what: str) -> tuple[int, ...]:
         """The sorted codes of ``literals``, or of the comma-separated names
-        of a string (blank parts skipped), read without literal objects,
-        over distinct variables: a term or clause takes them unchecked.
-
-        A string's parts are looked up whole in the universe's spellings,
-        made at its first string; a string with any other part, a blank one
-        too, is read part by part through :meth:`_code`."""
+        of a string (blank parts skipped), read without literal objects."""
         if isinstance(literals, str):
-            spellings = self._spellings
-            if spellings is None:
-                spellings = self._spellings = self._spelling_codes()
-            found = list(map(spellings.get, literals.split(",")))
-            if None in found:
-                found = map(self._code, filter(str.strip, literals.split(",")))
+            found = map(self._code, filter(str.strip, literals.split(",")))
         else:
             found = (self.literal(spec).code for spec in literals)
         codes: set[int] = set()
@@ -350,17 +338,6 @@ class Universe:
                 )
             codes.add(code)
         return tuple(sorted(codes))
-
-    def _spelling_codes(self) -> dict[str, int]:
-        """``x`` and ``~x`` to their codes, for every name ``x`` that
-        :meth:`_code` reads back as itself: non-empty, with no blanks around
-        it and no leading ``~``."""
-        texts = self._texts
-        return {
-            texts[code]: code
-            for code in range(len(texts))
-            if (name := texts[code | 1]) and name == name.strip() and name[0] != "~"
-        }
 
     # -- formula constructors ----------------------------------------------
 

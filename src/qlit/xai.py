@@ -19,9 +19,10 @@ entails a side (decisions, relevance, bias) read what the classifier keeps.
 On a CNF side that is one mask per clause, which the hitting-set search
 reads too: bit ``c`` of a mask is literal code ``c``, so a term entails the
 side when its own mask meets every clause mask.  On a formula side it is the
-side's truth table, made at the first query that needs it: a term entails
-the side when its own table has no bit outside the side's, and a full
-instance reads the one bit of its world.
+side's truth table, looked up once per query through
+:func:`qlit.oracle.models_mask`: a term entails the side when its own table
+has no bit outside the side's, and a full instance reads the one bit of its
+world.
 """
 
 from __future__ import annotations
@@ -110,13 +111,12 @@ class Classifier:
     literal-code mask per clause of a CNF side, or ``None`` for a formula
     side.  They live on the classifier, built once with it, so no query
     rebuilds them and no cache can hand one classifier's masks to another.
-    A formula side's truth table is made by :func:`qlit.oracle.models_mask`
-    at the first query that needs it and then held, at most ``2**24`` bits
-    a side at the oracle's default cap; every such query reads the cap
-    again.
+    A formula side keeps nothing: each query that needs its truth table asks
+    :func:`qlit.oracle.models_mask` once, which checks the cap and reads the
+    oracle's table cache.
     """
 
-    __slots__ = ("positive", "negative", "features", "protected", "clause_masks", "_tables")
+    __slots__ = ("positive", "negative", "features", "protected", "clause_masks")
     __setattr__ = __delattr__ = _refuse_assignment
 
     def __init__(
@@ -148,8 +148,6 @@ class Classifier:
         object.__setattr__(self, "negative", negative)
         object.__setattr__(self, "clause_masks", masks)
         object.__setattr__(self, "protected", protected)
-        # a formula side's truth table, by side, made at its first query
-        object.__setattr__(self, "_tables", [None, None])
 
     def side(self, side) -> Formula | Cnf:
         return self.positive if _side_of(side) is Decision.POSITIVE else self.negative
@@ -173,17 +171,15 @@ class Classifier:
 
 
 def _table(classifier: Classifier, negative: bool) -> int:
-    """The truth table of a formula side, made at the first query that needs
-    it and then held; the oracle's cap is checked at each call."""
+    """The truth table of a formula side, with the checks of
+    ``oracle.entails(population, side)``: the cap, then the side's
+    universe."""
     u = classifier.features
-    oracle._check_cap(u)
-    tables = classifier._tables
-    table = tables[negative]
-    if table is None:
-        side = classifier.negative if negative else classifier.positive
+    side = classifier.negative if negative else classifier.positive
+    if side.universe is not u:  # an unchecked pair
+        oracle._check_cap(u)
         oracle._same_universe(side, u)
-        table = tables[negative] = oracle.models_mask(side)
-    return table
+    return oracle.models_mask(side)
 
 
 def _term_table(n: int, codes: tuple[int, ...]) -> int:
@@ -211,7 +207,7 @@ def _entails(
     satisfies the negative or the positive side: on a CNF side, the mask
     meets every clause mask; on a formula side, the population's models are
     models of the side.  ``read`` holds, by side, the formula tables this
-    query has read, so a query checks the cap once per side."""
+    query has looked up, so a query looks each one up once."""
     masks = classifier.clause_masks[negative]
     if masks is not None:
         return all(map(mask.__and__, masks))
@@ -237,10 +233,14 @@ def _decision(classifier: Classifier, codes: tuple[int, ...], mask: int, read: l
 def decide(classifier: Classifier, population: Term | str) -> Decision:
     """Positive when the population entails the classifier, negative when it
     entails the negation, undefined otherwise (never for a full instance)."""
-    term = classifier.population(population)
+    return _decide(classifier, classifier.population(population), [None, None])
+
+
+def _decide(classifier: Classifier, term: Term, read: list) -> Decision:
+    """:func:`decide` on a term, through the formula tables in ``read``."""
     if term.universe is not classifier.features:
         raise UniverseMismatchError("population is over a different universe")
-    return _decision(classifier, term.codes, _mask(term.codes), [None, None])
+    return _decision(classifier, term.codes, _mask(term.codes), read)
 
 
 def instances_independent_of_features(
@@ -403,13 +403,14 @@ def is_decision_biased(classifier: Classifier, instance: Term | str) -> bool:
     universally quantified: when the instance without its protected
     characteristics no longer entails the side.
     """
-    term = classifier.instance(instance)
-    side = decide(classifier, term)
+    term, read = classifier.instance(instance), [None, None]
+    side = _decide(classifier, term, read)
     if not classifier.protected:
         raise ConfigurationError("classifier has no protected features")
+    negative = _side_of(side) is Decision.NEGATIVE
     protected = {v.index for v in classifier.protected}
     kept = tuple([c for c in term.codes if c >> 1 not in protected])
-    return not _entails(classifier, side is Decision.NEGATIVE, kept, _mask(kept), [None, None])
+    return not _entails(classifier, negative, kept, _mask(kept), read)
 
 
 @dataclass(frozen=True)
@@ -448,16 +449,17 @@ def relevance_report(classifier: Classifier, population: Term | str) -> Relevanc
     term holds one literal per variable, so erasing a feature and dropping its
     characteristic leave the same sub-term: one decision per characteristic
     answers both, and feature irrelevance implies characteristic irrelevance.
+    A sub-term entails no side its term does not, so the decision stays
+    exactly when the sub-term still entails the deciding side.
     """
-    term = classifier.population(population)
-    decision = decide(classifier, term)
+    term, read = classifier.population(population), [None, None]
+    decision = _decide(classifier, term, read)
     if decision is Decision.UNDEFINED:
         raise NoDecisionError("population is not decided, nothing to report")
-    codes, mask, read = term.codes, _mask(term.codes), [None, None]
+    codes, mask, negative = term.codes, _mask(term.codes), decision is Decision.NEGATIVE
     rows = []
     for k, lit in enumerate(term.literals()):
-        kept = _decision(classifier, codes[:k] + codes[k + 1:], mask ^ (1 << codes[k]), read)
-        same = kept is decision
+        same = _entails(classifier, negative, codes[:k] + codes[k + 1:], mask ^ (1 << codes[k]), read)
         rows.append(
             RelevanceRow(
                 feature=lit.variable,

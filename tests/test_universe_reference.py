@@ -8,7 +8,7 @@ a bare ``~``, ``~~a``, ``a b``, repeats, empty parts, complementary pairs and
 unknown names) and requires the same codes or the same error type and
 message from ``Universe.term`` and ``Universe.clause``; another runs them
 over universes whose own names have blanks around them or start with ``~``,
-which the readers' table of spellings leaves out.  The membership tests
+which a reader that looked names up whole would get wrong.  The membership tests
 pin down ``Universe.check`` on the universe's own objects, on equal ones from
 elsewhere and on foreign ones, and a literal made of fields of the wrong
 type is refused when it is made.
@@ -22,7 +22,6 @@ import pytest
 
 from qlit.core import Literal, Universe, Variable
 from qlit.errors import InvalidLiteralSetError, UniverseMismatchError
-from qlit.io import parse_dimacs
 
 NAMES = ["a", "b", "c", "x1", "x10", "long_name", "p q"]
 
@@ -141,21 +140,13 @@ def test_texts_over_odd_names_read_as_the_reference(seed):
 
 
 def test_a_name_with_blanks_or_a_leading_tilde_reads_as_before():
-    # a table of every name would read " a" as the first variable and "~b" as
-    # the variable named "~b"; the readers take the trimmed "a" and "~ b"
+    # a look-up of whole names would read " a" as the first variable and "~b"
+    # as the variable named "~b"; the readers take the trimmed "a" and "~ b"
     u = Universe([" a", "a", "~b", "b"])
     assert u.term(" a").codes == (3,) == u.term("a").codes
     assert u.term("~b").codes == (6,) == u.term("~ b").codes
     assert u.term("~~b").codes == (4,)
     assert u.term(" a,~b, a").codes == (3, 6)
-
-
-def test_the_spellings_are_made_at_the_first_text_read():
-    u = parse_dimacs("p cnf 2 1\n1 -2 0\n").universe
-    u.term([u.literal_by_code(1)])
-    assert u._spellings is None  # neither the universe nor the reader made them
-    assert u.term("x1,~x2").codes == (1, 2)
-    assert u._spellings == {"~x1": 0, "x1": 1, "~x2": 2, "x2": 3}
 
 
 def test_blank_texts_read_as_empty_and_listed_blanks_are_refused():

@@ -11,14 +11,12 @@ warning), a random CNF with its materialized formula negation, and random
 formulas.  Formula classifiers of 17-20 features, past the oracle's
 16-variable table cache, a CNF with its derived formula negation at that
 size and unchecked pairs run the entailment queries against the same
-references; the cap and the truth tables a formula side keeps are pinned
-down too.
+references; the cap and the one look-up of a formula side's truth table per
+query are pinned down too.
 """
 
 import random
 import re
-import sys
-import threading
 import warnings
 
 import pytest
@@ -357,9 +355,40 @@ def test_entailment_queries_read_the_side_tables_as_the_reference(kind, seed):
                 for r in got.rows
             ]
             assert (got.decision, rows) == want
-        if len(term) == len(classifier.features) and want is not NoDecisionError:
-            assert is_decision_biased(classifier, term) is ref_is_decision_biased(classifier, term)
+        if len(term) == len(classifier.features):
+            got, want = (
+                biased_outcome(query, classifier, term)
+                for query in (is_decision_biased, ref_is_decision_biased)
+            )
+            assert got == want
     assert decisions - {Decision.UNDEFINED}
+
+
+def biased_outcome(query, classifier, term):
+    """The bias query's answer, or the error of an undecided instance."""
+    try:
+        return query(classifier, term)
+    except ValueError as error:
+        return ValueError, str(error)
+
+
+def test_an_undecided_instance_has_no_bias():
+    # the negative side leaves a gap: ~a,~b entails neither side
+    u = Universe(["a", "b"])
+    classifier = Classifier(u.lit("a"), u.lit("~a") & u.lit("b"), protected=["b"], check=False)
+    assert decide(classifier, "~a,~b") is Decision.UNDEFINED
+    message = "^queries take a positive or negative side$"
+    for query in (is_decision_biased, ref_is_decision_biased):
+        with pytest.raises(ValueError, match=message):
+            query(classifier, u.term("~a,~b"))
+    for seed in (0, 2):  # gaps at 17 and 19 features
+        classifier, rng = unchecked_classifier(seed)
+        u = classifier.features
+        instances = (World(u, rng.getrandbits(len(u))).to_term() for _ in range(200))
+        term = next(t for t in instances if decide(classifier, t) is Decision.UNDEFINED)
+        for query in (is_decision_biased, ref_is_decision_biased):
+            with pytest.raises(ValueError, match=message):
+                query(classifier, term)
 
 
 def test_an_unchecked_side_of_another_universe_is_refused_when_read():
@@ -408,7 +437,7 @@ def test_a_cnf_positive_decides_past_the_cap_and_its_formula_negative_refuses(mo
         decide(classifier, "~c")
 
 
-def test_each_formula_side_makes_its_table_once(monkeypatch):
+def test_each_query_looks_up_a_formula_sides_table_once(monkeypatch):
     classifier, rng = wide_formula_classifier(1)
     made = []
     models_mask = oracle.models_mask
@@ -424,39 +453,12 @@ def test_each_formula_side_makes_its_table_once(monkeypatch):
     monkeypatch.setattr(oracle, "entails", refused)
     queries = [decide, relevance_report, is_decision_biased]
     terms = list(populations(classifier, rng, count=9))
+    sides = {id(classifier.positive), id(classifier.negative)}
     for k in range(50):
         term = terms[k % len(terms)]
         query = queries[k % 3]
         if query is is_decision_biased and len(term) < len(classifier.features):
             query = decide
+        made.clear()
         outcome(query, classifier, term)
-    assert sorted(map(id, made)) == sorted([id(classifier.positive), id(classifier.negative)])
-
-
-def test_threads_that_make_the_tables_together_answer_as_the_reference():
-    # a fresh classifier makes its tables under several threads at once: a
-    # table made twice is the same table, so every answer stays right
-    classifier, rng = wide_formula_classifier(2)
-    terms = list(populations(classifier, rng, count=4))
-    want = [ref_decide(classifier, term) for term in terms]
-    fresh = Classifier(classifier.positive, protected=classifier.protected)
-    got, errors = [], []
-
-    def work():
-        try:
-            got.append([decide(fresh, term) for term in terms])
-        except Exception as error:  # noqa: BLE001 - reported by the assert below
-            errors.append(error)
-
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads) and not errors
-    assert got == [want] * len(threads)
+        assert made and len(set(map(id, made))) == len(made) and {id(v) for v in made} <= sides
