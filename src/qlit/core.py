@@ -32,8 +32,12 @@ reader, and ``_var_patterns`` builds the masks by doubling, once per number
 of variables.
 :func:`rebuild` copies a DAG into a builder: it replaces literals by
 constants, builds the De Morgan dual on request and folds every gate by
-:meth:`CircuitBuilder.fold`.  None recurses, so only memory bounds the depth
-of a DAG.
+:meth:`CircuitBuilder.fold`.  Conditioning stays in the store and rebuilds
+only the :func:`cone` of its variable, the nodes whose image can differ
+from themselves; interning hands every other node back as its own image, so
+the result is the one a whole-DAG rebuild gives, node for node and in the
+same creation order.  None recurses, so only memory bounds the depth of a
+DAG.
 """
 
 from __future__ import annotations
@@ -811,7 +815,7 @@ _DUAL = {"and": "or", "or": "and"}
 
 
 def rebuild(value, builder, replace: Mapping[int, bool] | None = None, dual: bool = False,
-            roots: Sequence[int] | None = None, shift=None, order: list[int] | None = None) -> dict:
+            roots: Sequence[int] | None = None, shift=None) -> dict:
     """Copy the DAG under ``roots`` (default: the root of ``value``) into
     ``builder`` bottom-up, folding every gate; returns the images by id.
 
@@ -823,7 +827,6 @@ def rebuild(value, builder, replace: Mapping[int, bool] | None = None, dual: boo
     a circuit, is a pair ``(reads, make)``: each ``or`` node's image is
     ``make(ref, images)``, made from the images of the children ``reads``
     maps it to, and only the nodes the roots reach through those are built.
-    ``order`` is the :func:`walk` under the roots, when the caller has it.
     """
     store, root = value._dag()
     kinds, args = store.kinds, store.args
@@ -834,7 +837,7 @@ def rebuild(value, builder, replace: Mapping[int, bool] | None = None, dual: boo
         args = args.copy()
         for ref, children in reads.items():
             args[ref] = children
-    order = walk(args, roots) if order is None else order
+    order = walk(args, roots)
     need = None
     if dual and any(kinds[ref] == "not" for ref in order):
         # a not node flips the polarity its child is needed in
@@ -878,17 +881,60 @@ def rebuild(value, builder, replace: Mapping[int, bool] | None = None, dual: boo
 flip = World.flip  # ``flip(world, lit)``
 
 
-def condition(formula: Formula, lit: LiteralLike, order: list[int] | None = None) -> Formula:
+def cone(formula: Formula, index: int) -> list[int]:
+    """The nodes under ``formula`` that conditioning on variable ``index``
+    rebuilds, children first: the variable's literal nodes, every gate with a
+    child among them, and the gates that folding changes on their own (one
+    with a constant child, a ``not`` over a constant, an ``and`` or ``or``
+    with fewer than two children).  Every other node is its own image.
+    """
+    store = formula.universe._store
+    kinds, args = store.kinds, store.args
+    inside = {store.true, store.false}  # a constant child folds its gate
+    disjoint = inside.isdisjoint
+    nodes = []
+    for ref in walk(args, (formula.id,)):
+        arg = args[ref]
+        if type(arg) is tuple:
+            if not disjoint(arg) or len(arg) < 2 and kinds[ref] != "not":
+                inside.add(ref)
+                nodes.append(ref)
+        elif kinds[ref] == "lit" and arg >> 1 == index:
+            inside.add(ref)
+            nodes.append(ref)
+    return nodes
+
+
+def condition(formula: Formula, lit: LiteralLike, nodes: list[int] | None = None) -> Formula:
     """Substitute ``lit``'s variable by the matching constant and fold.
 
     The result never mentions the variable again; folding is deterministic
     (constant absorption plus single-child collapse) and nothing else is
-    simplified — equivalence, not syntax, is the contract.  ``order`` is the
-    :func:`walk` under ``formula``, when the caller has it.
+    simplified — equivalence, not syntax, is the contract.  Only the
+    :func:`cone` of the variable is rebuilt, children first, each node from
+    its children's images; a node outside it is its own image, the id that
+    interning would hand back, so the result and the nodes it adds to the
+    store are those of a whole-DAG :func:`rebuild`.  ``nodes`` is that cone,
+    when the caller has it.
     """
-    store = formula.universe._store
-    code = formula.universe.literal(lit).code
-    return store.finish(rebuild(formula, store, {code: True, code ^ 1: False}, order=order)[formula.id])
+    u = formula.universe
+    store = u._store
+    code = u.literal(lit).code
+    if nodes is None:
+        nodes = cone(formula, code >> 1)
+    kinds, args = store.kinds, store.args
+    images: dict[int, int] = {}
+    image = images.get
+    for ref in nodes:
+        kind, arg = kinds[ref], args[ref]
+        if kind == "lit":
+            out = store.true if arg == code else store.false
+        elif kind == "not":
+            out = store.negation(image(arg[0], arg[0]))
+        else:
+            out = store.fold(kind, [image(child, child) for child in arg])
+        images[ref] = out
+    return store.finish(image(formula.id, formula.id))
 
 
 def evaluate(formula: Formula, world: World) -> bool:

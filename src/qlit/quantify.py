@@ -8,7 +8,11 @@ up to logical equivalence only, so tests compare models, never syntax.
 
 :func:`quantify` is the one entry point for every representation: flat forms
 and verified Decision-DNNF or SDD circuits take their linear routines, and
-formulas, plain NNF and DNNF circuits take the definitional route.
+formulas, plain NNF and DNNF circuits take the definitional route.  There,
+each item's two conditionings rebuild only the item variable's cone (its
+literal nodes, the gates above them and the gates that fold on their own,
+marked once per item); every other node is its own image, so the result is
+the one a whole-DAG rebuild gives, node for node.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from . import tractable
-from .core import Annotation, Formula, Literal, Term, Variable, condition, walk
+from .core import Annotation, Formula, Literal, Term, Variable, condition, cone
 from .tractable import Cnf, Dnf
 
 __all__ = [
@@ -37,14 +41,15 @@ def _expand(formula: Formula, forall: bool, item) -> Formula:
     formula|~l``; a variable needs no guard."""
     u = formula.universe
     outer, inner = ("and", "or") if forall else ("or", "and")
-    order = walk(u._store.args, (formula.id,))  # one walk serves both conditionings
+    var = item.variable if isinstance(item, Literal) else item
+    nodes = cone(formula, var.index)  # one cone serves both conditionings
     if not isinstance(item, Literal):
-        pos = u.literal_by_code(2 * item.index + 1)
-        parts = [condition(formula, pos, order), condition(formula, ~pos, order)]
+        pos = u.literal_by_code(2 * var.index + 1)
+        parts = [condition(formula, pos, nodes), condition(formula, ~pos, nodes)]
     elif forall:
-        parts = [u.fold(inner, [u.lit(item), condition(formula, ~item, order)]), condition(formula, item, order)]
+        parts = [u.fold(inner, [u.lit(item), condition(formula, ~item, nodes)]), condition(formula, item, nodes)]
     else:
-        parts = [condition(formula, item, order), u.fold(inner, [u.lit(~item), condition(formula, ~item, order)])]
+        parts = [condition(formula, item, nodes), u.fold(inner, [u.lit(~item), condition(formula, ~item, nodes)])]
     return u.fold(outer, parts)
 
 
@@ -128,6 +133,7 @@ def quantify(value, quantifier: str, items: Iterable):
 
 def erase(term: Term, variables: Iterable[Variable]) -> Term:
     """Drop the literals of the given variables from ``term``."""
+    variables = list(variables)  # read once: the check would use up an iterator
     for var in variables:
         term.universe.check(var)
     return term.without_variables(variables)

@@ -137,6 +137,13 @@ class TestErase:
         term = u.term("x,~y")
         assert len(erase(term, list(u.variables))) == 0
 
+    def test_variables_from_a_generator(self):
+        u = Universe(["a", "b", "c"])
+        term = u.term("a,~b,c")
+        got = erase(term, (v for v in [u.variable("b")]))
+        assert str(got) == "a,c"
+        assert got == erase(term, [u.variable("b")])
+
 
 class TestSpotInvariants:
     """Small-volume versions of the laws the seeded harness runs at volume."""
