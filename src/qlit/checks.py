@@ -429,7 +429,7 @@ def _tractable(suite: _Suite) -> SuiteResult:
 
 
 def _disjoint_disjunctions(circuit) -> bool:
-    return "or" not in _var_bitmasks(circuit)[2]
+    return "or" not in _var_bitmasks(circuit)[1]
 
 
 def _reasons(suite: _Suite) -> SuiteResult:

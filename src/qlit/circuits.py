@@ -12,7 +12,9 @@ and the linear quantification routines on Decision-DNNF and SDD.
   <id> <k> <p1> <s1> ... <pk> <sk>`` partition nodes.  Ids are explicit,
   defined once, used after definition; the last defined node is the root.
 
-A circuit gets its class only from a verifier here (the readers call them).
+A Decision-DNNF or SDD gets its class only from a verifier here (the
+readers and the generators call them); a verifier's memory follows its
+walk's frontier.
 The quantification routines are single traversals that replace literals by
 constants; for the universal case the same traversal also makes the
 equivalence-preserving reshaping (the shift), one rule on the or-node
@@ -23,23 +25,25 @@ suite.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from .core import Annotation, Circuit, CircuitBuilder, Universe, _iter_bits, _var_patterns, rebuild, truth_table
+from .core import Annotation, Circuit, CircuitBuilder, Universe, _var_patterns, rebuild, truth_table
 from .errors import ParseError, StructureError
 from .io import _check_variables, _code, _ints, _note_name, _universe_names
-from .tractable import _codes
+from .tractable import _codes, partition_fault
 
 
 # -- circuit structure verification -----------------------------------------------
 
 
-def _var_bitmasks(circuit: Circuit) -> tuple[list[int], list[int], dict[str, int]]:
-    """The reachable node ids in order, the variables under each node as a
-    bitmask, by node id, and by kind the first gate whose children share a
-    variable."""
+def _var_bitmasks(circuit: Circuit) -> tuple[list[int], dict[str, int]]:
+    """The reachable node ids in order, and by kind the first gate whose
+    children share a variable.  The variables under a node are a bitmask,
+    dropped once the node's last reader has read it, so memory follows the
+    walk's frontier."""
     kinds, args = circuit.kinds, circuit.args
     order = circuit.order()
+    last = {child: i for i in order if type(args[i]) is tuple for child in args[i]}
     masks = [0] * len(kinds)
     shared: dict[str, int] = {}
     for i in order:
@@ -51,18 +55,21 @@ def _var_bitmasks(circuit: Circuit) -> tuple[list[int], list[int], dict[str, int
                     shared.setdefault(kinds[i], i)
                 acc |= masks[child]
             masks[i] = acc
+            for child in arg:  # after the reads: a gate may read a child twice
+                if last[child] == i:
+                    masks[child] = 0
         elif kinds[i] == "lit":
             masks[i] = 1 << (arg >> 1)
-    return order, masks, shared
+    return order, shared
 
 
-def _decomposable(circuit: Circuit) -> tuple[list[int], list[int]]:
-    """:func:`_var_bitmasks`, after checking that no and-node's children
-    share a variable."""
-    order, masks, shared = _var_bitmasks(circuit)
+def _decomposable(circuit: Circuit) -> list[int]:
+    """The reachable node ids in order, after checking that no and-node's
+    children share a variable."""
+    order, shared = _var_bitmasks(circuit)
     if "and" in shared:
         raise StructureError("and-node children share variables", shared["and"])
-    return order, masks
+    return order
 
 
 def verify_dnnf(circuit: Circuit) -> Circuit:
@@ -125,8 +132,7 @@ def _decision_table(circuit: Circuit, order) -> dict[int, tuple]:
 def verify_decision_dnnf(circuit: Circuit) -> Circuit:
     """Check decomposability plus the decision shape of every or-node; the
     verified circuit keeps each node's partition, for the shift."""
-    order, _ = _decomposable(circuit)
-    return circuit.with_annotation(Annotation.DECISION_DNNF, _decision_table(circuit, order))
+    return circuit.with_annotation(Annotation.DECISION_DNNF, _decision_table(circuit, _decomposable(circuit)))
 
 
 SDD_SEMANTIC_CHECK_CAP = 10  # prime variables; syntactic rules used above this
@@ -167,39 +173,37 @@ def verify_sdd(circuit: Circuit) -> Circuit:
     """Check decomposability plus the prime/sub partition of every or-node.
 
     Partitions are verified semantically (exhaustively over the prime
-    variables) up to 10 prime variables.  Above that every prime must be
-    term shaped (see :func:`_term_shape_codes`) and the terms must pass
+    variables, read from one walk of the primes) up to 10 prime variables.
+    Above that every prime must be term shaped (see
+    :func:`_term_shape_codes`) and the terms must pass
     :func:`partition_fault`: they clash pairwise and their shares 2**-|t|
     sum to 1.  The verified circuit keeps each node's partition
     ``((p1, (s1,)), ...)``, for the shift.
     """
-    order, masks = _decomposable(circuit)
-    kinds = circuit.kinds
+    order = _decomposable(circuit)
+    kinds, args = circuit.kinds, circuit.args
     partitions = {}
     for i in order:
         if kinds[i] != "or":
             continue
         elements = _sdd_elements(circuit, i)
-        prime_vars = 0
-        for prime, _ in elements:  # each element's and-node is decomposable
-            prime_vars |= masks[prime]
-        if prime_vars.bit_count() <= SDD_SEMANTIC_CHECK_CAP:
-            _check_partition_semantic(circuit, i, elements, prime_vars)
+        primes = tuple(prime for prime, _ in elements)
+        prime_vars = sorted({args[n] >> 1 for n in circuit.order(primes) if kinds[n] == "lit"})
+        if len(prime_vars) <= SDD_SEMANTIC_CHECK_CAP:
+            _check_partition_semantic(circuit, i, primes, prime_vars)
         else:
             _check_partition_syntactic(circuit, i, elements)
         partitions[i] = tuple((prime, (sub,)) for prime, sub in elements)
     return circuit.with_annotation(Annotation.SDD, partitions)
 
 
-def _check_partition_semantic(circuit: Circuit, or_id: int, elements, prime_vars: int) -> None:
-    """Truth tables of the primes over their variables (the bitmask
-    ``prime_vars``) must partition all rows."""
-    var_list = list(_iter_bits(prime_vars))
-    masks = dict(zip(var_list, _var_patterns(len(var_list))))
-    full = (1 << (1 << len(var_list))) - 1
+def _check_partition_semantic(circuit: Circuit, or_id: int, primes: tuple, prime_vars: list[int]) -> None:
+    """Truth tables of the primes over their variables, made in one walk,
+    must partition all rows."""
+    masks = dict(zip(prime_vars, _var_patterns(len(prime_vars))))
+    full = (1 << (1 << len(prime_vars))) - 1
     union = 0
-    for prime, _ in elements:
-        vector = truth_table(circuit, masks, full, root=prime)
+    for vector in truth_table(circuit, masks, full, root=primes):
         if vector == 0:
             raise StructureError("inconsistent prime", or_id)
         if union & vector:
@@ -217,38 +221,6 @@ def _check_partition_syntactic(circuit: Circuit, or_id: int, elements) -> None:
     if fault:
         raise StructureError("primes are not pairwise inconsistent" if fault == "overlap"
                              else "primes do not cover all assignments", or_id)
-
-
-def partition_fault(masks: Sequence[int]) -> str | None:
-    """``None`` when the consistent terms with literal-code masks ``masks``
-    (bit ``c`` for code ``c``) partition the worlds, ``"overlap"`` when two of
-    them do not clash (neither holds the complement of a literal of the
-    other), else ``"gap"``: their shares 2**-|t| do not sum to 1.  Masks of
-    non-valid clauses ask the same of the negated clauses.
-
-    A group of masks that all hold one variable, in both signs, splits on it
-    as a decision tree's leaves do; only a group with no such variable is
-    compared pair by pair.
-    """
-    low = 4 ** (max(masks, default=0).bit_length() // 2 + 1) // 3  # bit 2v: the literal ~v
-    groups = [masks]
-    while groups:
-        group = groups.pop()
-        held, union = -1, 0
-        for mask in group:
-            held &= mask | mask >> 1
-            union |= mask
-        split = held & union & union >> 1 & low  # in every mask, in both signs
-        if split:
-            bit = split & -split
-            groups += [mask for mask in group if mask & bit], [mask for mask in group if not mask & bit]
-            continue
-        flipped = [(mask & low) << 1 | mask >> 1 & low for mask in group]
-        for k in range(1, len(group)):
-            if not all(map(group[k].__and__, flipped[:k])):
-                return "overlap"
-    depth = max(map(int.bit_count, masks), default=0)
-    return None if sum(1 << depth - mask.bit_count() for mask in masks) == 1 << depth else "gap"
 
 
 # -- circuit quantification --------------------------------------------------------

@@ -352,8 +352,13 @@ class Universe:
         return store.finish(store.lit(spec if isinstance(spec, int) else self.literal(spec)))
 
     def gate(self, kind: str, parts: Iterable["Formula"]) -> "Formula":
+        """The ``kind`` gate over ``parts``, unfolded: ``and`` or ``or`` of
+        any arity, or ``not`` of one part."""
+        ids = tuple([part.id for part in parts])
+        if kind not in ("and", "or") and (kind != "not" or len(ids) != 1):
+            raise ValueError(f"no {kind!r} gate of {len(ids)} parts")
         store = self._store
-        return store.finish(store._add(kind, tuple([part.id for part in parts])))
+        return store.finish(store._add(kind, ids))
 
     def fold(self, kind: str, parts: Iterable["Formula"]) -> "Formula":
         """The ``kind`` gate over ``parts``, folded by :meth:`CircuitBuilder.fold`."""
@@ -591,14 +596,17 @@ class Formula:
 
     def __and__(self, other: "Formula") -> "Formula":
         self._same(other)
-        return self.universe.gate("and", (self, other))
+        store = self.universe._store
+        return store.finish(store._add("and", (self.id, other.id)))
 
     def __or__(self, other: "Formula") -> "Formula":
         self._same(other)
-        return self.universe.gate("or", (self, other))
+        store = self.universe._store
+        return store.finish(store._add("or", (self.id, other.id)))
 
     def __invert__(self) -> "Formula":
-        return self.universe.gate("not", (self,))
+        store = self.universe._store
+        return store.finish(store._add("not", (self.id,)))
 
     def implies(self, other: "Formula") -> "Formula":
         return ~self | other
@@ -983,7 +991,8 @@ class Circuit:
     none).  An SDD or-node's (prime, sub) pairs are its children's two
     children.  A constructed circuit is plain NNF: ``annotation``, its
     class, is set only by :meth:`with_annotation`, which a verifier calls
-    once it has proved the class, or a pass whose construction proves it.
+    once it has proved the class, or an existential pass, whose
+    construction proves its result a DNNF.
     For Decision-DNNF and SDD, ``partitions`` maps each reachable or-node
     to ``((prime, subs), ...)``: primes that partition the worlds, each
     conjoined with its subs; a decision ``(l & alpha) | (~l & beta)`` has

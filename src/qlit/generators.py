@@ -3,8 +3,8 @@
 Random formulas exercise the full connective set (including nested
 negation); random circuits are correct by construction: decision circuits
 come out of Shannon expansion with node sharing, partition circuits out of
-recursive cube splitting.  Each is verified, except the parity chain of the
-timing ladders, whose class its construction proves.
+recursive cube splitting.  Each is verified, the parity chain of the timing
+ladders included.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .core import (
-    Annotation,
     Circuit,
     CircuitBuilder,
     Clause,
@@ -23,7 +22,7 @@ from .core import (
     Universe,
     _var_patterns,
 )
-from .circuits import _decision_table, verify_decision_dnnf, verify_sdd
+from .circuits import verify_decision_dnnf, verify_sdd
 from .oracle import models_mask
 from .tractable import Cnf, Dnf
 
@@ -191,13 +190,7 @@ def random_decision_dnnf(universe: Universe, rng: random.Random) -> Circuit:
 
 
 def parity_decision_dnnf(universe: Universe) -> Circuit:
-    """A chain-shaped decision circuit (odd parity), linear in the universe.
-
-    Its construction proves its class, so the verifier is skipped: its
-    decomposability check keeps a bitmask of up to ``n`` bits per node,
-    memory quadratic on this chain, which the million-node timing ladders
-    cannot afford.
-    """
+    """A verified chain-shaped decision circuit (odd parity), linear in the universe."""
     n = len(universe)
     builder = CircuitBuilder(universe)
     even, odd = builder.const(True), builder.const(False)
@@ -212,8 +205,7 @@ def parity_decision_dnnf(universe: Universe) -> Circuit:
             decision=i,
         )
         even, odd = next_even, next_odd
-    circuit = builder.finish(odd)
-    return circuit.with_annotation(Annotation.DECISION_DNNF, _decision_table(circuit, circuit.order()))
+    return verify_decision_dnnf(builder.finish(odd))
 
 
 def big_random_cnf(universe: Universe, rng: random.Random, clauses: int, width: int = 3) -> Cnf:

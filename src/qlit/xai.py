@@ -49,10 +49,9 @@ from .errors import (
     UniverseMismatchError,
 )
 from . import oracle
-from .circuits import partition_fault
 from .formulas import prime_forms
 from .quantify import quantify
-from .tractable import Cnf, _drop
+from .tractable import Cnf, _drop, partition_fault
 
 __all__ = [
     "Decision",

@@ -248,6 +248,19 @@ class TestStructuralHashing:
         assert (x | y) is not (y | x)
         assert ~x is ~x
 
+    def test_gate_refuses_what_it_cannot_print_or_fold(self, xyz):
+        """An unknown kind, a ``not`` of other than one part, and a constant
+        (which would intern a second ``true``) are refused, adding no node;
+        ``and`` and ``or`` of any arity are gates."""
+        x, y = xyz.lit("x"), xyz.lit("y")
+        nodes = len(xyz._store.kinds)
+        for kind, parts in [("xor", [x, y]), ("not", [x, y]), ("not", []), ("true", [])]:
+            with pytest.raises(ValueError):
+                xyz.gate(kind, parts)
+        assert len(xyz._store.kinds) == nodes
+        assert xyz.gate("not", [x]) is ~x and xyz.gate("and", [x, y]) is x & y
+        assert str(xyz.gate("or", [x])) == "x" and xyz.gate("and", []).children == ()
+
     def test_mixed_universe_operation_rejected(self, xyz):
         other = Universe(["x"])
         with pytest.raises(UniverseMismatchError):
