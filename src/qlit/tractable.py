@@ -25,7 +25,7 @@ The circuit verifiers and routines are in :mod:`qlit.circuits` and ``prime_forms
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from importlib import import_module
 from itertools import repeat
 
@@ -194,38 +194,6 @@ class Dnf(_FlatForm):
 
     def is_true(self) -> bool:
         return () in self.codes
-
-
-def partition_fault(masks: Sequence[int]) -> str | None:
-    """``None`` when the consistent terms with literal-code masks ``masks``
-    (bit ``c`` for code ``c``) partition the worlds, ``"overlap"`` when two of
-    them do not clash (neither holds the complement of a literal of the
-    other), else ``"gap"``: their shares 2**-|t| do not sum to 1.  Masks of
-    non-valid clauses ask the same of the negated clauses.
-
-    A group of masks that all hold one variable, in both signs, splits on it
-    as a decision tree's leaves do; only a group with no such variable is
-    compared pair by pair.
-    """
-    low = 4 ** (max(masks, default=0).bit_length() // 2 + 1) // 3  # bit 2v: the literal ~v
-    groups = [masks]
-    while groups:
-        group = groups.pop()
-        held, union = -1, 0
-        for mask in group:
-            held &= mask | mask >> 1
-            union |= mask
-        split = held & union & union >> 1 & low  # in every mask, in both signs
-        if split:
-            bit = split & -split
-            groups += [mask for mask in group if mask & bit], [mask for mask in group if not mask & bit]
-            continue
-        flipped = [(mask & low) << 1 | mask >> 1 & low for mask in group]
-        for k in range(1, len(group)):
-            if not all(map(group[k].__and__, flipped[:k])):
-                return "overlap"
-    depth = max(map(int.bit_count, masks), default=0)
-    return None if sum(1 << depth - mask.bit_count() for mask in masks) == 1 << depth else "gap"
 
 
 # -- flat-form quantification ---------------------------------------------------

@@ -49,9 +49,10 @@ from .errors import (
     UniverseMismatchError,
 )
 from . import oracle
+from .circuits import partition_fault
 from .formulas import prime_forms
 from .quantify import quantify
-from .tractable import Cnf, _drop, partition_fault
+from .tractable import Cnf, _drop
 
 __all__ = [
     "Decision",

@@ -552,26 +552,6 @@ class TestImports:
             ).stdout
             assert out.splitlines()[-2:] == [f"0 {sorted(base + extra[name])}", "[]"], name
 
-    def test_decide_loads_no_circuit_module(self, loan_bundle_file):
-        """A classifier query on a bundle loads the formula readers and the
-        explanation layer, but not ``qlit.circuits``: the partition rule that
-        checks a CNF pair is in ``qlit.tractable``."""
-        import subprocess
-        import sys
-
-        script = (
-            "import sys\n"
-            "from qlit.cli import main\n"
-            f"code = main(['decide', '--classifier', {loan_bundle_file!r}, '--term', 'g,i'])\n"
-            "print(code, sorted(m for m in sys.modules if m.startswith('qlit')))\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=_child_env()
-        ).stdout
-        loaded = ["qlit", "qlit.cli", "qlit.core", "qlit.errors", "qlit.formulas", "qlit.io",
-                  "qlit.oracle", "qlit.quantify", "qlit.tractable", "qlit.xai"]
-        assert out.splitlines()[-1] == f"0 {loaded}"
-
     @pytest.mark.parametrize(
         "name, text",
         [
