@@ -12,24 +12,30 @@ and the linear quantification routines on Decision-DNNF and SDD.
   <id> <k> <p1> <s1> ... <pk> <sk>`` partition nodes.  Ids are explicit,
   defined once, used after definition; the last defined node is the root.
 
+Both readers make one pass over the lines, split one at a time, with no
+function call per node: ``int`` reads the fields of an ASCII text with no
+``_`` (else :func:`~qlit.io._ints`), and each node is interned straight
+into the builder's cache.  An error's line is worked out only when there
+is an error, by counting the lines that are neither blank nor comments.
 A Decision-DNNF or SDD gets its class only from a verifier here (the
 readers and the generators call them); a verifier's memory follows its
-walk's frontier.
-The quantification routines are single traversals that replace literals by
-constants; for the universal case the same traversal also makes the
-equivalence-preserving reshaping (the shift), one rule on the or-node
-partitions that the Decision-DNNF and SDD verifiers record.  Every routine
-here is oracle-checked against its definitional counterpart by the test
-suite.
+walk's frontier.  The quantification routines are single traversals that
+replace literals by constants; for the universal case the same traversal
+also makes the equivalence-preserving reshaping (the shift), one rule on
+the or-node partitions that the Decision-DNNF and SDD verifiers record.
+Every routine here is oracle-checked against its definitional counterpart
+by the test suite.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain, compress, islice
+from operator import itemgetter
 
 from .core import Annotation, Circuit, CircuitBuilder, Universe, _var_patterns, rebuild, truth_table
 from .errors import ParseError, StructureError
-from .io import _check_variables, _code, _ints, _note_name, _universe_names
+from .io import MAX_VARIABLES, _check_variables, _ints, _note_name, _universe_names
 from .tractable import _codes
 
 
@@ -40,15 +46,29 @@ def _var_bitmasks(circuit: Circuit) -> tuple[list[int], dict[str, int]]:
     """The reachable node ids in order, and by kind the first gate whose
     children share a variable.  The variables under a node are a bitmask,
     dropped once the node's last reader has read it, so memory follows the
-    walk's frontier."""
+    walk's frontier.  The walk runs only when a node other than the root
+    has no parent; else every node is reachable (children come first)."""
     kinds, args = circuit.kinds, circuit.args
-    order = circuit.order()
-    last = {child: i for i in order if type(args[i]) is tuple for child in args[i]}
+    orphans = len(set(chain.from_iterable(arg for arg in args if type(arg) is tuple))) != len(kinds) - 1
+    order = circuit.order() if orphans or circuit.root != len(kinds) - 1 else list(range(len(kinds)))
+    last = {child: i for i in order if type(args[i]) is tuple for child in args[i]}  # a later reader overwrites
     masks = [0] * len(kinds)
     shared: dict[str, int] = {}
     for i in order:
         arg = args[i]
-        if type(arg) is tuple:
+        if type(arg) is not tuple:
+            if kinds[i] == "lit":
+                masks[i] = 1 << (arg >> 1)
+        elif len(arg) == 2:  # the usual gate, without the loops
+            a, b = arg
+            if masks[a] & masks[b]:
+                shared.setdefault(kinds[i], i)
+            masks[i] = masks[a] | masks[b]
+            if last[a] == i:
+                masks[a] = 0
+            if last[b] == i:
+                masks[b] = 0
+        else:
             acc = 0
             for child in arg:
                 if acc & masks[child]:
@@ -58,8 +78,6 @@ def _var_bitmasks(circuit: Circuit) -> tuple[list[int], dict[str, int]]:
             for child in arg:  # after the reads: a gate may read a child twice
                 if last[child] == i:
                     masks[child] = 0
-        elif kinds[i] == "lit":
-            masks[i] = 1 << (arg >> 1)
     return order, shared
 
 
@@ -74,11 +92,8 @@ def _decomposable(circuit: Circuit) -> list[int]:
 
 def verify_dnnf(circuit: Circuit) -> Circuit:
     """Check decomposability: no and-node's children share a variable.
-
-    Returns a DNNF sharing the nodes; the argument is unchanged.  A circuit
-    that already has a proved class, DNNF or stronger, is returned as it
-    is, without a walk.
-    """
+    Returns a DNNF sharing the nodes, the argument unchanged; a circuit with
+    a proved class, DNNF or stronger, is returned as it is, without a walk."""
     if circuit.annotation != Annotation.NNF:
         return circuit
     _decomposable(circuit)
@@ -89,42 +104,36 @@ def _decision_table(circuit: Circuit, order) -> dict[int, tuple]:
     """Map each or-node among ``order`` to the partition ``((l, alpha),
     (~l, beta))`` of its ``(l & alpha) | (~l & beta)``: the ids of the
     decision literals, and of each branch's other children, literals last
-    in code order.  Raises at the first node without the decision shape."""
+    in code order (one literal per branch needs no sort).  Raises at the
+    first node without the decision shape."""
     kinds, args, decisions = circuit.kinds, circuit.args, circuit.decisions
     table = {}
-    for i in order:
-        if kinds[i] != "or":
-            continue
-        children = args[i]
-        if len(children) != 2:
+    for i in compress(order, map("or".__eq__, map(kinds.__getitem__, order))):
+        if len(args[i]) != 2:
             raise StructureError("decision node needs exactly two branches", i)
-        branches = []
-        for child in children:
+        sides = []
+        for child in args[i]:
             while kinds[child] == "and" and len(args[child]) == 1:
                 child = args[child][0]
-            if kinds[child] == "and":
-                branches.append(args[child])
-            elif kinds[child] == "lit":
-                branches.append((child,))
-            else:
+            if kinds[child] not in ("and", "lit"):
                 raise StructureError("decision branch is not a literal conjunction", i)
-        first, second = branches
-        flipped = {args[n] ^ 1: n for n in second if kinds[n] == "lit"}
-        decided = sorted([(args[n], n) for n in first if kinds[n] == "lit" and args[n] in flipped])
-        if not decided:
-            raise StructureError("branches do not decide a common variable", i)
-        code, lit = decided[0]
-        if decisions[i] >= 0 and decisions[i] != code >> 1:
+            lits, rest = [], []
+            for n in args[child] if kinds[child] == "and" else (child,):
+                (lits if kinds[n] == "lit" else rest).append(n)
+            sides += lits, rest
+        lits, alpha, negs, beta = sides
+        if len(lits) == len(negs) == 1 and args[lits[0]] ^ 1 == args[negs[0]]:
+            lit, negation = lits[0], negs[0]
+        else:
+            flipped = {args[n] ^ 1: n for n in negs}
+            decided = sorted([(args[n], n) for n in lits if args[n] in flipped])
+            if not decided:
+                raise StructureError("branches do not decide a common variable", i)
+            lit, negation = decided[0][1], flipped[decided[0][0]]
+            alpha += [n for _, n in sorted((args[n], n) for n in lits if n != lit)]
+            beta += [n for _, n in sorted((args[n], n) for n in negs if n != negation)]
+        if decisions[i] >= 0 and decisions[i] != args[lit] >> 1:
             raise StructureError("declared decision variable does not match shape", i)
-        negation = flipped[code]
-        alpha = [n for n in first if kinds[n] != "lit"]
-        beta = [n for n in second if kinds[n] != "lit"]
-        if len(alpha) + 1 < len(first):
-            alpha += [n for _, n in sorted(
-                (args[n], n) for n in first if kinds[n] == "lit" and n != lit)]
-        if len(beta) + 1 < len(second):
-            beta += [n for _, n in sorted(
-                (args[n], n) for n in second if kinds[n] == "lit" and n != negation)]
         table[i] = ((lit, tuple(alpha)), (negation, tuple(beta)))
     return table
 
@@ -172,28 +181,28 @@ def _term_shape_codes(circuit: Circuit, root: int) -> list[int] | None:
 def verify_sdd(circuit: Circuit) -> Circuit:
     """Check decomposability plus the prime/sub partition of every or-node.
 
-    Partitions are verified semantically (exhaustively over the prime
-    variables, read from one walk of the primes) up to 10 prime variables.
-    Above that every prime must be term shaped (see
-    :func:`_term_shape_codes`) and the terms must pass
-    :func:`partition_fault`: they clash pairwise and their shares 2**-|t|
-    sum to 1.  The verified circuit keeps each node's partition
+    Two complementary literal primes partition the worlds.  Other partitions
+    are verified semantically (exhaustively over the prime variables, read
+    from one walk of the primes) up to 10 prime variables; above that every
+    prime must be term shaped (see :func:`_term_shape_codes`) and the terms
+    must pass :func:`partition_fault`: they clash pairwise and their shares
+    2**-|t| sum to 1.  The verified circuit keeps each node's partition
     ``((p1, (s1,)), ...)``, for the shift.
     """
     order = _decomposable(circuit)
     kinds, args = circuit.kinds, circuit.args
     partitions = {}
-    for i in order:
-        if kinds[i] != "or":
-            continue
+    for i in compress(order, map("or".__eq__, map(kinds.__getitem__, order))):
         elements = _sdd_elements(circuit, i)
-        primes = tuple(prime for prime, _ in elements)
-        prime_vars = sorted({args[n] >> 1 for n in circuit.order(primes) if kinds[n] == "lit"})
-        if len(prime_vars) <= SDD_SEMANTIC_CHECK_CAP:
-            _check_partition_semantic(circuit, i, primes, prime_vars)
-        else:
-            _check_partition_syntactic(circuit, i, elements)
-        partitions[i] = tuple((prime, (sub,)) for prime, sub in elements)
+        primes = tuple(map(itemgetter(0), elements))
+        p, q = primes[0], primes[-1]
+        if not (len(primes) == 2 and kinds[p] == kinds[q] == "lit" and args[p] ^ 1 == args[q]):
+            prime_vars = sorted({args[n] >> 1 for n in circuit.order(primes) if kinds[n] == "lit"})
+            if len(prime_vars) <= SDD_SEMANTIC_CHECK_CAP:
+                _check_partition_semantic(circuit, i, primes, prime_vars)
+            else:
+                _check_partition_syntactic(circuit, i, elements)
+        partitions[i] = tuple(zip(primes, zip(map(itemgetter(1), elements))))  # ((p1, (s1,)), ...)
     return circuit.with_annotation(Annotation.SDD, partitions)
 
 
@@ -331,12 +340,10 @@ def sdd_exists(circuit: Circuit, lits: Iterable) -> Circuit:
 
 def sdd_shift(circuit: Circuit) -> Circuit:
     """Rewrite every ``(p1 & s1) | ... | (pn & sn)`` into the equivalent
-    ``(~p1 | s1) & ... & (~pn | sn)``.
-
-    Prime negations come from one dual rebuild of all primes, so the output
-    has at most twice the nodes of the input; disjuncts never share
-    variables.  One pass, which never makes the element conjunctions.
-    """
+    ``(~p1 | s1) & ... & (~pn | sn)``.  Prime negations come from one dual
+    rebuild of all primes, so the output has at most twice the nodes of the
+    input; disjuncts never share variables.  One pass, which never makes the
+    element conjunctions."""
     return _shift(_require(circuit, Annotation.SDD), {})
 
 
@@ -350,205 +357,200 @@ def sdd_forall(circuit: Circuit, lits: Iterable) -> Circuit:
 # -- compiled NNF circuits -----------------------------------------------------------
 
 
+class _Fault(Exception):
+    """A reader's error on the line it reads; the line is counted after."""
+
+
+def _rows(text: str):
+    """The lines; the fields of each line that is neither blank nor a comment,
+    split as read; the names of all ``c var`` comments; and whether ``int``
+    may read the fields (ASCII with no ``_``; else :func:`_ints` does)."""
+    lines = text.splitlines()
+    names: dict[int, tuple[str, int]] = {}
+    comments = [k for k, line in enumerate(lines) if line.lstrip()[:1] == "c"] if "c" in text else ()
+    for k in comments:
+        _note_name(lines[k], names, k + 1)
+    body = [line for line in lines if line.lstrip()[:1] != "c"] if comments else lines
+    return lines, filter(None, map(str.split, body)), names, text.isascii() and "_" not in text
+
+
+def _line_of(lines: list[str], row: int) -> int:
+    """The line of row ``row`` (from 0) of those neither blank nor comments."""
+    return next(islice((k for k, line in enumerate(lines, 1) if line.lstrip()[:1] not in ("", "c")), row, None))
+
+
 def parse_nnf(text: str, universe: Universe | None = None) -> Circuit:
     """Parse a compiled circuit, with the strongest class that a verifier
     proves: Decision-DNNF, DNNF, else plain NNF.  The universe is built once
     every line has been read and checked (a builder reads its universe only
     in ``finish``)."""
-    lines = text.splitlines()
-    header = None
-    builder = CircuitBuilder(universe)
-    ids: list[int] = []
-    add, push, at = builder._add, ids.append, ids.__getitem__
-    declared_edges = 0
-    edges = 0
-    decisions_declared = True  # every or-node names its decision variable
-    names: dict[int, tuple[str, int]] = {}
-
-    for number, line in enumerate(lines, 1):
-        fields = line.split()
-        if not fields:
-            continue
-        kind = fields[0]
-        if kind[0] == "c":
-            _note_name(line, names, number)
-            continue
-        if header is None:
-            if kind != "nnf" or len(fields) != 4:
-                raise ParseError("expected header 'nnf <nodes> <edges> <vars>'", number)
-            try:
-                header = _ints(fields[1:])
-            except ValueError:
-                raise ParseError("non-numeric header counts", number) from None
-            nvars = header[2]
-            _check_variables(nvars, number)
-            if universe is None:
-                spec = _universe_names(names, nvars)
-                nvars = max(nvars, 0)  # a negative count declares no variable
-            elif len(universe) != nvars:
-                raise ParseError(
-                    f"header declares {nvars} variables, universe has {len(universe)}",
-                    number,
-                )
-            declared_edges = header[1]
-            continue
-
-        try:
-            numbers = _ints(fields[1:])
-        except ValueError:
-            raise ParseError("non-numeric node fields", number) from None
-
-        if kind == "L":
-            if len(numbers) != 1 or numbers[0] == 0:
-                raise ParseError("literal node needs one nonzero integer", number)
-            value = numbers[0]
-            if abs(value) > nvars:
-                raise ParseError(f"literal {value} out of range", number)
-            push(add("lit", _code(value)))
-            continue
-        if kind == "A":
-            if not numbers or numbers[0] != len(numbers) - 1:
-                raise ParseError("and-node child count mismatch", number)
-            gate, decision_var = "and", 0
-        elif kind == "O":
-            if len(numbers) < 2 or numbers[1] != len(numbers) - 2:
-                raise ParseError("or-node child count mismatch", number)
-            gate, decision_var = "or", numbers[0]
-            if decision_var < 0 or decision_var > nvars:
-                raise ParseError(f"decision variable {decision_var} out of range", number)
-            del numbers[0]
-        else:
-            raise ParseError(f"unknown node kind {kind!r}", number)
-        # the children are the builder ids of the earlier lines named
-        del numbers[0]
-        if not numbers:
-            push(builder.const(gate == "and"))
-            continue
-        if min(numbers) < 0 or max(numbers) >= len(ids):
-            bad = next(ref for ref in numbers if not 0 <= ref < len(ids))
-            raise ParseError(f"forward or invalid reference {bad}", number)
-        edges += len(numbers)
-        push(add(gate, tuple(map(at, numbers)), decision_var - 1))
-        decisions_declared = decisions_declared and (decision_var != 0 or gate == "and")
-
+    lines, rows, names, plain = _rows(text)
+    header = next(rows, None)
     if header is None:
         raise ParseError("missing 'nnf' header", max(len(lines), 1))
+    number = _line_of(lines, 0)
+    if header[0] != "nnf" or len(header) != 4:
+        raise ParseError("expected header 'nnf <nodes> <edges> <vars>'", number)
+    try:
+        nodes, declared_edges, nvars = _ints(header[1:])
+    except ValueError:
+        raise ParseError("non-numeric header counts", number) from None
+    _check_variables(nvars, number)
+    if universe is None:
+        spec = _universe_names(names, nvars)
+        nvars = max(nvars, 0)  # a negative count declares no variable
+    elif len(universe) != nvars:
+        raise ParseError(f"header declares {nvars} variables, universe has {len(universe)}", number)
+
+    builder = CircuitBuilder(universe)
+    cache, intern = builder._cache, builder._cache.setdefault  # a new node's id is the cache's size
+    ids: list[int] = []  # the builder id of each node line
+    push, at = ids.append, ids.__getitem__
+    edges, decided = 0, True
+    try:
+        for fields in rows:
+            kind = fields[0]
+            try:
+                numbers = list(map(int, fields[1:])) if plain else _ints(fields[1:])
+            except ValueError:
+                raise _Fault("non-numeric node fields") from None
+            if kind == "A":
+                if not numbers or numbers.pop(0) != len(numbers):  # the count, then the children left
+                    raise _Fault("and-node child count mismatch")
+                gate, decision = "and", -1
+            elif kind == "L":
+                value = numbers[0] if len(numbers) == 1 else 0
+                if not value or not -nvars <= value <= nvars:
+                    raise _Fault(f"literal {value} out of range" if value else "literal node needs one nonzero integer")
+                push(intern(("lit", 2 * value - 1 if value > 0 else -2 * value - 2, -1), len(cache)))
+                continue
+            elif kind == "O":
+                if len(numbers) < 2 or numbers[1] != len(numbers) - 2:
+                    raise _Fault("or-node child count mismatch")
+                if not 0 <= numbers[0] <= nvars:
+                    raise _Fault(f"decision variable {numbers[0]} out of range")
+                gate, decision = "or", numbers[0] - 1
+                del numbers[:2]
+                decided = decided and (decision >= 0 or not numbers)
+            else:
+                raise _Fault(f"unknown node kind {kind!r}")
+            if not numbers:
+                push(intern(("true" if gate == "and" else "false", None, -1), len(cache)))
+            elif min(numbers) < 0 or max(numbers) >= len(ids):
+                raise _Fault(f"forward or invalid reference {next(n for n in numbers if not 0 <= n < len(ids))}")
+            else:  # the children are the builder ids of the earlier lines named
+                edges += len(numbers)
+                push(intern((gate, tuple(map(at, numbers)), decision), len(cache)))
+    except _Fault as fault:
+        raise ParseError(str(fault), _line_of(lines, len(ids) + 1)) from None
     if not ids:
         raise ParseError("circuit has no nodes", len(lines))
-    if header[0] != len(ids):
-        raise ParseError(
-            f"header declares {header[0]} nodes, found {len(ids)}", len(lines)
-        )
+    if nodes != len(ids):
+        raise ParseError(f"header declares {nodes} nodes, found {len(ids)}", len(lines))
     if declared_edges != edges:
-        raise ParseError(
-            f"header declares {declared_edges} edges, found {edges}", len(lines)
-        )
+        raise ParseError(f"header declares {declared_edges} edges, found {edges}", len(lines))
 
+    builder.kinds, builder.args, builder.decisions = [k[0] for k in cache], [k[1] for k in cache], [k[2] for k in cache]
     builder.universe = Universe(spec) if universe is None else universe
     circuit = builder.finish(ids[-1])
-    if decisions_declared:
+    for verify in (verify_decision_dnnf, verify_dnnf)[not decided:]:  # when every or-node names its variable
         try:
-            return verify_decision_dnnf(circuit)
+            return verify(circuit)
         except StructureError:
             pass
-    try:
-        return verify_dnnf(circuit)
-    except StructureError:
-        return circuit
+    return circuit
 
 
 def emit_nnf(circuit: Circuit) -> str:
-    universe = circuit.universe
-    dimacs = universe._dimacs
-    body: list[str] = []
-    edges = 0
-    for kind, arg, decision in zip(circuit.kinds, circuit.args, circuit.decisions):
-        if kind == "lit":
-            body.append("L " + dimacs[arg])
-        elif kind == "and":
-            edges += len(arg)
-            body.append("A " + " ".join(map(str, (len(arg), *arg))))
-        elif kind == "or":
-            edges += len(arg)
-            body.append(f"O {decision + 1} " + " ".join(map(str, (len(arg), *arg))))
+    """The ``.nnf`` text: each line joins the texts of its node's ids, made
+    once per id, and literals and decision variables print from the
+    universe's DIMACS texts."""
+    kinds, args, dimacs = circuit.kinds, circuit.args, circuit.universe._dimacs
+    gates = [arg for arg in args if type(arg) is tuple]
+    texts = list(map(str, range(max(len(kinds), *map(len, gates), 0) + 1)))
+    at = texts.__getitem__
+    body = [f"nnf {len(kinds)} {sum(map(len, gates))} {len(circuit.universe)}"]
+    push = body.append
+    for kind, arg, decision in zip(kinds, args, circuit.decisions):
+        if kind == "and" or kind == "or":
+            head = "A " if kind == "and" else "O " + str(decision + 1) + " "
+            push(head + texts[len(arg)] + " " + " ".join(map(at, arg)) if arg else head + "0")
+        elif kind == "lit":
+            push("L " + dimacs[arg])
         else:
-            body.append("A 0" if kind == "true" else "O 0 0")
-    header = f"nnf {len(body)} {edges} {len(universe)}"
-    return "\n".join([header, *body]) + "\n"
+            push("A 0" if kind == "true" else "O 0 0")
+    push("")
+    return "\n".join(body)
 
 
 # -- SDD circuits ----------------------------------------------------------------------
 
 
 def parse_sdd(text: str, universe: Universe | None = None) -> Circuit:
-    """Parse an SDD description and verify its partition invariants."""
-    lines = text.splitlines()
-    entries: list[tuple[int, str, list[int], int]] = []  # (id, kind, payload, line)
-    max_var = 0
-    names: dict[int, tuple[str, int]] = {}
-    for number, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            _note_name(line, names, number)
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
-            numbers = _ints(fields[1:])
-        except ValueError:
-            raise ParseError("non-numeric fields", number) from None
-        if kind in ("T", "F"):
-            if len(numbers) != 1:
-                raise ParseError("constant node needs exactly an id", number)
-        elif kind == "L":
-            if len(numbers) != 2 or numbers[1] == 0:
-                raise ParseError("literal node needs an id and a nonzero literal", number)
-            max_var = max(max_var, abs(numbers[1]))
-            _check_variables(max_var, number)
-        elif kind == "D":
-            if len(numbers) < 2:
-                raise ParseError("decomposition node needs an id and a count", number)
-            count = numbers[1]
-            if count < 1 or len(numbers) != 2 + 2 * count:
-                raise ParseError(
-                    f"decomposition declares {count} elements, fields disagree", number
-                )
-        else:
-            raise ParseError(f"unknown node kind {kind!r}", number)
-        entries.append((numbers[0], kind, numbers[1:], number))
-
-    if not entries:
+    """Parse an SDD description and verify its partition invariants.  One
+    pass checks each line's fields and builds its node; a node id defined
+    twice, a reference to an undefined node or a literal outside the given
+    universe waits until every line's fields are checked."""
+    lines, rows, names, plain = _rows(text)
+    builder = CircuitBuilder(universe)
+    cache, intern = builder._cache, builder._cache.setdefault  # a new node's id is the cache's size
+    by_id: dict[int, int] = {}
+    nvars = MAX_VARIABLES if universe is None else len(universe)
+    max_var, root, row, later = 0, -1, -1, None
+    try:
+        for row, fields in enumerate(rows):
+            kind = fields[0]
+            try:
+                numbers = list(map(int, fields[1:])) if plain else _ints(fields[1:])
+            except ValueError:
+                raise _Fault("non-numeric fields") from None
+            if kind == "D":
+                if len(numbers) < 2:
+                    raise _Fault("decomposition node needs an id and a count")
+                if numbers[1] < 1 or len(numbers) != 2 + 2 * numbers[1]:
+                    raise _Fault(f"decomposition declares {numbers[1]} elements, fields disagree")
+            elif kind == "L":
+                if len(numbers) != 2 or not numbers[1]:
+                    raise _Fault("literal node needs an id and a nonzero literal")
+                value = numbers[1]
+                max_var = max(max_var, value, -value)
+                if max_var > MAX_VARIABLES:
+                    raise _Fault("")  # the limit's own error, below
+            elif kind != "T" and kind != "F":
+                raise _Fault(f"unknown node kind {kind!r}")
+            elif len(numbers) != 1:
+                raise _Fault("constant node needs exactly an id")
+            if later is not None or numbers[0] in by_id:
+                later = later or (f"node id {numbers[0]} defined twice", row)
+                continue
+            if kind == "D":
+                refs = list(map(by_id.get, numbers[2:]))
+                if None in refs:
+                    later = f"reference to undefined node {numbers[2 + refs.index(None)]}", row
+                    continue
+                elements = []
+                for k in range(0, len(refs), 2):
+                    elements.append(intern(("and", (refs[k], refs[k + 1]), -1), len(cache)))
+                key = ("or", tuple(elements), -1)
+            elif kind == "L":
+                if not -nvars <= value <= nvars:
+                    later = f"literal {value} out of range", row
+                    continue
+                key = ("lit", 2 * value - 1 if value > 0 else -2 * value - 2, -1)
+            else:
+                key = ("true" if kind == "T" else "false", None, -1)
+            root = by_id[numbers[0]] = intern(key, len(cache))
+    except _Fault as fault:
+        number = _line_of(lines, row)
+        _check_variables(max_var, number)
+        raise ParseError(str(fault), number) from None
+    if row < 0:
         raise ParseError("empty SDD description", max(len(lines), 1))
     # the universe is built once every line has been checked (see parse_nnf)
     spec = _universe_names(names, max_var) if universe is None else None
-    nvars = max_var if universe is None else len(universe)
-    builder = CircuitBuilder(universe)
-    by_id: dict[int, int] = {}
-    root = -1
-    for node_id, kind, payload, number in entries:
-        if node_id in by_id:
-            raise ParseError(f"node id {node_id} defined twice", number)
-        if kind == "T":
-            root = builder.const(True)
-        elif kind == "F":
-            root = builder.const(False)
-        elif kind == "L":
-            value = payload[0]
-            if abs(value) > nvars:
-                raise ParseError(f"literal {value} out of range", number)
-            root = builder.lit(_code(value))
-        else:
-            count = payload[0]
-            children = []
-            for k in range(count):
-                p_id, s_id = payload[1 + 2 * k], payload[2 + 2 * k]
-                for ref in (p_id, s_id):
-                    if ref not in by_id:
-                        raise ParseError(f"reference to undefined node {ref}", number)
-                children.append(builder.add_and((by_id[p_id], by_id[s_id])))
-            root = builder.add_or(children)
-        by_id[node_id] = root
-
+    if later is not None:
+        raise ParseError(later[0], _line_of(lines, later[1]))
+    builder.kinds, builder.args, builder.decisions = [k[0] for k in cache], [k[1] for k in cache], [k[2] for k in cache]
     builder.universe = Universe(spec) if universe is None else universe
     return verify_sdd(builder.finish(root))
 
@@ -572,9 +574,7 @@ def emit_sdd(circuit: Circuit) -> str:
         return len(lines) - 1
 
     def leaf(key: tuple, line: str) -> int:
-        if key not in leaves:
-            leaves[key] = define(line)
-        return leaves[key]
+        return leaves[key] if key in leaves else leaves.setdefault(key, define(line))
 
     def literal(code: int) -> int:
         return leaf(("lit", code), "L {} " + circuit.universe._dimacs[code])

@@ -23,7 +23,7 @@ from qlit.generators import (
     random_decision_dnnf,
     random_sdd,
 )
-from qlit.io import parse_formula, parse_nnf
+from qlit.io import emit_nnf, parse_formula, parse_nnf, parse_sdd
 from qlit import oracle
 from qlit.quantify import exists_literal
 from qlit.tractable import cnf_forall_literal, ddnnf_exists, ddnnf_forall, sdd_forall
@@ -310,6 +310,46 @@ class TestCriterion8:
             "8", f"decision-circuit universal quantification linearity (R^2 {r2:.4f})",
             failures,
         )
+
+
+def _sdd_chain(nvars: int) -> str:
+    """An SDD text of about ``8 * nvars`` circuit nodes: per variable two
+    partitions ``(x & s) | (~x & s')`` over the two of the level below."""
+    lines = ["T 0", "F 1"]
+    low, high = 0, 1
+    for var in range(1, nvars + 1):
+        pos, neg, at = len(lines), len(lines) + 1, len(lines) + 2
+        lines += [f"L {pos} {var}", f"L {neg} {-var}",
+                  f"D {at} 2 {pos} {low} {neg} {high}", f"D {at + 1} 2 {pos} {high} {neg} {low}"]
+        low, high = at, at + 1
+    return "\n".join(lines) + "\n"
+
+
+class TestReaderLinearity:
+    """The readers, verification included, on chains of 10^3 to 10^5 nodes:
+    ``parse_nnf`` on emitted parity chains and ``parse_sdd`` on SDD chains."""
+
+    @pytest.mark.parametrize("fmt", ["nnf", "sdd"])
+    def test_reader_linearity(self, fmt):
+        failures: list[str] = []
+        sizes, times = [], []
+        for target in (1_000, 10_000, 30_000, 100_000):
+            if fmt == "nnf":
+                text, parse = emit_nnf(parity_decision_dnnf(Universe(target // 8))), parse_nnf
+            else:
+                text, parse = _sdd_chain(target // 8), parse_sdd
+            runs = []
+            for _ in range(3 if target < 100_000 else 1):
+                started = time.perf_counter()
+                circuit = parse(text)
+                runs.append(time.perf_counter() - started)
+            check(failures, circuit.annotation == ("decision-dnnf" if fmt == "nnf" else "sdd"),
+                  f"{circuit.annotation} at {len(circuit)} nodes")
+            sizes.append(len(circuit))
+            times.append(min(runs))
+        r2 = _fit_r_squared(sizes, times)
+        check(failures, r2 >= 0.98, f"linear fit R^2 = {r2:.4f} < 0.98")
+        report("8", f"{fmt} reader linearity (R^2 {r2:.4f})", failures)
 
 
 def _timed(thunk) -> float:

@@ -173,6 +173,15 @@ class TestVarComments:
         assert caught.value.line == 11
 
     @pytest.mark.parametrize("fmt", sorted(PARSERS))
+    def test_names_after_the_body_are_read(self, fmt):
+        parse, body = self.PARSERS[fmt]
+        value = parse(body + "c var 1 a\nc var 2 b\n")
+        assert [v.name for v in value.universe] == ["a", "b"]
+        with pytest.raises(ParseError, match="duplicate variable name 'a'") as caught:
+            parse(body + "c var 1 a\nc var 2 a\n")
+        assert caught.value.line == len(body.splitlines()) + 2
+
+    @pytest.mark.parametrize("fmt", sorted(PARSERS))
     def test_names_that_do_not_cover_the_variables_are_ignored(self, fmt):
         parse, body = self.PARSERS[fmt]
         circuit = parse("c var 1 a\nc var 3 a\n" + body)
