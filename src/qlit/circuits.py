@@ -33,7 +33,7 @@ from collections.abc import Iterable, Sequence
 from itertools import chain, compress, islice
 from operator import itemgetter
 
-from .core import Annotation, Circuit, CircuitBuilder, Universe, _var_patterns, rebuild, truth_table
+from .core import Annotation, Circuit, CircuitBuilder, Universe, _last_readers, _var_patterns, rebuild, truth_table
 from .errors import ParseError, StructureError
 from .io import MAX_VARIABLES, _check_variables, _ints, _note_name, _universe_names
 from .tractable import _codes
@@ -51,7 +51,7 @@ def _var_bitmasks(circuit: Circuit) -> tuple[list[int], dict[str, int]]:
     kinds, args = circuit.kinds, circuit.args
     orphans = len(set(chain.from_iterable(arg for arg in args if type(arg) is tuple))) != len(kinds) - 1
     order = circuit.order() if orphans or circuit.root != len(kinds) - 1 else list(range(len(kinds)))
-    last = {child: i for i in order if type(args[i]) is tuple for child in args[i]}  # a later reader overwrites
+    last = _last_readers(args, order)
     masks = [0] * len(kinds)
     shared: dict[str, int] = {}
     for i in order:

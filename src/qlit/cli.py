@@ -42,11 +42,11 @@ def _sniff(text: str) -> str:
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):  # the parsers' comments
             continue
-        if stripped.startswith("p cnf"):
-            return "cnf"
-        if stripped.startswith("nnf"):
-            return "ddnnf"
         fields = stripped.split()
+        if fields[:2] == ["p", "cnf"]:
+            return "cnf"
+        if fields[0] == "nnf":
+            return "ddnnf"
         if fields[0] in ("T", "F", "L", "D") and len(fields) > 1 and _all_ints(fields[1:]):
             return "sdd"
         return "formula"

@@ -26,10 +26,11 @@ formulas use ``not``, whose argument is the one-child tuple.  A
 Every pass is written once, on the ids of the store and root that a value
 gives.  :func:`walk` lists the ids under some roots, children first.
 :func:`truth_table` evaluates one or several roots of a DAG in one walk on
-bit-parallel variable masks, one world per bit; past 16 variables it frees
-each node's table after the last reader and makes a literal's table at each
-reader, and ``_var_patterns`` builds the masks by doubling, once per number
-of variables.
+bit-parallel variable masks, one world per bit.  It keeps every node's
+table when the tables are at most ``2**16`` bits wide and fit in 8 MiB;
+otherwise it frees each table after its last reader and makes a literal's
+table at each reader.  ``_var_patterns`` builds the masks by doubling, once
+per number of variables.
 :func:`rebuild` copies a DAG into a builder: it replaces literals by
 constants, builds the De Morgan dual on request and folds every gate by
 :meth:`CircuitBuilder.fold`.  Conditioning stays in the store and rebuilds
@@ -43,7 +44,7 @@ DAG.
 from __future__ import annotations
 
 import threading
-from collections import Counter, deque, namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
 from itertools import chain, count, cycle, repeat
@@ -189,8 +190,9 @@ class Universe:
         self._dimacs = _by_code(["-" + number for number in numbers], numbers)
         self._store = _Store(self)
         self._node_cache: dict[tuple, int] = self._store._cache
-        # the oracle's truth tables of formula nodes, by id (small universes);
-        # the oracle replaces it with an empty one when it is full
+        # the oracle's truth tables of the roots it was asked for, by id
+        # (small universes); the oracle replaces it with an empty one when
+        # it is full
         self._oracle_mask_cache: dict[int, int] = {}
         self.true = self._store.finish(self._store.true)
         self.false = self._store.finish(self._store.false)
@@ -633,7 +635,7 @@ class Formula:
         return f"Formula({self})"
 
 
-_PRECEDENCE = {"iff": 1, "implies": 2, "or": 3, "and": 4, "not": 5, "atom": 6}
+_PRECEDENCE = {"or": 1, "and": 2, "not": 3}
 
 
 def _format(store: "_Store", root: int) -> str:
@@ -674,35 +676,50 @@ def _format(store: "_Store", root: int) -> str:
 # -- the shared DAG walk and its two loops ---------------------------------------
 
 
-def walk(args: Sequence, roots: Iterable[int], done=()) -> list[int]:
+def walk(args: Sequence, roots: Iterable[int]) -> list[int]:
     """The ids of the nodes under ``roots``, roots included, children first.
 
     A node's children are its tuple argument in ``args``.  A search collects
-    the nodes under the roots without entering those in ``done``, and sorts
-    their ids: every child is older than its parents, so that order is
-    topological.  The cost follows the nodes reached, never the store's size.
+    the nodes under the roots and sorts their ids: every child is older than
+    its parents, so that order is topological.  The cost follows the nodes
+    reached, never the store's size.
     """
-    stack = [root for root in roots if root not in done]
+    stack = list(roots)
     seen = set(stack)
     while stack:
         arg = args[stack.pop()]
         if type(arg) is tuple:
             for child in arg:
-                if child not in seen and child not in done:
+                if child not in seen:
                     seen.add(child)
                     stack.append(child)
     return sorted(seen)
 
 
-# up to this many variables (tables of 2**16 bits) the oracle keeps each
-# node's table across calls; past it, truth_table frees each table after its
-# last reader (below it, counting the readers costs more than it frees)
+def _last_readers(args: Sequence, order: Iterable[int]) -> dict[int, int]:
+    """Each child of a node in ``order`` mapped to its last reader there: a
+    later reader overwrites an earlier one."""
+    return {child: ref for ref in order if type(args[ref]) is tuple for child in args[ref]}
+
+
+# up to this many variables (tables of 2**16 bits) the oracle caches root
+# tables, and a walk whose tables fit in the bound below keeps them all: on
+# narrow tables, finding the last readers costs more than freeing them saves
 _MASK_CACHE_VAR_LIMIT = 16
+# the tables kept at once, by a walk or by a universe's cache of root tables,
+# take at most this many bits (8 MiB); a table counts as at least 2**10 bits,
+# about what its dict entry costs
+_TABLE_BITS = 1 << 26
+
+
+def _tables_fit(count: int, width: int) -> bool:
+    """Whether ``count`` tables of ``width`` bits may all be kept: each at
+    most ``2**16`` bits wide, and together within the bound."""
+    return width <= 1 << _MASK_CACHE_VAR_LIMIT and count * max(width, 1 << 10) <= _TABLE_BITS
 
 
 def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
-                root: int | tuple[int, ...] | None = None, memo: dict | None = None,
-                room: int | None = None) -> int | tuple[int, ...]:
+                root: int | tuple[int, ...] | None = None) -> int | tuple[int, ...]:
     """Bit-parallel evaluation of a formula or circuit: bit ``w`` of the
     result is the value in world ``w``.
 
@@ -712,76 +729,61 @@ def truth_table(value, masks: Sequence[int] | Mapping[int, int], full: int,
     walk over the union of their nodes evaluates each shared node once, and
     the tables come back as a tuple in the order of ``root``.
 
-    ``memo`` maps ids to their tables; the nodes of a universe's store
-    never change, so a memo on its ids may be kept across calls, and the
-    walk stops at the nodes it already holds.  ``room`` bounds how many
-    tables the call may add to the memo: a call that needs more adds none,
-    reads the memo's tables and frees its own as below.  Without a memo,
-    tables wider than ``2**16`` bits (past 16 variables) live only until
-    their last reader in the walk has used them, each root counting as one
-    more reader, and a literal's table is made at each reader and never
-    kept, so memory follows the walk's frontier, not its size.
+    Every node's table is kept until the call returns when the tables are
+    at most ``2**16`` bits wide and all of them fit in 8 MiB.  Otherwise a
+    table lives only until its last reader in the walk has used it, a root's
+    until the call returns, and a literal's table is made at each reader and
+    never kept, so memory follows the walk's frontier, not its size.
     """
     store, top = value._dag()
     roots = (top,) if root is None else root if type(root) is tuple else (root,)
     kinds, args = store.kinds, store.args
-    held = {} if memo is None else memo
-    order = walk(args, roots, held)
-    if memo is None:
-        release = full.bit_length() > 1 << _MASK_CACHE_VAR_LIMIT
-    else:
-        release = room is not None and len(order) > room
+    order = walk(args, roots)
+    release = not _tables_fit(len(order), full.bit_length())
     if release:
-        memo = _LiteralsOnRead(held, masks, full, args)
+        tables = _LiteralsOnRead(masks, full, args)
         order = [ref for ref in order if kinds[ref] != "lit"]
-        readers = Counter(chain(roots, chain.from_iterable(
-            args[ref] for ref in order if type(args[ref]) is tuple
-        )))
+        last = _last_readers(args, order)
+        last.update(dict.fromkeys(roots, -1))  # a root is never freed
     else:
-        memo = held
+        tables = {}
     for ref in order:
         kind, arg = kinds[ref], args[ref]
         if kind == "lit":
             out = masks[arg >> 1] if arg & 1 else full ^ masks[arg >> 1]
         elif kind == "and":
-            out = memo[arg[0]] if arg else full
+            out = tables[arg[0]] if arg else full
             for child in arg[1:]:
-                out &= memo[child]
+                out &= tables[child]
         elif kind == "or":
-            out = memo[arg[0]] if arg else 0
+            out = tables[arg[0]] if arg else 0
             for child in arg[1:]:
-                out |= memo[child]
+                out |= tables[child]
         elif kind == "not":
-            out = full ^ memo[arg[0]]
+            out = full ^ tables[arg[0]]
         else:
             out = full if kind == "true" else 0
-        memo[ref] = out
+        tables[ref] = out
         if release and type(arg) is tuple:
             for child in arg:
-                readers[child] -= 1
-                if not readers[child]:
-                    memo.pop(child, None)  # a literal or a held table was never stored
+                if last[child] == ref:
+                    tables.pop(child, None)  # a literal's table was never stored
     if type(root) is tuple:
-        return tuple([memo[ref] for ref in roots])
-    return memo[roots[0]]
+        return tuple([tables[ref] for ref in roots])
+    return tables[roots[0]]
 
 
 class _LiteralsOnRead(dict):
-    """Tables by id for a walk that frees them.  A table the memo ``held``
-    holds is read from it; a literal's table is made at each read and never
-    stored: a positive literal's is its variable's mask, held anyway, and a
-    negative literal's is made for its one reader."""
+    """Tables by id for a walk that frees them.  A literal's table is made
+    at each read and never stored: a positive literal's is its variable's
+    mask, held anyway, and a negative literal's is made for its one reader."""
 
-    __slots__ = ("held", "masks", "full", "args")
+    __slots__ = ("masks", "full", "args")
 
-    def __init__(self, held: Mapping[int, int], masks: Sequence[int] | Mapping[int, int],
-                 full: int, args: Sequence):
-        self.held, self.masks, self.full, self.args = held, masks, full, args
+    def __init__(self, masks: Sequence[int] | Mapping[int, int], full: int, args: Sequence):
+        self.masks, self.full, self.args = masks, full, args
 
     def __missing__(self, ref: int) -> int:
-        table = self.held.get(ref)
-        if table is not None:
-            return table
         code = self.args[ref]
         mask = self.masks[code >> 1]
         return mask if code & 1 else self.full ^ mask

@@ -21,6 +21,7 @@ exceeding it is an error, never silent sampling.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -35,6 +36,7 @@ from .core import (
     World,
     _MASK_CACHE_VAR_LIMIT,
     _iter_bits,
+    _tables_fit,
     _var_patterns,
     truth_table,
 )
@@ -63,10 +65,9 @@ __all__ = [
 
 _DEFAULT_CAP = 24
 
-# a universe's cache of truth tables holds at most this many table bits
-# (8 MiB); a table counts as at least 2**10 bits, about what its entry costs
-_MASK_CACHE_BITS = 1 << 26
-_MASK_CACHE_MIN_VARS = 10
+# a miss that fills a universe's cache of root tables takes this lock, so two
+# threads never fill it past its bound; a hit reads without it
+_MASK_CACHE_LOCK = threading.Lock()
 
 
 def default_cap() -> int:
@@ -128,19 +129,31 @@ def models_mask(value) -> int:
     if isinstance(value, World):
         return 1 << value.bits
     if isinstance(value, Term):
-        out = _full_mask(u)
-        for code in value.codes:
-            out &= _literal_mask(u, code)
-        return out
+        return _term_table(len(u), value.codes)
     if isinstance(value, Clause):
-        out = 0
-        for code in value.codes:
-            out |= _literal_mask(u, code)
-        return out
+        return _full_mask(u) ^ _term_table(len(u), tuple([code ^ 1 for code in value.codes]))
     to_formula = getattr(value, "to_formula", None)
     if to_formula is None:
         raise TypeError(f"cannot compute a truth table for {value!r}")
     return _formula_masks(to_formula())[0]
+
+
+def _term_table(n: int, codes: tuple[int, ...]) -> int:
+    """The truth table of the term ``codes`` over ``n`` variables, built up
+    from the lowest variable: a free variable doubles the table, a positive
+    literal moves it to the upper half of a table twice its size and a
+    negative literal to the lower half.  The tables grow geometrically, so
+    the build costs about two operations on ``2**n`` bits."""
+    signs = [None] * n
+    for code in codes:
+        signs[code >> 1] = code & 1
+    table = 1
+    for i, sign in enumerate(signs):
+        if sign is None:
+            table |= table << (1 << i)
+        elif sign:
+            table <<= 1 << i
+    return table
 
 
 def _formula_masks(*formulas) -> tuple[int, ...]:
@@ -148,22 +161,20 @@ def _formula_masks(*formulas) -> tuple[int, ...]:
     union of their nodes."""
     first = formulas[0]
     u, roots = first.universe, tuple([f.id for f in formulas])
-    # the nodes of a universe's store never change, so their truth tables
-    # can be remembered across calls, by id, up to 16 variables; a call
-    # that would fill the cache past its bound caches nothing
-    memo = u._oracle_mask_cache
-    tables = tuple([memo.get(root) for root in roots])
+    # the nodes of a universe's store never change, so the tables of the
+    # roots asked for are remembered across calls, by id, up to 16 variables
+    tables = tuple([u._oracle_mask_cache.get(root) for root in roots])
     if None not in tables:
         return tables
     masks, full = _var_patterns(len(u)), _full_mask(u)
-    if len(u) > _MASK_CACHE_VAR_LIMIT:  # each table lives until its last reader
-        return truth_table(first, masks, full, roots)
-    room = (_MASK_CACHE_BITS >> max(len(u), _MASK_CACHE_MIN_VARS)) - len(memo)
-    tables = truth_table(first, masks, full, roots, memo, room)
-    if any(root not in memo for root in roots):
-        # full: dropped whole, as a new dict, so a walk in another thread
-        # keeps the one it reads
-        u._oracle_mask_cache = {}
+    tables = truth_table(first, masks, full, roots)
+    if len(u) <= _MASK_CACHE_VAR_LIMIT:
+        with _MASK_CACHE_LOCK:
+            cache = u._oracle_mask_cache
+            if _tables_fit(len(cache) + len(roots), full.bit_length()):
+                cache.update(zip(roots, tables))
+            else:  # full: replaced whole, so a thread that read the old one keeps it
+                u._oracle_mask_cache = {}
     return tables
 
 

@@ -182,24 +182,6 @@ def _table(classifier: Classifier, negative: bool) -> int:
     return oracle.models_mask(side)
 
 
-def _term_table(n: int, codes: tuple[int, ...]) -> int:
-    """The truth table of the term ``codes`` over ``n`` variables, built up
-    from the lowest variable: a free variable doubles the table, a positive
-    literal moves it to the upper half of a table twice its size and a
-    negative literal to the lower half.  The tables grow geometrically, so
-    the build costs about two operations on ``2**n`` bits."""
-    signs = [None] * n
-    for code in codes:
-        signs[code >> 1] = code & 1
-    table = 1
-    for i, sign in enumerate(signs):
-        if sign is None:
-            table |= table << (1 << i)
-        elif sign:
-            table <<= 1 << i
-    return table
-
-
 def _entails(
     classifier: Classifier, negative: bool, codes: tuple[int, ...], mask: int, read: list
 ) -> bool:
@@ -217,7 +199,7 @@ def _entails(
     n = len(classifier.features)
     if len(codes) == n:  # a full instance: the bit of its world
         return bool(table >> sum([1 << (code >> 1) for code in codes if code & 1]) & 1)
-    own = _term_table(n, codes)
+    own = oracle._term_table(n, codes)
     return own & table == own
 
 

@@ -509,6 +509,17 @@ class TestSniffing:
         assert main(["quantify", "--op", "exists", "--items", "c", "--in", str(path)]) == 0
         assert capsys.readouterr().out == "d\n"
 
+    def test_a_formula_that_starts_with_a_header_word_is_a_formula(self, capsys, tmp_path):
+        # the header is a whole first field: ``nnfa`` is a variable
+        path = tmp_path / "f.txt"
+        path.write_text("nnfa | b\n")
+        assert cli._sniff(path.read_text()) == "formula"
+        argv = ["quantify", "--op", "forall", "--items", "b", "--in", str(path)]
+        assert main(argv) == 0
+        got = capsys.readouterr().out
+        assert main([*argv, "--repr", "formula"]) == 0
+        assert got == capsys.readouterr().out
+
 
 def _child_env() -> dict:
     """The environment of a child interpreter that imports this qlit."""

@@ -3,12 +3,12 @@ reconstruction and the rule-transition report."""
 
 import dataclasses
 import random
-import tracemalloc
+import threading
 
 import pytest
 
 from qlit import core
-from qlit.core import Universe, World, evaluate, negate, truth_table, walk
+from qlit.core import Universe, World, evaluate, negate, truth_table
 from qlit.errors import (
     CapacityError,
     ConfigurationError,
@@ -30,6 +30,7 @@ from qlit.tractable import Cnf, Dnf, cnf_forall_literal, ddnnf_forall, dnf_exist
 from qlit import oracle
 
 from conftest import tt_models
+from table_memory import TestTableMemory  # noqa: F401  (collected here)
 
 
 def rules_as_text(value) -> set[str]:
@@ -380,98 +381,8 @@ class TestCaps:
             oracle.enumerate_models(Universe(1).true)
 
 
-def _formula_of_at_least(u, rng, nodes):
-    while True:
-        f = random_formula(u, rng, depth=9)
-        if len(walk(u._store.args, (f.id,))) >= nodes:
-            return f
-
-
-class TestTableMemory:
-    def test_tables_past_16_variables_live_until_their_last_reader(self):
-        u = Universe(18)
-        f = _formula_of_at_least(u, random.Random(9100), 100)
-        nodes = len(walk(u._store.args, (f.id,)))
-        table_bytes = (1 << 18) // 8
-        expected = oracle.models_mask(f)  # builds the variable masks first
-        tracemalloc.start()
-        try:
-            assert oracle.models_mask(f) == expected
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # keeping every node's table would take about nodes * table_bytes
-        assert peak < nodes * table_bytes / 3
-
-    def test_literal_tables_are_made_at_their_readers(self):
-        # the seeded 232-node formula whose traced peak was 70.4 MiB while
-        # every literal's table was made first and held to its last reader
-        u = Universe(24)
-        f = _formula_of_at_least(u, random.Random(2400), 200)
-        assert len(walk(u._store.args, (f.id,))) == 232
-        expected = oracle.models_mask(f)  # builds the variable masks first
-        tracemalloc.start()
-        try:
-            assert oracle.models_mask(f) == expected
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 70 * 2**20
-        rng = random.Random(2401)
-        for bits in (rng.getrandbits(24) for _ in range(200)):
-            assert bool(expected >> bits & 1) == evaluate(f, World(u, bits))
-
-
-    def test_a_comparison_past_16_variables_holds_no_table_past_the_call(self):
-        # one walk holds the nodes the two sides share until the second side
-        # reads them, so its frontier may pass either side's own, but never
-        # both together; no table is left once the call returns
-        u = Universe(24)
-        f = _formula_of_at_least(u, random.Random(2400), 200)
-        g = quantify_set(f, "forall", [u._literals[1], u._literals[14], u._literals[40]])
-        expected = oracle.models_mask(f) == oracle.models_mask(g)
-        peaks = []
-        for call in (lambda: oracle.models_mask(f), lambda: oracle.models_mask(g),
-                     lambda: oracle.equivalent(f, g)):
-            tracemalloc.start()
-            try:
-                answer = call()
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peaks.append(peak)
-        assert answer == expected
-        assert current < (1 << 24) // 8  # less than one table
-        assert peaks[2] < peaks[0] + peaks[1]
-
-    def test_a_call_that_would_fill_the_cache_past_its_bound_caches_nothing(self):
-        # 60 seeded depth-6 formulas over 16 variables, 1,557 nodes: held
-        # whole, their tables took a traced peak of 11.9 MiB
-        u = Universe(16)
-        rng = random.Random(9400)
-        f = u.all_conj([random_formula(u, rng, depth=6) for _ in range(60)])
-        assert len(walk(u._store.args, (f.id,))) == 1557
-        masks, full = core._var_patterns(16), (1 << (1 << 16)) - 1
-        expected = truth_table(f, masks, full, memo={})
-        tracemalloc.start()
-        try:
-            assert oracle.models_mask(f) == expected
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < oracle._MASK_CACHE_BITS // 8
-        assert len(u._oracle_mask_cache) << 16 <= oracle._MASK_CACHE_BITS
-        # a cache that held tables when the call found no room is dropped
-        small = random_formula(u, rng, depth=4)
-        small_table = oracle.models_mask(small)
-        cache = u._oracle_mask_cache
-        assert small.id in cache
-        assert oracle.equivalent(f, small) == (expected == small_table)
-        assert u._oracle_mask_cache is not cache and not u._oracle_mask_cache
-
-
 def _tables(*values):
-    """Each value's truth table from its own walk, with a fresh memo."""
+    """Each value's truth table from its own walk."""
     u = values[0].universe
     masks, full = core._var_patterns(len(u)), (1 << (1 << len(u))) - 1
     out = []
@@ -479,7 +390,7 @@ def _tables(*values):
         if isinstance(value, World):
             value = value.to_term()
         value = value if hasattr(value, "_dag") else value.to_formula()
-        out.append(truth_table(value, masks, full, memo={}))
+        out.append(truth_table(value, masks, full))
     return out
 
 
@@ -492,8 +403,8 @@ def _check_pair(a, b):
 
 class TestPairedTables:
     """``equivalent`` and ``entails`` read two DAG values' tables from one
-    walk; they must agree with two separate tables, on the memo path (up to
-    16 variables) and the release path."""
+    walk; they must agree with two separate tables, on the path that keeps
+    every table (up to 16 variables) and the release path."""
 
     @pytest.mark.parametrize("n", [10, 14, 17, 20])
     def test_a_formula_against_its_quantification(self, n):
@@ -584,17 +495,48 @@ class _NoTable:
 
 class TestMaskCacheBound:
     def test_many_formulas_on_one_universe_keep_the_cache_under_its_bound(self):
-        u = Universe(12)
+        # 1,024 root tables of 2**16 bits fill the cache's 8 MiB
+        u = Universe(16)
         rng = random.Random(9300)
-        masks, full = core._var_patterns(12), (1 << (1 << 12)) - 1
+        masks, full = core._var_patterns(16), (1 << (1 << 16)) - 1
         caches = [u._oracle_mask_cache]
-        for _ in range(1000):
-            f = random_formula(u, rng, depth=8)
-            assert oracle.models_mask(f) == truth_table(f, masks, full, memo={})
-            assert len(u._oracle_mask_cache) << 12 <= oracle._MASK_CACHE_BITS
+        for _ in range(2500):
+            f = random_formula(u, rng, depth=5)
+            assert oracle.models_mask(f) == truth_table(f, masks, full)
+            assert len(u._oracle_mask_cache) << 16 <= core._TABLE_BITS
             if u._oracle_mask_cache is not caches[-1]:
                 caches.append(u._oracle_mask_cache)
         assert len(caches) >= 3  # full and dropped at least twice
+
+    def test_threads_share_the_cache(self):
+        # four threads fill one 12-variable universe's cache, 16,384 root
+        # tables, several times over; every table is the one a single thread
+        # computes, and no thread sees the cache past its bound
+        u = Universe(12)
+        rngs = [random.Random(9900 + k) for k in range(4)]
+        formulas = [[random_formula(u, rng, depth=3) for _ in range(20000)] for rng in rngs]
+        results = [None] * 4
+
+        def run(k):
+            tables, drops, seen, over = [], 0, 0, 0
+            for f in formulas[k]:
+                tables.append(oracle.models_mask(f))
+                size = len(u._oracle_mask_cache)
+                drops += size < seen
+                over += size << 12 > core._TABLE_BITS
+                seen = size
+            results[k] = tables, drops, over
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        masks, full = core._var_patterns(12), (1 << (1 << 12)) - 1
+        for k, (tables, _, over) in enumerate(results):
+            assert tables == [truth_table(f, masks, full) for f in formulas[k]]
+            assert not over
+        assert max(drops for _, drops, _ in results) >= 3
 
 
 def _state(obj) -> dict:

@@ -6,8 +6,9 @@ times one period, which is quadratic in the table's width; and
 ``truth_table`` kept every node's table until the call returned and folded
 each gate from ``full`` or ``0``.  :func:`qlit.core._var_patterns` must
 return the same masks, and :func:`qlit.core.truth_table` the same tables,
-whether it frees tables after their last reader (past 16 variables, without
-a memo) or fills a memo, and for several roots of one store at once.
+whether it keeps every table (up to 16 variables, while they fit in 8 MiB)
+or frees tables after their last reader, and for several roots of one store
+at once.
 """
 
 import random
@@ -23,15 +24,12 @@ def ref_var_patterns(n):
     return [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(n)]
 
 
-def ref_truth_table(value, masks, full, root=None, memo=None):
+def ref_truth_table(value, masks, full, root=None):
     store, top = value._dag()
     root = top if root is None else root
-    if memo is None:
-        memo = {}
-    elif root in memo:
-        return memo[root]
+    memo = {}
     kinds, args = store.kinds, store.args
-    for ref in walk(args, (root,), memo):
+    for ref in walk(args, (root,)):
         kind, arg = kinds[ref], args[ref]
         if kind == "lit":
             out = masks[arg >> 1] if arg & 1 else full ^ masks[arg >> 1]
@@ -87,29 +85,14 @@ class TestFormulaTables:
 
     @pytest.mark.parametrize("n", [1, 4, 9, 16])
     def test_memo_path(self, n):
+        # up to 16 variables a call on a small formula keeps every node's
+        # table, by id, until it returns
         rng = random.Random(8200 + n)
         u = Universe(n)
         masks, full = _var_patterns(n), _full(n)
-        memo, ref_memo = {}, {}
         for _ in range(20):
             f = random_formula(u, rng, depth=6)
-            assert truth_table(f, masks, full, memo=memo) == ref_truth_table(f, masks, full, memo=ref_memo)
             assert truth_table(f, masks, full) == ref_truth_table(f, masks, full)
-        assert memo == ref_memo
-
-    @pytest.mark.parametrize("n", [8, 18])
-    def test_a_callers_memo_holds_every_node_of_the_walk(self, n):
-        rng = random.Random(8300 + n)
-        u = Universe(n)
-        masks, full = _var_patterns(n), _full(n)
-        f = random_formula(u, rng, depth=7)
-        memo = {}
-        truth_table(f, masks, full, memo=memo)
-        order = walk(u._store.args, (f.id,))
-        assert sorted(memo) == order
-        ref_memo = {}
-        ref_truth_table(f, masks, full, memo=ref_memo)
-        assert memo == ref_memo
 
     def test_evaluate(self):
         rng = random.Random(8400)
@@ -141,22 +124,17 @@ class TestSeveralRoots:
             assert truth_table(value, masks, full, roots) == expected
             assert truth_table(value, masks, full, roots[2:3]) == expected[2:3]
 
-    @pytest.mark.parametrize("n", [9, 16])
-    def test_with_a_memo_and_room(self, n):
-        rng = random.Random(8700 + n)
-        u = Universe(n)
-        masks, full = _var_patterns(n), _full(n)
-        memo = {}
-        for _ in range(3):
-            value, roots = self._roots(u, rng)
-            expected = tuple(ref_truth_table(value, masks, full, root=ref) for ref in roots)
-            held = dict(memo)
-            # no room: the memo's tables are read, and none is added
-            assert truth_table(value, masks, full, roots, memo, room=0) == expected
-            assert memo == held
-            needed = len(walk(u._store.args, roots, memo))
-            assert truth_table(value, masks, full, roots, memo, room=needed) == expected
-            assert len(memo) == len(held) + needed and all(ref in memo for ref in roots)
+    def test_past_the_size_bound(self):
+        # the roots' union holds more 2**16-bit tables than fit in 8 MiB
+        rng = random.Random(8700)
+        u = Universe(16)
+        masks, full = _var_patterns(16), _full(16)
+        big = u.all_conj([random_formula(u, rng, depth=6) for _ in range(60)])
+        value, roots = self._roots(u, rng)
+        roots += (big.id, u.lit(5).id)
+        assert len(walk(u._store.args, roots)) << 16 > 1 << 26
+        expected = tuple(ref_truth_table(value, masks, full, root=ref) for ref in roots)
+        assert truth_table(value, masks, full, roots) == expected
 
 
 class TestCircuitTables:
